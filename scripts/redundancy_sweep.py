@@ -1,8 +1,9 @@
 """Sweep broadband-averaging error over zero count and decay exponent.
 
-For each (sigma, count) pair, averages the re-encoded field over the
-first `count` zero ordinates and reports the l2 recovery error. Output
-is CSV on stdout (or --out), one row per cell of the sweep.
+For each sigma, averages the re-encoded field over the first `count`
+zero ordinates for every count in one pass over the table, and reports
+the l2 recovery error. Output is CSV on stdout (or --out), one row per
+(sigma, count) cell of the sweep.
 
 Example:
     python scripts/redundancy_sweep.py --zeros data/zeta_zeros_10k.txt \
@@ -18,7 +19,7 @@ from qtorus import (
     FOURIER_REAL,
     CoeffGrid,
     averaging_errors,
-    broadband_average_2d,
+    broadband_average_2d_counts,
     load_zero_table,
     read_grid,
 )
@@ -67,9 +68,9 @@ def main():
 
     rows = ["field,sigma,zero_count,T,l2_error,hs_error"]
     for sigma in sigmas:
-        for count in counts:
+        zbars = broadband_average_2d_counts(field, sigma, table, counts)
+        for count, zbar in zip(counts, zbars):
             t = table.t_covering(count)
-            zbar = broadband_average_2d(field, sigma, table, t)
             l2, hs = averaging_errors(zbar, field)
             rows.append("%s,%g,%d,%.6f,%.6e,%.6e"
                         % (args.field, sigma, count, t, l2, hs))

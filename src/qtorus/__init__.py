@@ -83,6 +83,7 @@ from .redundancy import (
     averaging_errors,
     broadband_average_1d,
     broadband_average_2d,
+    broadband_average_2d_counts,
     broadband_average_2d_per_zero,
     c_d,
     load_zero_table,
@@ -98,4 +99,4 @@ from .spectral import (
     s_map,
     synthesize,
 )
-from .summation import KahanAccumulator, kahan_fold_axis0, kahan_sum
+from .summation import KahanAccumulator

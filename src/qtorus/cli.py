@@ -24,7 +24,7 @@ from .dynamics import (
 )
 from .errors import QTorusError
 from .gridio import RunManifest, atomic_write_text, ingest_pgm, read_grid, write_grid
-from .redundancy import averaging_errors, broadband_average_2d, load_zero_table
+from .redundancy import averaging_errors, broadband_average_2d_counts, load_zero_table
 from .sobolev import SobolevWeight, norm
 from .spectral import q_inverse, q_transform, s_map
 
@@ -241,9 +241,9 @@ def cmd_redundancy(args) -> int:
     field = read_grid(args.field)
     table = load_zero_table(args.zeros)
     rows = ["zero_count,T,l2_error_field,hs_error_operator"]
-    for count in args.counts:
+    zbars = broadband_average_2d_counts(field, args.sigma, table, args.counts)
+    for count, zbar in zip(args.counts, zbars):
         t = table.t_covering(count)
-        zbar = broadband_average_2d(field, args.sigma, table, t)
         l2, hs = averaging_errors(zbar, field)
         rows.append("%d,%s,%s,%s" % (count, _fmt(t), _fmt(l2), _fmt(hs)))
     atomic_write_text(args.out, "\n".join(rows) + "\n")

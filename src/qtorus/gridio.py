@@ -63,6 +63,9 @@ def grid_from_json(text: str) -> CoeffGrid:
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise FormatError("grid JSON: entry %d is not a [re, im] pair" % i)
         data[i] = complex(float(pair[0]), float(pair[1]))
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise FormatError("grid JSON: entry %d is not finite" % bad[0])
     return CoeffGrid(n, data.reshape(side, side), tag)
 
 

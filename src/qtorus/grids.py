@@ -106,7 +106,7 @@ def hermitian_deviation(grid: CoeffGrid) -> float:
 
 def require_fourier_real(grid: CoeffGrid, rtol: float = SYMMETRY_RTOL):
     dev = fourier_real_deviation(grid)
-    if dev > rtol * grid.scale():
+    if not dev <= rtol * grid.scale():  # a NaN deviation fails too
         raise SymmetryError(
             "grid is not fourier-real: deviation %.3e exceeds %.1e * scale %.3e"
             % (dev, rtol, grid.scale())
@@ -115,7 +115,7 @@ def require_fourier_real(grid: CoeffGrid, rtol: float = SYMMETRY_RTOL):
 
 def require_hermitian(grid: CoeffGrid, rtol: float = SYMMETRY_RTOL):
     dev = hermitian_deviation(grid)
-    if dev > rtol * grid.scale():
+    if not dev <= rtol * grid.scale():  # a NaN deviation fails too
         raise HermiticityError(
             "grid is not hermitian: deviation %.3e exceeds %.1e * scale %.3e"
             % (dev, rtol, grid.scale())

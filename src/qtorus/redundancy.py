@@ -2,7 +2,7 @@
 
 A smooth field re-encoded through the slowly-decaying bases D(sigma, tau)
 is recovered by averaging over many ordinates tau_n: the corrections ride
-on averages of d^(-i tau_n log d)-type phases, which cancel as the table
+on averages M(x) of exp(-i tau_n x) phases, which cancel as the table
 grows.  Ordinates are ingested from text tables, never computed here.
 
 Two implementations of the 2D average are kept deliberately separate:
@@ -10,16 +10,21 @@ broadband_average_2d applies averaged phase factors divisor pair by
 divisor pair, while broadband_average_2d_per_zero averages the per-zero
 inverse D-transforms.  They must agree; tests hold them to 1e-10.
 
-All zero averages fold in ascending-ordinate order with compensated
-summation, so results do not depend on how the per-zero work was split.
+Phase averages are summed in fixed blocks of BLOCK ordinates (pairwise
+np.sum within a block), and the block sums are Neumaier-folded in
+ascending order, the partial block below a count last.  M over the first
+c ordinates therefore depends on c alone, not on which other counts or
+arguments share the pass, and one pass over the table serves every
+count.  Only distinct arguments x > 0 are evaluated: M(-x) = conj(M(x))
+and M(0) = 1 exactly.  The per-zero route folds its grids one ordinate
+at a time, in ascending order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from .grids import FOURIER_REAL, GENERAL, CoeffGrid
 from .spectral import s_map
 from .summation import KahanAccumulator
 
-CHUNK = 256  # zeros per map batch in the per-zero route
+BLOCK = 256  # ordinates per pairwise block of a phase average
 
 
 @dataclass(eq=False)
@@ -107,13 +112,62 @@ def load_zero_table(source) -> ZeroTable:
             lines.close()
 
 
-def phase_average(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """M(x) = (1/n) sum over tau of exp(-i tau x), compensated, in order."""
-    xs = np.asarray(xs, dtype=np.float64)
+def _block_sum(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum over one block of exp(-i tau x): pairwise np.sum along the contiguous tau axis."""
+    arg = np.multiply.outer(xs, taus)
+    out = np.empty(xs.shape, dtype=np.complex128)
+    out.imag = -np.sum(np.sin(arg, out=arg), axis=1)
+    np.multiply.outer(xs, taus, out=arg)  # one (K, BLOCK) buffer serves both passes
+    out.real = np.sum(np.cos(arg, out=arg), axis=1)
+    return out
+
+
+def _prefix_phase_sums(taus: np.ndarray, xs: np.ndarray, counts) -> dict:
+    """{c: sum of exp(-i tau x) over taus[:c]} for every c, in one pass over the blocks.
+
+    The full blocks below c are Neumaier-folded in ascending order and the
+    partial block [BLOCK * (c // BLOCK), c) is folded last, on a copy, so
+    each sum depends on c alone.
+    """
     acc = KahanAccumulator(xs.shape)
-    for tau in taus:
-        acc.add(np.exp(-1j * tau * xs))
-    return acc.value() / taus.size
+    folded = 0
+    sums = {}
+    for c in sorted(set(counts)):
+        full = c // BLOCK
+        for b in range(folded, full):
+            acc.add(_block_sum(taus[b * BLOCK:(b + 1) * BLOCK], xs))
+        folded = full
+        if c % BLOCK:
+            part = acc.copy()
+            part.add(_block_sum(taus[full * BLOCK:c], xs))
+            sums[c] = part.value()
+        else:
+            sums[c] = acc.value()
+    return sums
+
+
+def _phase_means(taus: np.ndarray, xs, counts) -> list:
+    """M(x) over the first c ordinates, for each c in counts.
+
+    Only the distinct |x| > 0 are evaluated; M(-x) = conj(M(x)) and
+    M(0) = 1 exactly.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ax, inv = np.unique(np.abs(xs).ravel(), return_inverse=True)
+    live = ax != 0
+    sums = _prefix_phase_sums(taus, ax[live], counts)
+    means = []
+    for c in counts:
+        m = np.ones(ax.shape, dtype=np.complex128)
+        m[live] = sums[c] / c
+        m = m[inv].reshape(xs.shape)
+        means.append(np.where(xs < 0, np.conj(m), m))
+    return means
+
+
+def phase_average(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """M(x) = (1/n) sum over tau of exp(-i tau x), in fixed blocks, compensated."""
+    return _phase_means(np.asarray(taus, dtype=np.float64), xs, [len(taus)])[0]
 
 
 def c_d(d: int, sigma: float, zeros: ZeroTable, t: float) -> float:
@@ -163,98 +217,111 @@ def broadband_average_1d(fhat: np.ndarray, sigma: float, zeros: ZeroTable,
     return out
 
 
-def _axis_terms(k: int, n: int):
-    """Divisor expansion of one index: list of (d, k//d, sign) with mu(d) != 0."""
-    if k == 0:
-        return [(1, 0, 0)]
-    sk = 1 if k > 0 else -1
-    return [(d, k // d, sk) for d in _divisor_lists(n)[abs(k)] if moebius(d) != 0]
+@lru_cache(maxsize=16)
+def _direct_plan(n: int):
+    """Divisor-pair terms of the direct route at band limit n.
+
+    Returns (out, src, key, mu, dr, xs).  Term j adds
+    mu[j] * dr[j]^-sigma * M(xs[key[j]]) * fhat.flat[src[j]] to the flat
+    output entry out[j]; mu = mu(d) mu(r), dr = d r, and xs holds
+    log(num) - log(den) of each distinct gcd-reduced ratio
+    num/den = d^sgn(k) r^sgn(l).  Terms run over k, d, l, r in that nesting
+    order, so each output sums ascending in d, then r.
+    """
+    divs = _divisor_lists(max(n, 1))
+    pos, src, dd, sgn, mus = [], [], [], [], []  # one entry per (k, d): the axis expansion
+    for k in range(-n, n + 1):
+        for d in (divs[abs(k)] if k else [1]):  # k = 0 sees only d = 1
+            mu = moebius(d)
+            if mu:
+                pos.append(k + n)
+                src.append(k // d + n)
+                dd.append(d)
+                sgn.append((k > 0) - (k < 0))
+                mus.append(mu)
+    pos, src, dd, sgn = (np.array(a, dtype=np.int64) for a in (pos, src, dd, sgn))
+    mus = np.array(mus, dtype=np.int8)
+    up = np.where(sgn > 0, dd, 1)
+    down = np.where(sgn < 0, dd, 1)
+
+    m = 2 * n + 1
+    num = np.multiply.outer(up, up).ravel()
+    den = np.multiply.outer(down, down).ravel()
+    g = np.gcd(num, den)
+    num //= g
+    den //= g
+    del g
+    base = int(den.max()) + 1
+    packed, key = np.unique(num * base + den, return_inverse=True)
+    del num, den
+    xs = np.array([math.log(p) - math.log(q) for p, q in
+                   zip((packed // base).tolist(), (packed % base).tolist())])
+    plan = (
+        np.add.outer(pos * m, pos).ravel().astype(np.int32),
+        np.add.outer(src * m, src).ravel().astype(np.int32),
+        key.astype(np.int32),
+        np.multiply.outer(mus, mus).ravel(),
+        np.multiply.outer(dd, dd).ravel().astype(np.int32),
+        xs,
+    )
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+def broadband_average_2d_counts(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
+                                counts) -> list:
+    """Direct route over the first c ordinates, for each c in counts.
+
+    zbar[k,l] = sum over d | k, r | l of
+        mu(d) mu(r) (d r)^-sigma * M(sgn(k) log d + sgn(l) log r) * fhat[k/d, l/r]
+    where M is the zero-averaged phase.  All counts share one pass over
+    the ordinates; the grid at c is the same whichever other counts are
+    requested.  The (0,0) entry is exact: only d = r = 1 reaches it and
+    M(0) = 1.
+    """
+    _require_sigma(sigma)
+    for c in counts:
+        if not 1 <= c <= zeros.count:
+            raise EmptyRangeError(
+                "table holds %d ordinates, cannot average over %d" % (zeros.count, c))
+    n = fhat.n
+    out, src, key, mu, dr, xs = _direct_plan(n)
+    coef = mu * dr.astype(np.float64) ** (-float(sigma))
+    f = fhat.data.ravel()[src]
+    tag = FOURIER_REAL if fhat.tag == FOURIER_REAL else GENERAL
+    grids = []
+    for m_c in _phase_means(zeros.ordinates, xs, counts):
+        terms = m_c[key]
+        terms *= coef
+        terms *= f
+        flat = np.empty(fhat.data.size, dtype=np.complex128)
+        flat.real = np.bincount(out, weights=terms.real, minlength=flat.size)
+        flat.imag = np.bincount(out, weights=terms.imag, minlength=flat.size)
+        grids.append(CoeffGrid(n, flat.reshape(fhat.data.shape), tag))
+    return grids
 
 
 def broadband_average_2d(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
                          t: float) -> CoeffGrid:
-    """Direct formula: averaged phase factor per divisor pair.
-
-    zbar[k,l] = sum over d | k, r | l of
-        mu(d) mu(r) (d r)^-sigma * M(sgn(k) log d + sgn(l) log r) * fhat[k/d, l/r]
-    where M is the zero-averaged phase; the (0,0) entry is exact since
-    only d = r = 1 reaches it and M(0) = 1.
-    """
-    _require_sigma(sigma)
-    n = fhat.n
-    taus = zeros.upto(t)
-
-    axis = {k: _axis_terms(k, n) for k in range(-n, n + 1)}
-
-    # deduplicate phase arguments by the exact rational d^sgn(k) * r^sgn(l)
-    keys = {}
-    for k in range(-n, n + 1):
-        for d, _, sk in axis[k]:
-            for l in range(-n, n + 1):
-                for r, _, sl in axis[l]:
-                    num = (d if sk > 0 else 1) * (r if sl > 0 else 1)
-                    den = (d if sk < 0 else 1) * (r if sl < 0 else 1)
-                    g = math.gcd(num, den)
-                    keys[(num // g, den // g)] = 0.0
-    for (p, q) in keys:
-        keys[(p, q)] = math.log(p) - math.log(q)
-    key_list = list(keys)
-    ms = phase_average(taus, np.array([keys[key] for key in key_list]))
-    m_of = dict(zip(key_list, ms))
-
-    fd = fhat.data
-    out = np.zeros_like(fd)
-    for k in range(-n, n + 1):
-        for l in range(-n, n + 1):
-            acc = 0.0 + 0.0j
-            for d, kd, sk in axis[k]:
-                mud = moebius(d)
-                for r, lr, sl in axis[l]:
-                    num = (d if sk > 0 else 1) * (r if sl > 0 else 1)
-                    den = (d if sk < 0 else 1) * (r if sl < 0 else 1)
-                    g = math.gcd(num, den)
-                    m = m_of[(num // g, den // g)]
-                    coef = mud * moebius(r) * (d * r) ** (-float(sigma))
-                    acc += coef * m * fd[kd + n, lr + n]
-            out[k + n, l + n] = acc
-    tag = FOURIER_REAL if fhat.tag == FOURIER_REAL else GENERAL
-    return CoeffGrid(n, out, tag)
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("QTL_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Direct route over the ordinates at or below t; see broadband_average_2d_counts."""
+    return broadband_average_2d_counts(fhat, sigma, zeros, [zeros.count_below(t)])[0]
 
 
 def broadband_average_2d_per_zero(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
-                                  t: float, max_workers: int | None = None) -> CoeffGrid:
+                                  t: float) -> CoeffGrid:
     """Oracle route: average the per-ordinate inverse D-transforms.
 
-    Per-zero grids may be computed in parallel (QTL_THREADS), but the
-    reduction is always the sequential compensated fold in ascending
-    ordinate order, so the result is independent of the worker count.
+    The per-zero grids are folded sequentially in ascending ordinate order
+    with compensated summation.
     """
     _require_sigma(sigma)
     n = fhat.n
     taus = zeros.upto(t)
-    workers = max_workers if max_workers is not None else _worker_count()
-
-    def one(tau: float) -> np.ndarray:
-        seq = ZetaParams(sigma, tau).sequence(n if n >= 1 else 1)
-        return d_transform_2d(seq, fhat).data
-
     acc = KahanAccumulator(fhat.data.shape)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for start in range(0, taus.size, CHUNK):
-                chunk = taus[start:start + CHUNK]
-                for term in pool.map(one, chunk):
-                    acc.add(term)
-    else:
-        for tau in taus:
-            acc.add(one(tau))
+    for tau in taus:
+        seq = ZetaParams(sigma, tau).sequence(n if n >= 1 else 1)
+        acc.add(d_transform_2d(seq, fhat).data)
     out = acc.value() / taus.size
     tag = FOURIER_REAL if fhat.tag == FOURIER_REAL else GENERAL
     return CoeffGrid(n, out, tag)

@@ -1,32 +1,14 @@
 """Deterministic compensated summation.
 
-Zero-ordinate averages are folded in a fixed ascending order with
-Neumaier's variant of Kahan summation so results are reproducible down to
-the last bit regardless of how the per-term work was parallelized.
+KahanAccumulator is the package's one compensated fold: Neumaier's variant
+of Kahan summation, applied in a fixed ascending order, so zero-ordinate
+averages are reproducible down to the last bit.  It folds the block sums
+of phase averages and the per-zero grids of the oracle averaging route.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def kahan_sum(values) -> complex:
-    """Sequential Neumaier sum of a 1D real or complex array."""
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError("kahan_sum expects a 1D array")
-    if np.iscomplexobj(arr):
-        return complex(kahan_sum(arr.real)) + 1j * complex(kahan_sum(arr.imag))
-    total = 0.0
-    comp = 0.0
-    for x in arr.astype(np.float64):
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
 
 
 class KahanAccumulator:
@@ -55,13 +37,11 @@ class KahanAccumulator:
         comp += np.where(big, (total - t) + x, (x - t) + total)
         total[...] = t
 
+    def copy(self) -> "KahanAccumulator":
+        twin = KahanAccumulator(self.total.shape, self.total.dtype)
+        twin.total[...] = self.total
+        twin.comp[...] = self.comp
+        return twin
+
     def value(self) -> np.ndarray:
         return self.total + self.comp
-
-
-def kahan_fold_axis0(stack: np.ndarray) -> np.ndarray:
-    """Compensated sum along axis 0, sequential in the given order."""
-    acc = KahanAccumulator(stack.shape[1:], dtype=np.result_type(stack.dtype, np.float64))
-    for i in range(stack.shape[0]):
-        acc.add(stack[i])
-    return acc.value()

@@ -2,12 +2,13 @@
 
 Everything here is written in the most literal form possible (scalar
 loops, explicit exponentials, explicit divisor sums) and shares no code
-paths with the package beyond the CoeffGrid container.
+paths with the package beyond the CoeffGrid container and the
+KahanAccumulator fold.
 """
 
 import numpy as np
 
-from qtorus import CoeffGrid, FOURIER_REAL, GENERAL, HERMITIAN
+from qtorus import CoeffGrid, FOURIER_REAL, GENERAL, HERMITIAN, KahanAccumulator
 
 SQRT2 = np.sqrt(2.0)
 
@@ -75,6 +76,14 @@ def naive_divisor_transform_2d(avals, fhat):
     for i in range(m):
         rows[i, :] = naive_divisor_transform_1d(avals, cols[i, :])
     return CoeffGrid(n, rows, GENERAL)
+
+
+def sequential_phase_average(taus, xs):
+    """(1/n) sum of exp(-i tau x), folded one ordinate at a time in ascending order."""
+    acc = KahanAccumulator(np.shape(xs))
+    for tau in taus:
+        acc.add(np.exp(-1j * tau * xs))
+    return acc.value() / len(taus)
 
 
 def symmetrize_fourier_real(raw):

@@ -25,13 +25,15 @@ from qtorus import (
     q_transform,
     read_grid,
     read_pgm,
+    require_fourier_real,
+    require_hermitian,
     s_map,
     single_entry,
     write_grid,
     write_pgm,
 )
 from qtorus.cli import run
-from qtorus.errors import FormatError
+from qtorus.errors import FormatError, HermiticityError, SymmetryError
 from qtorus.gridio import atomic_write_bytes
 
 from conftest import DATA
@@ -82,6 +84,24 @@ class TestGridJson:
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
             grid_from_json(text)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rejected(self, value):
+        text = '{"n": 0, "tag": "general", "entries": [[0.5, %s]]}' % value
+        with pytest.raises(FormatError, match="not finite"):
+            grid_from_json(text)
+
+
+class TestNonFiniteSymmetry:
+    def test_nan_fails_symmetry_checks(self, rng):
+        data = random_fourier_real(2, rng).data.copy()
+        data[1, 3] = np.nan
+        with pytest.raises(SymmetryError):
+            require_fourier_real(CoeffGrid(2, data, FOURIER_REAL))
+        herm = s_map(random_fourier_real(2, rng)).data.copy()
+        herm[0, 0] = np.nan
+        with pytest.raises(HermiticityError):
+            require_hermitian(CoeffGrid(2, herm, HERMITIAN))
 
 
 class TestPgm:
@@ -306,6 +326,17 @@ class TestCliNorms:
     def test_bad_alpha_list(self, field_file):
         assert run(["norms", "--in", field_file, "--alphas", "1,zap"]) == 1
 
+    @pytest.mark.parametrize("tag,bad", [("fourier-real", float("nan")),
+                                         ("general", float("inf"))])
+    def test_non_finite_grid_is_data_error(self, tmp_path, rng, capsys, tag, bad):
+        entries = [[float(z.real), float(z.imag)]
+                   for z in random_fourier_real(2, rng).data.ravel()]
+        entries[7][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "tag": tag, "entries": entries}))
+        assert run(["norms", "--in", str(path), "--alphas", "0,1"]) == 2
+        assert "nan" not in capsys.readouterr().out
+
 
 class TestCliEvolve:
     def test_closed_flow_matches_drift(self, tmp_path, field_file):
@@ -413,8 +444,12 @@ class TestCliRedundancy:
 
     def test_count_beyond_table_is_data_error(self, tmp_path, field_file):
         zeros = str(DATA / "zeta_zeros_100.txt")
+        out = tmp_path / "o.csv"
         assert run(["redundancy", "--field", field_file, "--counts", "101",
-                    "--zeros", zeros, "--out", str(tmp_path / "o.csv")]) == 2
+                    "--zeros", zeros, "--out", str(out)]) == 2
+        assert run(["redundancy", "--field", field_file, "--counts", "10,101",
+                    "--zeros", zeros, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_zero_count_rejected_by_parser(self, tmp_path, field_file):
         zeros = str(DATA / "zeta_zeros_100.txt")

@@ -21,6 +21,7 @@ from qtorus import (
     averaging_errors,
     broadband_average_1d,
     broadband_average_2d,
+    broadband_average_2d_counts,
     broadband_average_2d_per_zero,
     c_d,
     fourier_real_deviation,
@@ -28,9 +29,13 @@ from qtorus import (
     phase_average,
     single_entry,
 )
+from qtorus import redundancy
 from qtorus.errors import DomainError, EmptyRangeError, FormatError
 
-from helpers import random_fourier_real
+from helpers import random_fourier_real, sequential_phase_average
+
+# arguments of the phase averages the 2D route needs: log d and log(p/q)
+PHASE_ARGS = np.log(np.array([2.0, 3.0, 5.0, 6.0, 7.0, 10.0, 1.5, 10.0 / 3.0]))
 
 
 class TestZeroTable:
@@ -99,6 +104,71 @@ class TestPhaseAverage:
         taus = np.array([1.0, 1.0 + math.pi / x])
         m = phase_average(taus, np.array([x]))
         assert abs(m[0]) < 1e-15
+
+
+class TestBlockAveraging:
+    @pytest.mark.parametrize("count", [100, 256, 257, 1000])
+    def test_prefix_independent_of_other_counts(self, zeros10k, count):
+        taus = zeros10k.ordinates
+        alone = phase_average(taus[:count], PHASE_ARGS)
+        shared = redundancy._phase_means(taus, PHASE_ARGS, [10, 100, count, 10000])
+        assert np.array_equal(alone, shared[2])
+        assert np.array_equal(
+            redundancy._phase_means(taus, PHASE_ARGS, [count])[0], shared[2])
+
+    def test_zero_exact_and_negation_conjugates(self, zeros10k):
+        taus = zeros10k.ordinates[:1000]
+        assert phase_average(taus, [0.0])[0] == 1
+        m = phase_average(taus, np.concatenate([PHASE_ARGS, -PHASE_ARGS, [0.0]]))
+        k = PHASE_ARGS.size
+        assert np.array_equal(m[k:2 * k], np.conj(m[:k]))
+        assert np.array_equal(phase_average(taus, -PHASE_ARGS),
+                              np.conj(phase_average(taus, PHASE_ARGS)))
+        assert m[-1] == 1
+
+    @pytest.mark.parametrize("count", [10, 100, 1000, 10000])
+    def test_matches_sequential_fold(self, zeros10k, count):
+        taus = zeros10k.ordinates[:count]
+        ref = sequential_phase_average(taus, PHASE_ARGS)
+        assert np.max(np.abs(phase_average(taus, PHASE_ARGS) - ref)) <= 1e-15
+
+    def test_counts_match_single_count_route(self, zeros100, rng):
+        f = random_fourier_real(6, rng)
+        counts = [100, 10, 60, 10]
+        grids = broadband_average_2d_counts(f, 3.0, zeros100, counts)
+        assert len(grids) == len(counts)
+        for c, g in zip(counts, grids):
+            one = broadband_average_2d(f, 3.0, zeros100, zeros100.t_covering(c))
+            assert np.array_equal(g.data, one.data)
+            assert g.tag == FOURIER_REAL
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_smallest_band_limits_pass_through(self, zeros100, rng, n):
+        # no divisor d > 1 exists, so averaging changes nothing
+        f = random_fourier_real(n, rng)
+        t = zeros100.t_covering(30)
+        (z,) = broadband_average_2d_counts(f, 3.0, zeros100, [30])
+        assert np.array_equal(z.data, f.data)
+        zo = broadband_average_2d_per_zero(f, 3.0, zeros100, t)
+        assert np.max(np.abs(zo.data - f.data)) < 1e-15 * f.scale()
+
+    def test_plan_built_once_per_band_limit(self, zeros100, rng):
+        redundancy._direct_plan.cache_clear()
+        f3, f4 = random_fourier_real(3, rng), random_fourier_real(4, rng)
+        broadband_average_2d_counts(f3, 3.0, zeros100, [10, 100])
+        broadband_average_2d_counts(f3, 2.0, zeros100, [50])
+        broadband_average_2d(f3, 4.0, zeros100, 100.0)
+        assert redundancy._direct_plan.cache_info().misses == 1
+        broadband_average_2d_counts(f4, 3.0, zeros100, [10])
+        assert redundancy._direct_plan.cache_info().misses == 2
+
+    def test_counts_outside_table_rejected(self, zeros100, rng):
+        f = random_fourier_real(2, rng)
+        for bad in ([10, 101], [0]):
+            with pytest.raises(EmptyRangeError):
+                broadband_average_2d_counts(f, 3.0, zeros100, bad)
+        with pytest.raises(EmptyRangeError):
+            broadband_average_2d(f, 3.0, zeros100, 10.0)
 
 
 class TestCoefficientDecay:
@@ -192,23 +262,12 @@ class TestPlaneAverage:
         zo = broadband_average_2d_per_zero(f, 3.0, zeros100, 300.0)
         assert fourier_real_deviation(zo) < 1e-13 * zo.scale()
 
-    def test_worker_count_does_not_change_result(self, zeros100, rng):
+    def test_repeated_calls_are_bitwise_equal(self, zeros100, rng):
         f = random_fourier_real(4, rng)
         t = zeros100.t_covering(50)
-        seq_route = broadband_average_2d_per_zero(f, 3.0, zeros100, t, max_workers=1)
-        par_route = broadband_average_2d_per_zero(f, 3.0, zeros100, t, max_workers=4)
-        assert np.array_equal(seq_route.data, par_route.data)
-
-    def test_thread_env_knob(self, zeros100, rng, monkeypatch):
-        f = random_fourier_real(3, rng)
-        t = zeros100.t_covering(20)
-        base = broadband_average_2d_per_zero(f, 3.0, zeros100, t)
-        monkeypatch.setenv("QTL_THREADS", "3")
-        threaded = broadband_average_2d_per_zero(f, 3.0, zeros100, t)
-        monkeypatch.setenv("QTL_THREADS", "not-a-number")
-        fallback = broadband_average_2d_per_zero(f, 3.0, zeros100, t)
-        assert np.array_equal(base.data, threaded.data)
-        assert np.array_equal(base.data, fallback.data)
+        first = broadband_average_2d_per_zero(f, 3.0, zeros100, t)
+        again = broadband_average_2d_per_zero(f, 3.0, zeros100, t)
+        assert np.array_equal(first.data, again.data)
 
     def test_error_shrinks_with_more_zeros(self, zeros100, rng):
         f = random_fourier_real(6, rng)
