@@ -7,6 +7,11 @@ module.
 
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -268,6 +273,56 @@ class TestPlaneAverage:
         first = broadband_average_2d_per_zero(f, 3.0, zeros100, t)
         again = broadband_average_2d_per_zero(f, 3.0, zeros100, t)
         assert np.array_equal(first.data, again.data)
+
+    def test_worker_count_does_not_change_result(self, zeros100, rng):
+        # callers on several threads share the direct-route plan cache,
+        # built here concurrently from empty; each sees the one-caller result
+        f = random_fourier_real(4, rng)
+        t = zeros100.t_covering(50)
+
+        def both_routes(_):
+            return (broadband_average_2d(f, 3.0, zeros100, t).data,
+                    broadband_average_2d_per_zero(f, 3.0, zeros100, t).data)
+
+        redundancy._direct_plan.cache_clear()
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(both_routes, range(8)))
+        direct, per_zero = both_routes(None)
+        for d, p in threaded:
+            assert np.array_equal(d, direct)
+            assert np.array_equal(p, per_zero)
+
+    def test_thread_env_knob(self, zeros100, rng, tmp_path):
+        # neither route reads a thread setting: BLAS/OpenMP thread counts
+        # in the environment leave both results bitwise unchanged
+        f = random_fourier_real(3, rng)
+        t = zeros100.t_covering(20)
+        np.save(tmp_path / "f.npy", f.data)
+        table = pathlib.Path(__file__).resolve().parents[1] / "data" / "zeta_zeros_100.txt"
+        child = (
+            "import sys, numpy as np\n"
+            "from qtorus import (FOURIER_REAL, CoeffGrid, load_zero_table,\n"
+            "    broadband_average_2d, broadband_average_2d_per_zero)\n"
+            "out, table, t = sys.argv[1], sys.argv[2], float(sys.argv[3])\n"
+            "data = np.load(out + '/f.npy')\n"
+            "f = CoeffGrid((data.shape[0] - 1) // 2, data, FOURIER_REAL)\n"
+            "zeros = load_zero_table(table)\n"
+            "np.save(out + '/direct.npy', broadband_average_2d(f, 3.0, zeros, t).data)\n"
+            "np.save(out + '/per_zero.npy',\n"
+            "        broadband_average_2d_per_zero(f, 3.0, zeros, t).data)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        direct = broadband_average_2d(f, 3.0, zeros100, t).data
+        per_zero = broadband_average_2d_per_zero(f, 3.0, zeros100, t).data
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            subprocess.run([sys.executable, "-c", child, str(tmp_path), str(table),
+                            repr(t)], env=env, check=True, timeout=120)
+            assert np.array_equal(np.load(tmp_path / "direct.npy"), direct)
+            assert np.array_equal(np.load(tmp_path / "per_zero.npy"), per_zero)
 
     def test_error_shrinks_with_more_zeros(self, zeros100, rng):
         f = random_fourier_real(6, rng)
