@@ -39,6 +39,7 @@ from .dynamics import (
     drift_oracle,
     evolve_rk4,
     growth_bound,
+    growth_factors,
     heisenberg_closed,
     linear_lambda,
     lindblad_rhs,

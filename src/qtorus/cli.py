@@ -11,8 +11,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .commutators import field_commutator
 from .dynamics import (
     EvolveConfig,
@@ -20,6 +18,7 @@ from .dynamics import (
     LindbladSet,
     dissipative_constant,
     evolve_rk4,
+    growth_factors,
     linear_lambda,
 )
 from .errors import QTorusError
@@ -180,11 +179,6 @@ def cmd_norms(args) -> int:
     return 0
 
 
-def _full_factor(c: float, t: float) -> float:
-    with np.errstate(over="ignore"):
-        return 1.0 + float(np.sqrt(c * t * (np.exp(2.0 * c * t) - 1.0))) / (2.0 * np.sqrt(2.0))
-
-
 def cmd_evolve(args) -> int:
     inputs = [args.field] + ([args.compact] if args.compact else []) + list(args.lindblad)
     params = {
@@ -208,13 +202,10 @@ def cmd_evolve(args) -> int:
     diss_c = dissipative_constant(args.alpha, lset) if args.alpha >= 0 else float("nan")
     norm0 = traj[0].alpha_norm
     rows = ["t,alpha_norm,bound_est_T2,bound_estimate_full"]
-    with np.errstate(over="ignore"):
-        for pt in traj:
-            rows.append("%s,%s,%s,%s" % (
-                _fmt(pt.t), _fmt(pt.alpha_norm),
-                _fmt(norm0 * float(np.exp(diss_c * pt.t))),
-                _fmt(norm0 * _full_factor(diss_c, pt.t)),
-            ))
+    for pt in traj:
+        pure, full = growth_factors(diss_c, pt.t)
+        rows.append("%s,%s,%s,%s" % (
+            _fmt(pt.t), _fmt(pt.alpha_norm), _fmt(norm0 * pure), _fmt(norm0 * full)))
     atomic_write_text(args.trace, "\n".join(rows) + "\n")
     manifest.write_for(args.trace)
 

@@ -14,6 +14,7 @@ its inverse are exact on band-limited data, not approximations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -53,16 +54,21 @@ def _divisor_lists(lmax: int):
 
 
 @lru_cache(maxsize=16)
-def _cone_indices(n: int):
-    """Flat (k, d, k//d) triples for all 1 <= k <= n, d | k."""
+def _window_pattern(n: int):
+    """Where each (k, d | k) coefficient lands in the window operator at band limit n.
+
+    Returns (pos, neg, d) over all 1 <= k <= n, d | k: coefficient d sits
+    at the flat position pos of entry (k, k/d) of the (2N+1)^2 matrix, and
+    its conjugate at neg, entry (-k, -k/d).  Each entry is hit once.
+    """
     divs = _divisor_lists(n)
-    ks, ds, ms = [], [], []
-    for k in range(1, n + 1):
-        for d in divs[k]:
-            ks.append(k)
-            ds.append(d)
-            ms.append(k // d)
-    return np.array(ks), np.array(ds), np.array(ms)
+    ks = np.array([k for k in range(1, n + 1) for _ in divs[k]], dtype=np.intp)
+    ds = np.array([d for k in range(1, n + 1) for d in divs[k]], dtype=np.intp)
+    m = 2 * n + 1
+    pattern = ((n + ks) * m + n + ks // ds, (n - ks) * m + n - ks // ds, ds)
+    for a in pattern:
+        a.setflags(write=False)
+    return pattern
 
 
 def dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,8 +132,8 @@ class ZetaParams:
     tau: float
 
     def __post_init__(self):
-        if self.sigma <= 1:
-            raise DomainError("sigma must exceed 1, got %g" % self.sigma)
+        if not (math.isfinite(self.sigma) and self.sigma > 1):
+            raise DomainError("sigma must be finite and exceed 1, got %g" % self.sigma)
 
     @property
     def s(self) -> complex:
@@ -143,12 +149,18 @@ class ZetaParams:
 
     def moebius_inverse(self, lmax: int) -> np.ndarray:
         """Closed form of the Dirichlet inverse: b_k = mu(k) k^-s."""
-        b = np.zeros(lmax + 1, dtype=np.complex128)
-        for k in range(1, lmax + 1):
-            mu = moebius(k)
-            if mu:
-                b[k] = mu * np.exp(-self.s * np.log(k))
-        return b
+        return moebius_inverse_rows(self.sigma, [self.tau], lmax)[0]
+
+
+def moebius_inverse_rows(sigma: float, taus, lmax: int) -> np.ndarray:
+    """b_k = mu(k) k^-sigma e^{-i tau log k} for each tau: one 1-based row per ordinate."""
+    k = np.arange(1, lmax + 1)
+    mu = np.array([moebius(j) for j in range(1, lmax + 1)], dtype=np.float64)
+    logk = np.log(k)
+    rows = np.zeros((len(taus), lmax + 1), dtype=np.complex128)
+    rows[:, 1:] = (mu * np.exp(-sigma * logk)) * np.exp(
+        -1j * np.multiply.outer(np.asarray(taus, dtype=np.float64), logk))
+    return rows
 
 
 def _apply_coeffs(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -160,29 +172,7 @@ def _apply_coeffs(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     m = x.shape[0]
     if m % 2 != 1:
         raise DimensionError("vector length must be odd (2N+1), got %d" % m)
-    n = (m - 1) // 2
-    if coeffs.size - 1 < n:
-        raise DimensionError(
-            "sequence only reaches %d but band limit is %d" % (coeffs.size - 1, n)
-        )
-    x = np.asarray(x, dtype=np.complex128)
-    out = np.zeros_like(x)
-    out[n] = x[n]
-    if n == 0:
-        return out
-    ks, ds, ms = _cone_indices(n)
-    xpos = x[n + 1:]
-    xneg = x[n - 1::-1]  # position j holds the entry at index -(j+1)
-    cf = coeffs[ds].reshape((-1,) + (1,) * (x.ndim - 1))
-    pos_terms = cf * xpos[ms - 1]
-    neg_terms = np.conj(cf) * xneg[ms - 1]
-    pos = np.zeros_like(xpos, dtype=np.complex128)
-    neg = np.zeros_like(xpos, dtype=np.complex128)
-    np.add.at(pos, ks - 1, pos_terms)
-    np.add.at(neg, ks - 1, neg_terms)
-    out[n + 1:] = pos
-    out[n - 1::-1] = neg
-    return out
+    return d_matrix(coeffs, (m - 1) // 2) @ np.asarray(x, dtype=np.complex128)
 
 
 def apply_D(seq: ArithmeticSeq, x: np.ndarray) -> np.ndarray:
@@ -194,27 +184,31 @@ def apply_D_inv(seq: ArithmeticSeq, x: np.ndarray) -> np.ndarray:
 
 
 def d_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Dense matrix of the convolution operator on indices -N..N."""
-    if coeffs.size - 1 < n:
+    """Dense matrix of the convolution operator on indices -N..N.
+
+    coeffs is 1-based along its last axis; a stack of shape (C, L) gives
+    the C matrices, shape (C, 2N+1, 2N+1).
+    """
+    coeffs = np.asarray(coeffs)
+    lmax = coeffs.shape[-1] - 1
+    if lmax < n:
         raise DimensionError(
-            "sequence only reaches %d but band limit is %d" % (coeffs.size - 1, n)
+            "sequence only reaches %d but band limit is %d" % (lmax, n)
         )
     m = 2 * n + 1
-    mat = np.zeros((m, m), dtype=np.complex128)
-    mat[n, n] = 1.0
-    for col in range(1, n + 1):
-        d = 1
-        while col * d <= n:
-            mat[col * d + n, col + n] += coeffs[d]
-            mat[-(col * d) + n, -col + n] += np.conj(coeffs[d])
-            d += 1
-    return mat
+    pos, neg, d = _window_pattern(n)
+    mat = np.zeros(coeffs.shape[:-1] + (m * m,), dtype=np.complex128)
+    mat[..., n * m + n] = 1.0
+    cf = coeffs[..., d]
+    mat[..., pos] = cf
+    mat[..., neg] = np.conj(cf)
+    return mat.reshape(coeffs.shape[:-1] + (m, m))
 
 
 def d_transform_2d(seq: ArithmeticSeq, fhat: CoeffGrid) -> CoeffGrid:
-    """Z = D^-1 fhat (D^-1)^T: inverse convolution down columns, then rows."""
-    cols = _apply_coeffs(seq.b, fhat.data)
-    z = _apply_coeffs(seq.b, cols.T).T
+    """Z = B fhat B^T with B = D^-1: inverse convolution down columns, then rows."""
+    b = d_matrix(seq.b, fhat.n)
+    z = (b @ fhat.data) @ b.T
     tag = FOURIER_REAL if fhat.tag == FOURIER_REAL else GENERAL
     return CoeffGrid(fhat.n, z, tag)
 

@@ -25,6 +25,7 @@ classical 4.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -46,11 +47,20 @@ from .sobolev import SobolevWeight, norm
 SUPPORT_RTOL = 1e-12
 
 
+def _require_finite(**scalars):
+    for name, value in scalars.items():
+        if value is not None and not math.isfinite(value):
+            raise DomainError("%s must be finite, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class HarmonicSpec:
     a: float
     b: float = 0.0
     floor: Optional[int] = None  # h_n = 0 for n < floor
+
+    def __post_init__(self):
+        _require_finite(a=self.a, b=self.b)
 
     def levels(self, n: int) -> np.ndarray:
         idx = index_range(n)
@@ -97,6 +107,8 @@ class LindbladSet:
             require_hermitian(self.c)
         if self.lam is not None:
             self.lam = np.asarray(self.lam, dtype=np.complex128)
+            if not np.all(np.isfinite(self.lam)):
+                raise DomainError("lambda entries must be finite")
         sizes = set()
         if self.c is not None:
             sizes.add(self.c.n)
@@ -140,6 +152,7 @@ class EvolveConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        _require_finite(t_end=self.t_end, dt=self.dt, alpha=self.alpha)
         if self.t_end < 0:
             raise DomainError("t_end must be non-negative")
         if self.dt is not None and self.dt <= 0:
@@ -304,6 +317,14 @@ class GrowthBound:
     full_factor: float  # 1 + sqrt(c t (exp(2 c t) - 1)) / (2 sqrt(2))
 
 
+def growth_factors(c: float, t: float):
+    """(pure, full) growth factors of a norm at time t for dissipative constant c."""
+    with np.errstate(over="ignore"):
+        pure = float(np.exp(c * t))
+        full = 1.0 + float(np.sqrt(c * t * (np.exp(2.0 * c * t) - 1.0))) / (2.0 * np.sqrt(2.0))
+    return pure, full
+
+
 def dissipative_constant(alpha: float, lset: LindbladSet) -> float:
     """c = 4 ||C||_alpha + 4 sum_j ||L_j||^2_alpha (diag lambda included)."""
     w = SobolevWeight(alpha)
@@ -326,7 +347,4 @@ def growth_bound(alpha: float, lset: LindbladSet, t: float) -> GrowthBound:
     if t < 0:
         raise DomainError("growth bound needs t >= 0")
     c = dissipative_constant(alpha, lset)
-    with np.errstate(over="ignore"):
-        pure = float(np.exp(c * t))
-        full = 1.0 + float(np.sqrt(c * t * (np.exp(2.0 * c * t) - 1.0))) / (2.0 * np.sqrt(2.0))
-    return GrowthBound(c, pure, full)
+    return GrowthBound(c, *growth_factors(c, t))

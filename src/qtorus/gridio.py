@@ -168,6 +168,8 @@ def read_pgm(path):
             raise FormatError("malformed PGM raster")
         if pix.size < npix:
             raise FormatError("truncated PGM raster")
+        if not np.all(np.isfinite(pix)):  # float parsing accepts nan and inf tokens
+            raise FormatError("PGM pixel is not a finite number")
     if pix.max() > maxval or pix.min() < 0:
         raise FormatError("PGM pixel outside [0, maxval]")
     img = pix.reshape(height, width) / float(maxval)

@@ -8,7 +8,8 @@ grows.  Ordinates are ingested from text tables, never computed here.
 Two implementations of the 2D average are kept deliberately separate:
 broadband_average_2d applies averaged phase factors divisor pair by
 divisor pair, while broadband_average_2d_per_zero averages the per-zero
-inverse D-transforms.  They must agree; tests hold them to 1e-10.
+inverse D-transforms B(tau) fhat B(tau)^T.  They must agree; tests hold
+them to 1e-10.
 
 Phase averages are summed in fixed blocks of BLOCK ordinates (pairwise
 np.sum within a block), and the block sums are Neumaier-folded in
@@ -16,8 +17,9 @@ ascending order, the partial block below a count last.  M over the first
 c ordinates therefore depends on c alone, not on which other counts or
 arguments share the pass, and one pass over the table serves every
 count.  Only distinct arguments x > 0 are evaluated: M(-x) = conj(M(x))
-and M(0) = 1 exactly.  The per-zero route folds its grids one ordinate
-at a time, in ascending order.
+and M(0) = 1 exactly.  The per-zero route sums its grids in the same
+fixed blocks (SUB_BATCH ordinates per stacked matrix product, in
+ascending order) and Neumaier-folds the block sums the same way.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dirichlet import ZetaParams, _divisor_lists, d_transform_2d, moebius
+from .dirichlet import _divisor_lists, d_matrix, moebius, moebius_inverse_rows
 from .errors import DimensionError, DomainError, EmptyRangeError, FormatError
 from .grids import FOURIER_REAL, GENERAL, CoeffGrid
 from .spectral import s_map
 from .summation import KahanAccumulator
 
 BLOCK = 256  # ordinates per pairwise block of a phase average
+SUB_BATCH = 8  # ordinates per stacked matrix product of the per-zero route
 
 
 @dataclass(eq=False)
@@ -180,8 +183,8 @@ def c_d(d: int, sigma: float, zeros: ZeroTable, t: float) -> float:
 
 
 def _require_sigma(sigma: float):
-    if sigma <= 1:
-        raise DomainError("broadband averaging needs sigma > 1, got %g" % sigma)
+    if not (math.isfinite(sigma) and sigma > 1):
+        raise DomainError("broadband averaging needs a finite sigma > 1, got %g" % sigma)
 
 
 def broadband_average_1d(fhat: np.ndarray, sigma: float, zeros: ZeroTable,
@@ -312,16 +315,23 @@ def broadband_average_2d_per_zero(fhat: CoeffGrid, sigma: float, zeros: ZeroTabl
                                   t: float) -> CoeffGrid:
     """Oracle route: average the per-ordinate inverse D-transforms.
 
-    The per-zero grids are folded sequentially in ascending ordinate order
-    with compensated summation.
+    Each ordinate's inverse operator B(tau) comes from the closed form
+    b_d = mu(d) d^-sigma e^{-i tau log d}; the grids B fhat B^T are formed
+    SUB_BATCH ordinates at a time as stacked matrix products and summed in
+    fixed blocks of BLOCK ordinates, and the block sums are Neumaier-folded
+    in ascending order.
     """
     _require_sigma(sigma)
     n = fhat.n
     taus = zeros.upto(t)
     acc = KahanAccumulator(fhat.data.shape)
-    for tau in taus:
-        seq = ZetaParams(sigma, tau).sequence(n if n >= 1 else 1)
-        acc.add(d_transform_2d(seq, fhat).data)
+    for start in range(0, taus.size, BLOCK):
+        rows = moebius_inverse_rows(sigma, taus[start:start + BLOCK], n)
+        block = np.zeros(fhat.data.shape, dtype=np.complex128)
+        for sub in range(0, rows.shape[0], SUB_BATCH):
+            b = d_matrix(rows[sub:sub + SUB_BATCH], n)
+            block += np.sum((b @ fhat.data) @ b.transpose(0, 2, 1), axis=0)
+        acc.add(block)
     out = acc.value() / taus.size
     tag = FOURIER_REAL if fhat.tag == FOURIER_REAL else GENERAL
     return CoeffGrid(n, out, tag)

@@ -3,7 +3,7 @@
 KahanAccumulator is the package's one compensated fold: Neumaier's variant
 of Kahan summation, applied in a fixed ascending order, so zero-ordinate
 averages are reproducible down to the last bit.  It folds the block sums
-of phase averages and the per-zero grids of the oracle averaging route.
+of phase averages and of the per-zero grids of the oracle averaging route.
 """
 
 from __future__ import annotations

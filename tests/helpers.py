@@ -3,12 +3,22 @@
 Everything here is written in the most literal form possible (scalar
 loops, explicit exponentials, explicit divisor sums) and shares no code
 paths with the package beyond the CoeffGrid container and the
-KahanAccumulator fold.
+KahanAccumulator fold.  The one exception is sequential_per_zero_average,
+which keeps the per-ordinate form of the oracle averaging route on the
+package's single-sequence transform and recursive Dirichlet inverse.
 """
 
 import numpy as np
 
-from qtorus import CoeffGrid, FOURIER_REAL, GENERAL, HERMITIAN, KahanAccumulator
+from qtorus import (
+    FOURIER_REAL,
+    GENERAL,
+    HERMITIAN,
+    CoeffGrid,
+    KahanAccumulator,
+    ZetaParams,
+    d_transform_2d,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -83,6 +93,19 @@ def sequential_phase_average(taus, xs):
     acc = KahanAccumulator(np.shape(xs))
     for tau in taus:
         acc.add(np.exp(-1j * tau * xs))
+    return acc.value() / len(taus)
+
+
+def sequential_per_zero_average(fhat, sigma, taus):
+    """Mean of the per-ordinate inverse transforms, folded one ordinate at a time.
+
+    Each ordinate's inverse coefficients come from the divisor-sum
+    recursion (ArithmeticSeq.b), not from the Moebius closed form.
+    """
+    acc = KahanAccumulator(fhat.data.shape)
+    for tau in taus:
+        seq = ZetaParams(sigma, tau).sequence(max(fhat.n, 1))
+        acc.add(d_transform_2d(seq, fhat).data)
     return acc.value() / len(taus)
 
 

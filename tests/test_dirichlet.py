@@ -27,6 +27,7 @@ from qtorus import (
     s_map,
     unit_sequence,
 )
+from qtorus.dirichlet import _window_pattern, moebius_inverse_rows
 from qtorus.errors import DimensionError, DomainError
 
 from helpers import (
@@ -114,6 +115,17 @@ class TestConvolutionRing:
         seq = zp.sequence(64)
         assert np.max(np.abs(seq.b - zp.moebius_inverse(64))) < 1e-14
 
+    def test_closed_form_rows_match_recursion(self):
+        taus = np.array([14.134725, 21.022040, 1000.5, 9877.78])
+        rows = moebius_inverse_rows(2.5, taus, 40)
+        assert rows.shape == (4, 41)
+        for tau, row in zip(taus, rows):
+            zp = ZetaParams(sigma=2.5, tau=tau)
+            assert np.array_equal(row, zp.moebius_inverse(40))
+            # both routes round the phase tau log k, whose size grows with tau
+            tol = 4 * np.finfo(float).eps * tau * np.log(40)
+            assert np.max(np.abs(row - zp.sequence(40).b)) < tol
+
     def test_inverse_needs_unit_head(self):
         with pytest.raises(DomainError):
             dirichlet_inverse(np.array([0.0, 0.0, 1.0]))
@@ -188,6 +200,28 @@ class TestWindowOperator:
             apply_D(seq, np.zeros(11, dtype=complex))
         with pytest.raises(DimensionError):
             d_matrix(seq.a, 5)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 16])
+    def test_stacked_matrices_equal_single_calls(self, rng, n):
+        coeffs = rng.standard_normal((5, n + 3)) + 1j * rng.standard_normal((5, n + 3))
+        stack = d_matrix(coeffs, n)
+        assert stack.shape == (5, 2 * n + 1, 2 * n + 1)
+        for row, mat in zip(coeffs, stack):
+            assert np.array_equal(mat, d_matrix(row, n))
+        with pytest.raises(DimensionError):
+            d_matrix(coeffs[:, :n], n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 12, 60])
+    def test_pattern_hits_each_entry_once(self, n):
+        pos, neg, d = _window_pattern(n)
+        m = 2 * n + 1
+        assert len(set(zip(pos.tolist(), d.tolist()))) == pos.size
+        assert len(set(zip(neg.tolist(), d.tolist()))) == neg.size
+        cells = np.concatenate((pos, neg, [n * m + n]))
+        assert np.unique(cells).size == cells.size
+        # one entry per divisor pair (k, d | k) on each cone
+        assert pos.size == sum(1 for k in range(1, n + 1)
+                               for j in range(1, k + 1) if k % j == 0)
 
     def test_applies_along_first_axis_only(self, rng):
         seq = ArithmeticSeq(np.array([0.0, 1.0, 0.5]))
@@ -302,6 +336,11 @@ class TestPeriodizedZeta:
             periodized_zeta(2.0, 0.0, -1)
         with pytest.raises(DomainError):
             ZetaParams(sigma=1.0, tau=0.0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(DomainError):
+            ZetaParams(sigma=sigma, tau=14.0)
 
 
 def test_zeta_sequence_values():

@@ -302,6 +302,21 @@ class TestIntegratorGuards:
         with pytest.raises(DomainError):
             EvolveConfig(1.0, record_every=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scalars_rejected(self, bad):
+        for kwargs in ({"t_end": bad}, {"t_end": 1.0, "dt": bad},
+                       {"t_end": 1.0, "alpha": bad}):
+            with pytest.raises(DomainError):
+                EvolveConfig(**kwargs)
+        with pytest.raises(DomainError):
+            HarmonicSpec(a=bad)
+        with pytest.raises(DomainError):
+            HarmonicSpec(a=1.0, b=bad)
+        with pytest.raises(DomainError):
+            LindbladSet(lam=np.array([0.0, bad, 1.0]))
+        with pytest.raises(DomainError):
+            LindbladSet(lam=np.array([0.0, complex(0.0, bad), 1.0]))
+
 
 class TestGrowthBounds:
     def test_constant_assembles_all_parts(self, rng):

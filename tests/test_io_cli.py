@@ -13,14 +13,20 @@ from qtorus import (
     GENERAL,
     HERMITIAN,
     CoeffGrid,
+    EvolveConfig,
+    HarmonicSpec,
+    LindbladSet,
     SobolevWeight,
     center_fit,
     drift_oracle,
+    evolve_rk4,
     field_commutator,
     fourier_real_deviation,
     grid_from_json,
     grid_to_json,
+    growth_bound,
     ingest_pgm,
+    linear_lambda,
     norm,
     q_transform,
     read_grid,
@@ -156,6 +162,18 @@ class TestPgm:
         atomic_write_bytes(path, blob)
         with pytest.raises(FormatError):
             read_pgm(path)
+
+    @pytest.mark.parametrize("token", [b"nan", b"NaN", b"-nan"])
+    def test_non_finite_pixel_rejected(self, tmp_path, capsys, token):
+        path = tmp_path / "nan.pgm"
+        atomic_write_bytes(path, b"P2\n2 2\n255\n7 " + token + b"\n0 255\n")
+        with pytest.raises(FormatError):
+            read_pgm(path)
+        out = tmp_path / "z.json"
+        assert run(["ingest-pgm", "--in", str(path), "--n", "1",
+                    "--out", str(out)]) == 2
+        assert "not a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCenterFit:
@@ -392,6 +410,57 @@ class TestCliEvolve:
         z = read_grid(out)
         assert z.tag == FOURIER_REAL
         assert fourier_real_deviation(z) < 1e-10 * z.scale()
+
+    @pytest.mark.parametrize("alpha", ["1.0", "-0.5"])
+    def test_trace_bounds_follow_growth_bound(self, tmp_path, field_file, alpha):
+        out = str(tmp_path / "ev.json")
+        trace = str(tmp_path / "tr.csv")
+        assert run(["evolve", "--field", field_file, "--a", "1.0",
+                    "--lambda", "linear:0.5", "--t", "0.05", "--dt", "0.01",
+                    "--alpha", alpha, "--out", out, "--trace", trace]) == 0
+        with open(trace) as fh:
+            text = fh.read()
+        field = read_grid(field_file)
+        lset = LindbladSet(lam=linear_lambda(0.5, field.n))
+        traj = evolve_rk4(q_transform(field), HarmonicSpec(1.0), lset,
+                          EvolveConfig(0.05, dt=0.01, alpha=float(alpha)))
+        # the trace as the formula inlined in the command used to print it
+        c = growth_bound(float(alpha), lset, 0.0).c if float(alpha) >= 0 else float("nan")
+        norm0 = traj[0].alpha_norm
+        expect = ["t,alpha_norm,bound_est_T2,bound_estimate_full"]
+        with np.errstate(over="ignore"):
+            for pt in traj:
+                full = 1.0 + float(np.sqrt(c * pt.t * (np.exp(2.0 * c * pt.t) - 1.0))) / (
+                    2.0 * np.sqrt(2.0))
+                expect.append(",".join(repr(float(v)) for v in (
+                    pt.t, pt.alpha_norm, norm0 * float(np.exp(c * pt.t)), norm0 * full)))
+        assert text == "\n".join(expect) + "\n"
+        rows = [[float(v) for v in line.split(",")] for line in text.split("\n")[1:-1]]
+        assert len(rows) == 6
+        for t, _, pure, full in rows:
+            if float(alpha) >= 0:
+                gb = growth_bound(float(alpha), lset, t)
+                assert pure == norm0 * gb.pure_factor
+                assert full == norm0 * gb.full_factor
+            else:
+                assert np.isnan(pure) and np.isnan(full)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--t", "nan"), ("--t", "inf"), ("--dt", "nan"), ("--alpha", "nan"),
+        ("--a", "nan"), ("--b", "inf"), ("--lambda", "linear:nan"),
+    ])
+    def test_non_finite_scalar_is_data_error(self, tmp_path, field_file, capsys,
+                                             flag, value):
+        args = {"--a": "1.0", "--t": "0.05", "--dt": "0.01"}
+        args[flag] = value
+        out = tmp_path / "o.json"
+        argv = ["evolve", "--field", field_file, "--out", str(out),
+                "--trace", str(tmp_path / "t.csv")]
+        for key, val in args.items():
+            argv += [key, val]
+        assert run(argv) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_flag(self):
         assert run(["evolve"]) == 1

@@ -33,11 +33,18 @@ from qtorus import (
     load_zero_table,
     phase_average,
     single_entry,
+    write_grid,
 )
-from qtorus import redundancy
+from qtorus import dirichlet, redundancy
+from qtorus.cli import run
 from qtorus.errors import DomainError, EmptyRangeError, FormatError
 
-from helpers import random_fourier_real, sequential_phase_average
+from conftest import DATA
+from helpers import (
+    random_fourier_real,
+    sequential_per_zero_average,
+    sequential_phase_average,
+)
 
 # arguments of the phase averages the 2D route needs: log d and log(p/q)
 PHASE_ARGS = np.log(np.array([2.0, 3.0, 5.0, 6.0, 7.0, 10.0, 1.5, 10.0 / 3.0]))
@@ -237,6 +244,32 @@ class TestAxisAverage:
             broadband_average_1d(np.zeros(5, dtype=complex), 1.0, zeros100, 100.0)
 
 
+class TestNonFiniteSigma:
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_library_routes_reject(self, zeros100, rng, sigma):
+        f = random_fourier_real(2, rng)
+        with pytest.raises(DomainError):
+            broadband_average_1d(f.data[:, 2].copy(), sigma, zeros100, 100.0)
+        with pytest.raises(DomainError):
+            broadband_average_2d(f, sigma, zeros100, 100.0)
+        with pytest.raises(DomainError):
+            broadband_average_2d_counts(f, sigma, zeros100, [10])
+        with pytest.raises(DomainError):
+            broadband_average_2d_per_zero(f, sigma, zeros100, 100.0)
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_cli_exits_with_data_error(self, tmp_path, rng, capsys, sigma):
+        field = tmp_path / "f.json"
+        write_grid(field, random_fourier_real(3, rng))
+        out = tmp_path / "o.csv"
+        code = run(["redundancy", "--field", str(field), "--sigma", sigma,
+                    "--zeros", str(DATA / "zeta_zeros_100.txt"), "--counts", "10",
+                    "--out", str(out)])
+        assert code == 2
+        assert "finite sigma > 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPlaneAverage:
     def test_agrees_with_per_zero_route(self, zeros100, rng):
         f = random_fourier_real(5, rng)
@@ -266,6 +299,13 @@ class TestPlaneAverage:
         assert fourier_real_deviation(z) < 1e-13 * z.scale()
         zo = broadband_average_2d_per_zero(f, 3.0, zeros100, 300.0)
         assert fourier_real_deviation(zo) < 1e-13 * zo.scale()
+
+    def test_per_zero_route_skips_the_recursion(self, zeros100, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dirichlet, "dirichlet_inverse",
+                            lambda *a, **k: calls.append(a))
+        broadband_average_2d_per_zero(random_fourier_real(4, rng), 3.0, zeros100, 300.0)
+        assert calls == []
 
     def test_repeated_calls_are_bitwise_equal(self, zeros100, rng):
         f = random_fourier_real(4, rng)
@@ -332,6 +372,19 @@ class TestPlaneAverage:
             z = broadband_average_2d(f, sigma, zeros100, zeros100.t_covering(count))
             errs.append(averaging_errors(z, f)[0])
         assert errs[1] < errs[0]
+
+
+class TestPerZeroBatching:
+    """The batched per-zero route against the one-ordinate-at-a-time fold."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    @pytest.mark.parametrize("count", [1, 7, 255, 256, 257, 600])
+    def test_matches_sequential_fold(self, zeros10k, n, count):
+        f = random_fourier_real(n, np.random.default_rng(1000 * n + count))
+        t = zeros10k.t_covering(count)
+        batched = broadband_average_2d_per_zero(f, 2.5, zeros10k, t)
+        slow = sequential_per_zero_average(f, 2.5, zeros10k.ordinates[:count])
+        assert np.max(np.abs(batched.data - slow)) <= 1e-13 * f.scale()
 
 
 class TestErrorAccounting:
