@@ -254,8 +254,8 @@ def periodized_zeta(s: complex, t: float, terms: int) -> PeriodizedZeta:
     integral comparison; it bounds the truncation error of the value.
     """
     s = complex(s)
-    if s.real <= 1:
-        raise DomainError("periodized zeta needs Re s > 1, got %g" % s.real)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag) and s.real > 1):
+        raise DomainError("periodized zeta needs a finite s with Re s > 1, got %r" % s)
     if terms < 0:
         raise DomainError("terms must be non-negative")
     sigma = s.real

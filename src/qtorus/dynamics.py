@@ -21,6 +21,16 @@ part (the entrywise phase factor is applied exactly each step, RK4 only
 sees the compact/dissipative remainder).  For a pure harmonic flow the
 step is exact up to round-off; for the general flow the order is the
 classical 4.
+
+The remainder is built once per (operator set, picture) and then acts as
+
+    A -> sum_j L_j^+ A L_j + M A + A M^+ + phi .* A,
+    M = s i C - 1/2 sum_j L_j^+ L_j,
+
+with s = +1 in the Heisenberg picture.  The Schroedinger picture (s = -1)
+swaps L_j and L_j^+ in the first term and uses conj(phi).  The L_j are
+stacked, so the first term is two matrix products for any number of
+operators.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from .grids import (
     require_fourier_real,
     require_hermitian,
 )
-from .sobolev import SobolevWeight, norm
+from .sobolev import SobolevWeight, _weighted_norm, norm
 
 SUPPORT_RTOL = 1e-12
 
@@ -84,10 +94,10 @@ def _check_floor_support(a0: CoeffGrid, floor: int):
             float(np.max(np.abs(a0.data[bad, :]))),
             float(np.max(np.abs(a0.data[:, bad]))),
         )
-    if dev > SUPPORT_RTOL * max(a0.scale(), 1e-300):
+    if not dev <= SUPPORT_RTOL * max(a0.scale(), 1e-300):  # NaN fails here
         raise DomainError(
-            "initial grid has support below the spectrum floor %d (max %.3e)"
-            % (floor, dev)
+            "initial grid has non-finite entries or support below the spectrum "
+            "floor %d (max %.3e below it)" % (floor, dev)
         )
 
 
@@ -200,6 +210,43 @@ def diagonal_lindblad_closed(a0: CoeffGrid, lam: Sequence[complex], t: float) ->
     return CoeffGrid(a0.n, a0.data * factor, a0.tag)
 
 
+class _Remainder:
+    """Everything except the affine phase part of the generator, on raw data.
+
+    Built once per (operator set, picture); each call costs two products
+    with M and two with the stacked L_j, and no phi_matrix call.
+    """
+
+    def __init__(self, lset: LindbladSet, sign: float):
+        self.m = self.m_h = self.left = self.right = None
+        if lset.c is not None:
+            self.m = (sign * 1j) * lset.c.data
+        if lset.ls:
+            ls = np.concatenate([l.data for l in lset.ls])  # (J m, m): L_j stacked by rows
+            lh = np.concatenate([np.conj(l.data.T) for l in lset.ls])
+            lhl = np.conj(ls.T) @ ls  # sum_j L_j^+ L_j in one product
+            self.m = -0.5 * lhl if self.m is None else self.m - 0.5 * lhl
+            # Heisenberg: sum_j L_j^+ A L_j; Schroedinger: sum_j L_j A L_j^+
+            self.left, self.right = (lh, ls) if sign > 0 else (ls, lh)
+        if self.m is not None:
+            self.m_h = np.conj(self.m.T)
+        phi = lset.phi_matrix()
+        self.phi = None if phi is None else (phi if sign > 0 else np.conj(phi))
+
+    def __call__(self, ad: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(ad) if self.phi is None else self.phi * ad
+        if self.m is not None:
+            out += self.m @ ad
+            out += ad @ self.m_h
+        if self.left is not None:
+            side = ad.shape[0]
+            # rows j m .. (j+1) m - 1 of left @ A hold left_j A; laid side by
+            # side they meet the row-stacked right_j, so one product sums over j
+            z = (self.left @ ad).reshape(-1, side, side).transpose(1, 0, 2)
+            out += z.reshape(side, -1) @ self.right
+        return out
+
+
 def lindblad_rhs(a: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet] = None,
                  picture: str = "heisenberg") -> CoeffGrid:
     """Full generator: affine phases + compact commutator + dissipator."""
@@ -209,28 +256,8 @@ def lindblad_rhs(a: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet] = No
     sign = {"heisenberg": 1.0, "schrodinger": -1.0}[picture]
     ad = a.data
     out = (sign * 1j) * h.gaps(a.n) * ad
-    out = out + _remainder_rhs(ad, lset, sign)
+    out = out + _Remainder(lset, sign)(ad)
     return CoeffGrid(a.n, out, GENERAL)
-
-
-def _remainder_rhs(ad: np.ndarray, lset: LindbladSet, sign: float) -> np.ndarray:
-    """Everything except the affine phase part, acting on raw data."""
-    out = np.zeros_like(ad)
-    if lset.c is not None:
-        cd = lset.c.data
-        out += (sign * 1j) * (cd @ ad - ad @ cd)
-    for l in lset.ls:
-        ld = l.data
-        lh = np.conj(ld.T)
-        lhl = lh @ ld
-        if sign > 0:  # observable picture
-            out += lh @ ad @ ld - 0.5 * (lhl @ ad + ad @ lhl)
-        else:  # state picture
-            out += ld @ ad @ lh - 0.5 * (lhl @ ad + ad @ lhl)
-    phi = lset.phi_matrix()
-    if phi is not None:
-        out += (phi if sign > 0 else np.conj(phi)) * ad
-    return out
 
 
 def default_dt(h: HarmonicSpec, n: int) -> float:
@@ -265,13 +292,13 @@ def evolve_rk4(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
             RuntimeWarning,
         )
 
-    weight = SobolevWeight(cfg.alpha)
+    wgt = SobolevWeight(cfg.alpha).weights(n)
     delta = h.gaps(n)
     a = np.array(a0.data)
 
     def record(points, t, arr):
         g = CoeffGrid(n, arr, a0.tag)
-        points.append(TrajectoryPoint(t, g, norm(g, weight)))
+        points.append(TrajectoryPoint(t, g, _weighted_norm(g.data, wgt)))
 
     points: List[TrajectoryPoint] = []
     record(points, 0.0, a)
@@ -279,6 +306,7 @@ def evolve_rk4(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
         return points
 
     plain = lset.is_empty()
+    remainder = _Remainder(lset, sign)
     n_steps = max(1, int(np.ceil(cfg.t_end / dt - 1e-12)))
     base_dt = cfg.t_end / n_steps  # uniform steps <= dt that land exactly on t_end
     e_full = np.exp((sign * 1j * base_dt) * delta)
@@ -291,13 +319,13 @@ def evolve_rk4(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
         if plain:
             a = e_full * a
         else:
-            g1 = _remainder_rhs(a, lset, sign)
+            g1 = remainder(a)
             y2 = e_half * (a + (base_dt / 2.0) * g1)
-            g2 = e_half_c * _remainder_rhs(y2, lset, sign)
+            g2 = e_half_c * remainder(y2)
             y3 = e_half * (a + (base_dt / 2.0) * g2)
-            g3 = e_half_c * _remainder_rhs(y3, lset, sign)
+            g3 = e_half_c * remainder(y3)
             y4 = e_full * (a + base_dt * g3)
-            g4 = e_full_c * _remainder_rhs(y4, lset, sign)
+            g4 = e_full_c * remainder(y4)
             a = e_full * (a + (base_dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4))
         t = step * base_dt
         if not np.all(np.isfinite(a)):

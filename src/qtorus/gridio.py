@@ -162,14 +162,15 @@ def read_pgm(path):
             raise FormatError("truncated PGM raster")
         pix = np.frombuffer(raster, dtype=dtype).astype(np.float64)
     else:
-        try:
-            pix = np.array(blob[pos:].split()[:npix], dtype=np.float64)
-        except ValueError:
-            raise FormatError("malformed PGM raster")
-        if pix.size < npix:
+        tokens = blob[pos:].split()[:npix]
+        if len(tokens) < npix:
             raise FormatError("truncated PGM raster")
-        if not np.all(np.isfinite(pix)):  # float parsing accepts nan and inf tokens
-            raise FormatError("PGM pixel is not a finite number")
+        # PGM pixels are decimal integers; float parsing would let 1.5, 2e2 and nan in
+        bad = next((t for t in tokens if not t.isdigit()), None)
+        if bad is not None:
+            raise FormatError("PGM pixel %r is not a finite number written as a decimal "
+                              "integer" % bad.decode("ascii", "replace"))
+        pix = np.array(tokens, dtype=np.float64)
     if pix.max() > maxval or pix.min() < 0:
         raise FormatError("PGM pixel outside [0, maxval]")
     img = pix.reshape(height, width) / float(maxval)

@@ -44,8 +44,16 @@ def inner(a: CoeffGrid, b: CoeffGrid, w: SobolevWeight) -> complex:
 
 
 def norm(a: CoeffGrid, w: SobolevWeight) -> float:
-    wgt = w.weights(a.n)
-    return float(np.sqrt(np.sum(wgt * np.abs(a.data) ** 2)))
+    return _weighted_norm(a.data, w.weights(a.n))
+
+
+def _weighted_norm(data: np.ndarray, wgt: np.ndarray) -> float:
+    """`norm` on raw data, for callers that fetch the weights once.
+
+    SobolevWeight.weights is not cached: a radial profile may close over
+    mutable data.
+    """
+    return float(np.sqrt(np.sum(wgt * np.abs(data) ** 2)))
 
 
 def commutator_pairing(h: CoeffGrid, a: CoeffGrid, w: SobolevWeight) -> complex:

@@ -3,9 +3,10 @@
 Everything here is written in the most literal form possible (scalar
 loops, explicit exponentials, explicit divisor sums) and shares no code
 paths with the package beyond the CoeffGrid container and the
-KahanAccumulator fold.  The one exception is sequential_per_zero_average,
+KahanAccumulator fold.  The exceptions are sequential_per_zero_average,
 which keeps the per-ordinate form of the oracle averaging route on the
-package's single-sequence transform and recursive Dirichlet inverse.
+package's single-sequence transform and recursive Dirichlet inverse, and
+reference_remainder_rhs, which takes phi from LindbladSet.phi_matrix.
 """
 
 import numpy as np
@@ -107,6 +108,30 @@ def sequential_per_zero_average(fhat, sigma, taus):
         seq = ZetaParams(sigma, tau).sequence(max(fhat.n, 1))
         acc.add(d_transform_2d(seq, fhat).data)
     return acc.value() / len(taus)
+
+
+def reference_remainder_rhs(ad, lset, sign):
+    """The generator minus its affine phase part, term by term per operator.
+
+    sign is +1 in the Heisenberg (observable) picture, -1 in the
+    Schroedinger (state) picture.
+    """
+    out = np.zeros_like(ad)
+    if lset.c is not None:
+        cd = lset.c.data
+        out += (sign * 1j) * (cd @ ad - ad @ cd)
+    for l in lset.ls:
+        ld = l.data
+        lh = np.conj(ld.T)
+        lhl = lh @ ld
+        if sign > 0:
+            out += lh @ ad @ ld - 0.5 * (lhl @ ad + ad @ lhl)
+        else:
+            out += ld @ ad @ lh - 0.5 * (lhl @ ad + ad @ lhl)
+    phi = lset.phi_matrix()
+    if phi is not None:
+        out += (phi if sign > 0 else np.conj(phi)) * ad
+    return out
 
 
 def symmetrize_fourier_real(raw):

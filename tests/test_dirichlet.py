@@ -342,6 +342,12 @@ class TestPeriodizedZeta:
         with pytest.raises(DomainError):
             ZetaParams(sigma=sigma, tau=14.0)
 
+    @pytest.mark.parametrize("s", [complex(float("nan"), 0.0), complex(float("inf"), 0.0),
+                                   complex(-float("inf"), 0.0), complex(2.0, float("nan"))])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(DomainError):
+            periodized_zeta(s, 0.0, 10)
+
 
 def test_zeta_sequence_values():
     zp = ZetaParams(sigma=3.0, tau=0.0)

@@ -35,7 +35,7 @@ from qtorus import (
 )
 from qtorus.errors import DimensionError, DomainError, IntegrationError
 
-from helpers import random_fourier_real, random_hermitian
+from helpers import random_fourier_real, random_general, random_hermitian, reference_remainder_rhs
 
 
 def final(points):
@@ -155,6 +155,16 @@ class TestFloor:
         with pytest.raises(DomainError):
             evolve_rk4(a0, HarmonicSpec(a=1.0, floor=0), None, EvolveConfig(0.1))
 
+    @pytest.mark.parametrize("k,l", [(2, 1), (-2, 1)])  # above and below the floor
+    def test_nan_grid_rejected(self, k, l):
+        data = np.array(single_entry(3, 1, 2, 1.0).data)
+        data[k + 3, l + 3] = np.nan
+        a0 = CoeffGrid(3, data)
+        with pytest.raises(DomainError):
+            heisenberg_closed(a0, HarmonicSpec(a=1.0, floor=0), 0.1)
+        with pytest.raises(DomainError):
+            evolve_rk4(a0, HarmonicSpec(a=1.0, floor=0), None, EvolveConfig(0.1))
+
 
 class TestDiagonalLindblad:
     def test_linear_family_entry_decay(self):
@@ -264,6 +274,39 @@ class TestGeneralDissipator:
         x = np.trace(rho.data @ heis.data)
         y = np.trace(schr.data @ a.data)
         assert abs(x - y) < 1e-11 * max(abs(x), 1.0)
+
+    @pytest.mark.parametrize("picture,sign", [("heisenberg", 1.0), ("schrodinger", -1.0)])
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_generator_matches_term_by_term_reference(self, rng, n, picture, sign):
+        a = random_general(n, rng)
+        lset = LindbladSet(c=random_hermitian(n, rng, scale=0.7),
+                           ls=[random_general(n, rng, scale=0.4),
+                               random_general(n, rng, scale=0.3)],
+                           lam=linear_lambda(0.8 - 0.3j, n))
+        h = HarmonicSpec(a=1.3, b=0.2)
+        got = lindblad_rhs(a, h, lset, picture=picture).data
+        got = got - (sign * 1j) * h.gaps(n) * a.data
+        want = reference_remainder_rhs(a.data, lset, sign)
+        fro = np.linalg.norm
+        scale = fro(a.data) * (2 * fro(lset.c.data) + 2 * sum(fro(l.data) ** 2 for l in lset.ls)
+                               + np.max(np.abs(lset.phi_matrix())))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_phi_matrix_built_once_per_run(self, rng, monkeypatch):
+        calls = []
+        phi_matrix = LindbladSet.phi_matrix
+
+        def counted(self):
+            calls.append(1)
+            return phi_matrix(self)
+
+        monkeypatch.setattr(LindbladSet, "phi_matrix", counted)
+        n = 3
+        lset = LindbladSet(ls=[random_general(n, rng, scale=0.3)], lam=linear_lambda(0.5, n))
+        pts = evolve_rk4(random_hermitian(n, rng), HarmonicSpec(a=1.0), lset,
+                         EvolveConfig(0.01, dt=1e-3))
+        assert len(pts) == 11
+        assert len(calls) <= 1
 
     def test_band_limit_mismatch_rejected(self, rng):
         a0 = random_hermitian(3, rng)

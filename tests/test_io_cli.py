@@ -175,6 +175,18 @@ class TestPgm:
         assert "not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("raster", [b"1.5 2e2", b"7 2e2", b"1.0 7", b"+7 0", b"1_0 7"])
+    def test_non_integer_pixel_rejected(self, tmp_path, capsys, raster):
+        path = tmp_path / "frac.pgm"
+        atomic_write_bytes(path, b"P2\n2 1\n255\n" + raster + b"\n")
+        with pytest.raises(FormatError, match="decimal integer"):
+            read_pgm(path)
+        out = tmp_path / "z.json"
+        assert run(["ingest-pgm", "--in", str(path), "--n", "1",
+                    "--out", str(out)]) == 2
+        assert "decimal integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCenterFit:
     def test_crop_keeps_center(self):
