@@ -85,7 +85,12 @@ class HarmonicSpec:
         return h[:, None] - h[None, :]
 
 
-def _check_floor_support(a0: CoeffGrid, floor: int):
+def _check_initial_grid(a0: CoeffGrid, floor: Optional[int]):
+    """Finite entries, and no support below the spectrum floor when one is set."""
+    if not np.all(np.isfinite(a0.data)):
+        raise DomainError("initial grid has non-finite entries")
+    if floor is None:
+        return
     idx = index_range(a0.n)
     bad = idx < floor
     dev = 0.0
@@ -94,10 +99,10 @@ def _check_floor_support(a0: CoeffGrid, floor: int):
             float(np.max(np.abs(a0.data[bad, :]))),
             float(np.max(np.abs(a0.data[:, bad]))),
         )
-    if not dev <= SUPPORT_RTOL * max(a0.scale(), 1e-300):  # NaN fails here
+    if dev > SUPPORT_RTOL * max(a0.scale(), 1e-300):
         raise DomainError(
-            "initial grid has non-finite entries or support below the spectrum "
-            "floor %d (max %.3e below it)" % (floor, dev)
+            "initial grid has support below the spectrum floor %d (max %.3e below it)"
+            % (floor, dev)
         )
 
 
@@ -179,8 +184,7 @@ class TrajectoryPoint:
 
 
 def heisenberg_closed(a0: CoeffGrid, h: HarmonicSpec, t: float) -> CoeffGrid:
-    if h.floor is not None:
-        _check_floor_support(a0, h.floor)
+    _check_initial_grid(a0, h.floor)
     phase = np.exp(1j * h.gaps(a0.n) * t)
     return CoeffGrid(a0.n, a0.data * phase, a0.tag)
 
@@ -277,8 +281,7 @@ def evolve_rk4(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
     phase gaps never enters the error term.
     """
     lset = lset or LindbladSet()
-    if h.floor is not None:
-        _check_floor_support(a0, h.floor)
+    _check_initial_grid(a0, h.floor)
     n = a0.n
     if lset.n is not None and lset.n != n:
         raise DimensionError("operator set band limit %d vs grid %d" % (lset.n, n))

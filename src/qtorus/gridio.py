@@ -2,7 +2,11 @@
 
 Grid JSON: {"n": N, "tag": "fourier-real"|"hermitian"|"general",
 "entries": [[re, im], ...]} with (2N+1)^2 pairs in row-major order,
-k outer from -N to N, l inner from -N to N.
+k outer from -N to N, l inner from -N to N.  Files are written with
+compact separators and shortest round-trip floats (orjson), so every
+value reads back bitwise; non-finite values are never written.  The
+reader accepts any JSON whitespace and number spelling and rejects
+anything that is not a finite JSON number.
 
 PGM: both ASCII (P2) and binary (P5), maxval up to 65535; pixel v maps
 to f = v / maxval in [0, 1].
@@ -14,13 +18,17 @@ into place, so interrupted runs never leave partial files.
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import DimensionError, FormatError
 from .grids import TAGS, CoeffGrid, SampleGrid
@@ -29,17 +37,68 @@ from .spectral import analyze
 TOOL_VERSION = "0.1.0"
 
 
+def _grid_bytes(grid: CoeffGrid) -> bytes:
+    pairs = grid.data.view(np.float64).reshape(-1, 2)  # data is C-contiguous complex128
+    finite = np.isfinite(pairs).all(axis=1)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        side = 2 * grid.n + 1
+        raise FormatError("cannot write grid JSON: entry %d (k=%d, l=%d) is not finite"
+                          % (i, i // side - grid.n, i % side - grid.n))
+    return orjson.dumps({"n": grid.n, "tag": grid.tag, "entries": pairs},
+                        option=orjson.OPT_SERIALIZE_NUMPY)
+
+
 def grid_to_json(grid: CoeffGrid) -> str:
-    flat = grid.data.reshape(-1)
-    entries = [[float(z.real), float(z.imag)] for z in flat]
-    return json.dumps({"n": grid.n, "tag": grid.tag, "entries": entries})
+    return _grid_bytes(grid).decode()
 
 
-def grid_from_json(text: str) -> CoeffGrid:
+# A grid nests 3 deep.  orjson converts a parsed document to Python objects
+# recursively and overflows the C stack near 10^5 levels, so deeper text is
+# refused before it reaches the parser.
+_MAX_DEPTH = 64
+_NOT_STRUCTURE = bytes(range(256)).translate(None, b'[]{}"')
+_STRING = re.compile(rb'"[^"]*"')
+_DEPTH_STEP = np.zeros(256, dtype=np.int64)
+_DEPTH_STEP[list(b"[{")] = 1
+_DEPTH_STEP[list(b"]}")] = -1
+# a literal or number token, to word the error at orjson's failure position
+_TOKEN = re.compile(r"-?(?:NaN|Infinity|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)")
+_NUMBER_TYPES = frozenset((float, int))
+_JSON_KIND = {type(None): "null", bool: "a boolean", str: "a string", dict: "an object",
+              list: "an array"}
+
+
+def _nesting_depth(blob: bytes) -> int:
+    """Deepest bracket nesting of a JSON text; exact when the text is valid JSON.
+
+    Escaped backslashes and quotes go first, so every remaining quote opens or
+    closes a string; the brackets inside strings then go with the strings.
+    """
+    if b"\\" in blob:
+        blob = blob.replace(b"\\\\", b"").replace(b'\\"', b"")
+    skeleton = _STRING.sub(b"", blob.translate(None, _NOT_STRUCTURE))
+    steps = _DEPTH_STEP[np.frombuffer(skeleton, dtype=np.uint8)]
+    return int(np.cumsum(steps).max(initial=0))
+
+
+def _parse(blob: bytes):
+    if _nesting_depth(blob) > _MAX_DEPTH:
+        raise FormatError("invalid grid JSON: nested deeper than %d levels" % _MAX_DEPTH)
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(blob)
+    except orjson.JSONDecodeError as exc:
+        token = _TOKEN.match(exc.doc, exc.pos)
+        if token and not math.isfinite(float(token.group())):
+            raise FormatError("grid JSON: %s at char %d is not finite" % (token.group(), exc.pos))
         raise FormatError("invalid grid JSON: %s" % exc)
+
+
+def grid_from_json(text) -> CoeffGrid:
+    """Parse grid JSON given as str or UTF-8 bytes."""
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")
+    obj = _parse(text)
     if not isinstance(obj, dict):
         raise FormatError("grid JSON must be an object")
     for key in ("n", "tag", "entries"):
@@ -47,7 +106,7 @@ def grid_from_json(text: str) -> CoeffGrid:
             raise FormatError("grid JSON missing key %r" % key)
     n = obj["n"]
     tag = obj["tag"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise FormatError("grid JSON: n must be a non-negative integer")
     if tag not in TAGS:
         raise FormatError("grid JSON: unknown tag %r" % (tag,))
@@ -58,11 +117,19 @@ def grid_from_json(text: str) -> CoeffGrid:
             "grid JSON: expected %d entries, got %s"
             % (side * side, len(entries) if isinstance(entries, list) else "non-list")
         )
-    data = np.empty((side * side,), dtype=np.complex128)
-    for i, pair in enumerate(entries):
-        if (not isinstance(pair, list)) or len(pair) != 2:
-            raise FormatError("grid JSON: entry %d is not a [re, im] pair" % i)
-        data[i] = complex(float(pair[0]), float(pair[1]))
+    # whole-list passes in C; only a failing check looks for the entry to name
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        i = next(i for i, p in enumerate(entries) if type(p) is not list or len(p) != 2)
+        raise FormatError("grid JSON: entry %d is not a [re, im] pair" % i)
+    values = list(chain.from_iterable(entries))
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        i = next(i for i, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
+        raise FormatError("grid JSON: entry %d holds %s, not a number"
+                          % (i // 2, _JSON_KIND[type(values[i])]))
+    # one float64 array viewed as complex: re + 1j*im could flip the sign of a zero
+    data = np.array(values, dtype=np.float64).view(np.complex128)
+    # orjson refuses NaN, Infinity and overflowing numbers; this keeps the
+    # finite-entry promise whatever the parser lets through
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:
         raise FormatError("grid JSON: entry %d is not finite" % bad[0])
@@ -70,7 +137,7 @@ def grid_from_json(text: str) -> CoeffGrid:
 
 
 def read_grid(path) -> CoeffGrid:
-    with open(path, "r") as fh:
+    with open(path, "rb") as fh:
         return grid_from_json(fh.read())
 
 
@@ -92,7 +159,7 @@ def atomic_write_text(path, text: str):
 
 
 def write_grid(path, grid: CoeffGrid):
-    atomic_write_text(path, grid_to_json(grid) + "\n")
+    atomic_write_bytes(path, _grid_bytes(grid) + b"\n")
 
 
 @dataclass

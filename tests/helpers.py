@@ -9,6 +9,8 @@ package's single-sequence transform and recursive Dirichlet inverse, and
 reference_remainder_rhs, which takes phi from LindbladSet.phi_matrix.
 """
 
+import json
+
 import numpy as np
 
 from qtorus import (
@@ -132,6 +134,12 @@ def reference_remainder_rhs(ad, lset, sign):
     if phi is not None:
         out += (phi if sign > 0 else np.conj(phi)) * ad
     return out
+
+
+def reference_grid_to_json(grid):
+    """Grid JSON as the stdlib writer spells it: spaced separators, repr floats."""
+    entries = [[float(z.real), float(z.imag)] for z in grid.data.reshape(-1)]
+    return json.dumps({"n": grid.n, "tag": grid.tag, "entries": entries})
 
 
 def symmetrize_fourier_real(raw):

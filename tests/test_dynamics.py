@@ -165,6 +165,19 @@ class TestFloor:
         with pytest.raises(DomainError):
             evolve_rk4(a0, HarmonicSpec(a=1.0, floor=0), None, EvolveConfig(0.1))
 
+    @pytest.mark.parametrize("floor", [None, 0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_grid_rejected_on_entry(self, floor, bad):
+        data = np.array(single_entry(3, 1, 2, 1.0).data)
+        data[2 + 3, 1 + 3] = bad
+        a0 = CoeffGrid(3, data)
+        h = HarmonicSpec(a=1.0, floor=floor)
+        with pytest.raises(DomainError, match="non-finite"):
+            heisenberg_closed(a0, h, 0.1)
+        for t_end in (0.0, 0.1):  # t_end=0 takes no step; only the entry check sees it
+            with pytest.raises(DomainError, match="non-finite"):
+                evolve_rk4(a0, h, LindbladSet(lam=linear_lambda(1.0, 3)), EvolveConfig(t_end))
+
 
 class TestDiagonalLindblad:
     def test_linear_family_entry_decay(self):

@@ -3,9 +3,12 @@
 import json
 import os
 import shutil
+import tempfile
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from qtorus import (
@@ -43,7 +46,12 @@ from qtorus.errors import FormatError, HermiticityError, SymmetryError
 from qtorus.gridio import atomic_write_bytes
 
 from conftest import DATA
-from helpers import random_fourier_real, random_general, symmetrize_fourier_real
+from helpers import (
+    random_fourier_real,
+    random_general,
+    reference_grid_to_json,
+    symmetrize_fourier_real,
+)
 
 
 @pytest.fixture
@@ -86,9 +94,29 @@ class TestGridJson:
         '{"n": 1, "tag": "general", "entries": [[0, 0]]}',
         '{"n": 0, "tag": "general", "entries": [[0, 0, 0]]}',
         '{"n": 0, "tag": "general", "entries": [7]}',
+        '{"n": 0, "tag": "general", "entries": [[null, 0]]}',
+        '{"n": 0, "tag": "general", "entries": [["abc", 0]]}',
+        '{"n": 0, "tag": "general", "entries": [["1.5", 0]]}',
+        '{"n": 0, "tag": "general", "entries": [[true, 0]]}',
+        '{"n": 0, "tag": "general", "entries": [[0, false]]}',
+        '{"n": 0, "tag": "general", "entries": [[{"a": 1}, 0]]}',
+        '{"n": 0, "tag": "general", "entries": [[[1], 0]]}',
+        '{"n": true, "tag": "general", "entries": [[0, 0], [0, 0], [0, 0], [0, 0], '
+        '[0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}',
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
+            grid_from_json(text)
+
+    @pytest.mark.parametrize("value,kind", [
+        ("null", "null"), ('"1.5"', "a string"), ("true", "a boolean"),
+        ('{"a": 1}', "an object"), ("[1]", "an array"),
+    ])
+    def test_non_number_value_names_its_entry(self, value, kind):
+        entries = [[0.0, 0.0]] * 9
+        text = json.dumps({"n": 1, "tag": "general", "entries": entries})
+        text = text.replace("[0.0, 0.0]]", "[0.0, %s]]" % value)  # the last entry
+        with pytest.raises(FormatError, match="entry 8 holds %s, not a number" % kind):
             grid_from_json(text)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
@@ -96,6 +124,77 @@ class TestGridJson:
         text = '{"n": 0, "tag": "general", "entries": [[0.5, %s]]}' % value
         with pytest.raises(FormatError, match="not finite"):
             grid_from_json(text)
+
+    @pytest.mark.parametrize("value", ["1e400", "-1.5E+999", "1" + "0" * 400],
+                             ids=["1e400", "-1.5E+999", "401-digit-integer"])
+    def test_overflowing_number_rejected(self, value):
+        text = '{"n": 0, "tag": "general", "entries": [[%s, 0.5]]}' % value
+        with pytest.raises(FormatError, match="not finite"):
+            grid_from_json(text)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_writer_refuses_non_finite(self, tmp_path, bad):
+        data = np.zeros((3, 3), dtype=np.complex128)
+        data[2, 0] = complex(0.0, bad)
+        grid = CoeffGrid(1, data)
+        with pytest.raises(FormatError, match=r"entry 6 \(k=1, l=-1\) is not finite"):
+            grid_to_json(grid)
+        with pytest.raises(FormatError):
+            write_grid(tmp_path / "g.json", grid)
+        assert os.listdir(tmp_path) == []
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-5, 0.1, 1 / 3]
+
+    def _special_grid(self, rng):
+        k = 2 * 49 - len(self.SPECIAL)  # 17-digit values across the exponent range
+        randoms = rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)
+        values = np.concatenate([self.SPECIAL, randoms])
+        return CoeffGrid(3, values.view(np.complex128).reshape(7, 7))
+
+    @staticmethod
+    def _bits(data):
+        return np.asarray(data, dtype=np.complex128).view(np.uint64)
+
+    def test_round_trip_is_bitwise(self, tmp_path, rng):
+        g = self._special_grid(rng)
+        assert np.array_equal(self._bits(grid_from_json(grid_to_json(g)).data), self._bits(g.data))
+        write_grid(tmp_path / "g.json", g)
+        assert np.array_equal(self._bits(read_grid(tmp_path / "g.json").data), self._bits(g.data))
+
+    def test_reads_the_stdlib_spelling(self, tmp_path, rng):
+        g = self._special_grid(rng)
+        text = reference_grid_to_json(g)
+        assert "1e+16" in text and "1e-05" in text and ", " in text
+        (tmp_path / "old.json").write_text(text + "\n")
+        back = read_grid(tmp_path / "old.json")
+        assert np.array_equal(self._bits(back.data), self._bits(g.data))
+
+    def test_stdlib_parser_reads_the_same_bits(self, rng):
+        g = self._special_grid(rng)
+        text = grid_to_json(g)
+        assert ", " not in text and ": " not in text  # compact separators
+        values = np.array(json.loads(text)["entries"], dtype=np.float64)
+        assert np.array_equal(values.view(np.uint64).reshape(-1),
+                              g.data.view(np.uint64).reshape(-1))
+
+    def test_any_json_whitespace_accepted(self):
+        text = '\r\n{ "n" :\t0 ,\n "tag": "general",\r "entries" : [ [ 1.5 ,\n-2 ] ] }\n  '
+        assert grid_from_json(text).entry(0, 0) == complex(1.5, -2.0)
+
+    def test_deep_nesting_refused_before_parsing(self):
+        # orjson's recursive conversion would overflow the C stack on this text
+        with pytest.raises(FormatError, match="nested deeper"):
+            grid_from_json("[" * 200_000 + "]" * 200_000)
+        extra = '{"n": 0, "tag": "general", "entries": [[0, 0]], "x": %s}'
+        with pytest.raises(FormatError, match="nested deeper"):
+            grid_from_json(extra % ("[" * 65 + "]" * 65))
+        with pytest.raises(FormatError, match="nested deeper"):  # string closers do not count
+            grid_from_json(extra % ('["%s", %s]' % ("]" * 100, "[" * 63 + "]" * 63)))
+        # brackets inside strings, escaped quotes and backslashes do not nest
+        for value in ['"%s"' % ("[" * 200_000), r'"\"%s"' % ("[" * 100),
+                      r'["\\", "%s"]' % ("[" * 100), '"]]]]"']:
+            assert grid_from_json(extra % value).entry(0, 0) == 0
 
 
 class TestNonFiniteSymmetry:
@@ -283,6 +382,18 @@ class TestCliTransforms:
         ref = s_map(read_grid(field_file))
         assert np.array_equal(w.data, ref.data)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_smap_overflow_writes_nothing(self, tmp_path, capsys):
+        data = np.zeros((3, 3), dtype=np.complex128)
+        data[0, 0] = data[0, 2] = data[2, 0] = data[2, 2] = 1.5e308  # (+-1, +-1)
+        path = tmp_path / "huge.json"
+        write_grid(path, CoeffGrid(1, data, FOURIER_REAL))
+        out = tmp_path / "w.json"
+        # the sqrt(2) diagonal factor overflows; Infinity is not JSON
+        assert run(["smap", "--in", str(path), "--out", str(out)]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["huge.json"]
+
     def test_manifest_sidecar(self, tmp_path, field_file):
         out = str(tmp_path / "w.json")
         run(["smap", "--in", field_file, "--out", out])
@@ -366,6 +477,17 @@ class TestCliNorms:
         path.write_text(json.dumps({"n": 2, "tag": tag, "entries": entries}))
         assert run(["norms", "--in", str(path), "--alphas", "0,1"]) == 2
         assert "nan" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["null", '"abc"', '"1.5"', "true", '{"a": 1}', "[1]"])
+    def test_non_number_value_is_data_error(self, tmp_path, rng, capsys, value):
+        entries = [[float(z.real), float(z.imag)]
+                   for z in random_fourier_real(2, rng).data.ravel()]
+        text = json.dumps({"n": 2, "tag": "fourier-real", "entries": entries})
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace("[[%r, " % entries[0][0], "[[%s, " % value, 1))
+        assert run(["norms", "--in", str(path), "--alphas", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert "not a number" in captured.err and captured.out == ""
 
 
 class TestCliEvolve:
@@ -558,8 +680,56 @@ class TestCliPlumbing:
         assert run(["smap", "--in", str(bad),
                     "--out", str(tmp_path / "o.json")]) == 2
 
+    def test_non_utf8_grid_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"n": 0, "tag": "gen\xff", "entries": [[0, 0]]}')
+        assert run(["norms", "--in", str(bad), "--alphas", "0"]) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mutated_grid_files_never_escape(self, data):
+        text = _mutated_grid_text(data)
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "f.json")
+            with open(path, "wb") as fh:
+                fh.write(text)
+            assert run(["norms", "--in", path, "--alphas", "0,1"]) in (0, 1, 2)
+            assert run(["smap", "--in", path, "--out", os.path.join(work, "w.json")]) in (0, 1, 2)
+
     def test_asymmetric_grid_rejected(self, tmp_path, rng):
         path = str(tmp_path / "gen.json")
         write_grid(path, random_general(3, rng))
         assert run(["smap", "--in", path,
                     "--out", str(tmp_path / "o.json")]) == 2
+
+
+_FUZZ_GRID = symmetrize_fourier_real(
+    np.random.default_rng(7).standard_normal((3, 3)) * np.array([1e-300, 1.0, 1e300]))
+_FUZZ_TOKENS = ["null", "true", '"1.5"', "{}", "[]", "[1, 2]", "NaN", "Infinity", "-Infinity",
+                "1e400", "-1E+999", "1e-400", "1" + "0" * 400, "01", "1.", ".5", "-", "0x1",
+                "1.7976931348623157e308", "-0.0", "5e-324"]
+
+
+def _mutated_grid_text(data) -> bytes:
+    """A valid fourier-real n=1 grid file with entries swapped, dropped or
+    duplicated, non-number tokens injected, and possibly truncated or spliced."""
+    pairs = [[repr(float(z.real)), repr(float(z.imag))] for z in _FUZZ_GRID.ravel()]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        action = data.draw(st.sampled_from(("token", "drop", "duplicate", "swap")))
+        if action == "token":
+            pairs[i][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(_FUZZ_TOKENS))
+        elif action == "drop" and len(pairs) > 1:
+            del pairs[i]
+        elif action == "duplicate":
+            pairs.insert(i, list(pairs[i]))
+        else:
+            pairs[i].reverse()
+    text = ('{"n": 1, "tag": "fourier-real", "entries": [%s]}'
+            % ", ".join("[%s, %s]" % tuple(p) for p in pairs)).encode()
+    if data.draw(st.booleans()):
+        cut = data.draw(st.integers(0, len(text)))
+        text = text[:cut] + data.draw(st.binary(max_size=3)) + text[cut:][:data.draw(
+            st.sampled_from((0, len(text))))]
+    return text
