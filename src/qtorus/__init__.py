@@ -38,6 +38,7 @@ from .dynamics import (
     dissipative_constant,
     drift_oracle,
     evolve_rk4,
+    evolve_steps,
     growth_bound,
     growth_factors,
     heisenberg_closed,

@@ -17,12 +17,20 @@ from .dynamics import (
     HarmonicSpec,
     LindbladSet,
     dissipative_constant,
-    evolve_rk4,
+    evolve_steps,
     growth_factors,
     linear_lambda,
 )
 from .errors import QTorusError
-from .gridio import RunManifest, atomic_write_text, ingest_pgm, read_grid, write_grid
+from .grids import CoeffGrid
+from .gridio import (
+    RunManifest,
+    atomic_write_text,
+    atomic_writer,
+    ingest_pgm,
+    read_grid,
+    write_grid,
+)
 from .redundancy import averaging_errors, broadband_average_2d_counts, load_zero_table
 from .sobolev import SobolevWeight, norm
 from .spectral import q_inverse, q_transform, s_map
@@ -197,19 +205,21 @@ def cmd_evolve(args) -> int:
     lset = LindbladSet(c=c, ls=ls, lam=lam)
     h = HarmonicSpec(args.a, args.b, args.floor)
     cfg = EvolveConfig(t_end=args.t, dt=args.dt, alpha=args.alpha)
-    traj = evolve_rk4(a0, h, lset, cfg)
-
     diss_c = dissipative_constant(args.alpha, lset) if args.alpha >= 0 else float("nan")
-    norm0 = traj[0].alpha_norm
-    rows = ["t,alpha_norm,bound_est_T2,bound_estimate_full"]
-    for pt in traj:
-        pure, full = growth_factors(diss_c, pt.t)
-        rows.append("%s,%s,%s,%s" % (
-            _fmt(pt.t), _fmt(pt.alpha_norm), _fmt(norm0 * pure), _fmt(norm0 * full)))
-    atomic_write_text(args.trace, "\n".join(rows) + "\n")
+
+    # rows go out as the stepper yields them; only the latest grid is held
+    norm0 = None
+    with atomic_writer(args.trace) as fh:
+        fh.write(b"t,alpha_norm,bound_est_T2,bound_estimate_full\n")
+        for t, alpha_norm, last in evolve_steps(a0, h, lset, cfg):
+            if norm0 is None:
+                norm0 = alpha_norm
+            pure, full = growth_factors(diss_c, t)
+            fh.write(("%s,%s,%s,%s\n" % (
+                _fmt(t), _fmt(alpha_norm), _fmt(norm0 * pure), _fmt(norm0 * full))).encode())
     manifest.write_for(args.trace)
 
-    evolved_field, _ = q_inverse(traj[-1].grid)
+    evolved_field, _ = q_inverse(CoeffGrid(a0.n, last, a0.tag))
     write_grid(args.out, evolved_field)
     manifest.write_for(args.out)
     return 0

@@ -20,7 +20,14 @@ The integrator is classical RK4 run in the rotating frame of the affine
 part (the entrywise phase factor is applied exactly each step, RK4 only
 sees the compact/dissipative remainder).  For a pure harmonic flow the
 step is exact up to round-off; for the general flow the order is the
-classical 4.
+classical 4.  The phi part goes through RK4, which multiplies entry (k, l)
+by R(h phi[k,l]) per step (R the degree-4 Taylor polynomial of exp); a
+step with max |R| > 1 is refused before stepping, since it would grow
+modes the flow damps.
+
+`evolve_steps` is the one stepper: a generator of (t, norm, array)
+records that holds only the current step, so memory is bounded in the run
+length.  `evolve_rk4` collects its records into TrajectoryPoint grids.
 
 The remainder is built once per (operator set, picture) and then acts as
 
@@ -38,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -271,14 +278,37 @@ def default_dt(h: HarmonicSpec, n: int) -> float:
     return min(1e-3, 0.5 / gap)
 
 
-def evolve_rk4(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
-               cfg: EvolveConfig, picture: str = "heisenberg") -> List[TrajectoryPoint]:
+def _check_rk4_stability(phi: np.ndarray, h: float):
+    """Refuse a step h at which RK4 amplifies a mode of the entrywise phi part.
+
+    For phi alone the RK4 step multiplies entry (k, l) by R(h phi[k,l]),
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, while the exact flow never grows
+    (Re phi <= 0).  |R| > 1 means the stepper returns growth that is not there.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan amp is refused below
+        z = h * phi
+        amp = float(np.max(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))))
+    if not amp <= 1.0 + 1e-12:
+        raise IntegrationError(
+            "step h=%.6g is outside RK4's stability region for the diagonal lambda "
+            "part (max |R(h phi)| = %.6g > 1); reduce dt" % (h, amp)
+        )
+
+
+def evolve_steps(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
+                 cfg: EvolveConfig, picture: str = "heisenberg"
+                 ) -> Iterator[Tuple[float, float, np.ndarray]]:
     """Fixed-step RK4 in the rotating frame of the affine spectrum.
 
     Writes A(t_n + s) = exp(sign*i*Delta*s) .* B(s) within each step and
     advances B with classical RK4; the phase factor is exact, so the pure
     harmonic flow is reproduced to round-off and stiffness from large
     phase gaps never enters the error term.
+
+    Yields (t, alpha-norm, data) at t = 0 and at every `cfg.record_every`-th
+    step (always at t_end).  The data array is the stepper's own, read-only
+    and never written again; nothing else is kept, so memory does not grow
+    with the number of steps.  Every step is checked for finite entries.
     """
     lset = lset or LindbladSet()
     _check_initial_grid(a0, h.floor)
@@ -294,30 +324,29 @@ def evolve_rk4(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
             % (dt, gap, dt * gap),
             RuntimeWarning,
         )
+    if not math.isfinite(cfg.t_end / dt):
+        raise DomainError("t_end=%g over dt=%g is not a finite number of steps"
+                          % (cfg.t_end, dt))
 
     wgt = SobolevWeight(cfg.alpha).weights(n)
     delta = h.gaps(n)
     a = np.array(a0.data)
-
-    def record(points, t, arr):
-        g = CoeffGrid(n, arr, a0.tag)
-        points.append(TrajectoryPoint(t, g, _weighted_norm(g.data, wgt)))
-
-    points: List[TrajectoryPoint] = []
-    record(points, 0.0, a)
+    a.setflags(write=False)
+    yield 0.0, _weighted_norm(a, wgt), a
     if cfg.t_end == 0.0:
-        return points
+        return
 
     plain = lset.is_empty()
     remainder = _Remainder(lset, sign)
     n_steps = max(1, int(np.ceil(cfg.t_end / dt - 1e-12)))
     base_dt = cfg.t_end / n_steps  # uniform steps <= dt that land exactly on t_end
+    if remainder.phi is not None:
+        _check_rk4_stability(remainder.phi, base_dt)
     e_full = np.exp((sign * 1j * base_dt) * delta)
     e_half = np.exp((sign * 1j * base_dt / 2.0) * delta)
     e_half_c = np.conj(e_half)
     e_full_c = np.conj(e_full)
 
-    t = 0.0
     for step in range(1, n_steps + 1):
         if plain:
             a = e_full * a
@@ -337,8 +366,15 @@ def evolve_rk4(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
                 % (t, step)
             )
         if step % cfg.record_every == 0 or step == n_steps:
-            record(points, t, a)
-    return points
+            a.setflags(write=False)
+            yield t, _weighted_norm(a, wgt), a
+
+
+def evolve_rk4(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
+               cfg: EvolveConfig, picture: str = "heisenberg") -> List[TrajectoryPoint]:
+    """Every record of `evolve_steps` kept as a grid; memory grows with the run."""
+    return [TrajectoryPoint(t, CoeffGrid(a0.n, data, a0.tag), alpha_norm)
+            for t, alpha_norm, data in evolve_steps(a0, h, lset, cfg, picture)]
 
 
 @dataclass(frozen=True)
@@ -362,8 +398,9 @@ def dissipative_constant(alpha: float, lset: LindbladSet) -> float:
     c = 0.0
     if lset.c is not None:
         c += 4.0 * norm(lset.c, w)
-    for l in lset.ls:
-        c += 4.0 * norm(l, w) ** 2
+    with np.errstate(over="ignore"):  # a float ** 2 past 1e308 raises; here it is inf
+        for l in lset.ls:
+            c += 4.0 * float(np.float64(norm(l, w)) ** 2)
     if lset.lam is not None:
         n = (lset.lam.size - 1) // 2
         idx = index_range(n)

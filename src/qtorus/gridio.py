@@ -12,7 +12,8 @@ PGM: both ASCII (P2) and binary (P5), maxval up to 65535; pixel v maps
 to f = v / maxval in [0, 1].
 
 Outputs are written to a temp file in the target directory and renamed
-into place, so interrupted runs never leave partial files.
+into place (`atomic_writer`, which also streams), so interrupted runs
+never leave partial files.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import re
 import tempfile
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -141,17 +143,25 @@ def read_grid(path) -> CoeffGrid:
         return grid_from_json(fh.read())
 
 
-def atomic_write_bytes(path, payload: bytes):
+@contextmanager
+def atomic_writer(path):
+    """Binary handle on a temp file beside `path`, renamed into place when the
+    block ends and deleted if it raises, so `path` is either untouched or whole."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qtorus-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, payload: bytes):
+    with atomic_writer(path) as fh:
+        fh.write(payload)
 
 
 def atomic_write_text(path, text: str):

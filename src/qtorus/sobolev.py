@@ -9,6 +9,8 @@ as they are non-negative and depend only on k^2 + l^2.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,9 +53,18 @@ def _weighted_norm(data: np.ndarray, wgt: np.ndarray) -> float:
     """`norm` on raw data, for callers that fetch the weights once.
 
     SobolevWeight.weights is not cached: a radial profile may close over
-    mutable data.
+    mutable data.  Squares overflow above ~1e154 and underflow below
+    ~1e-154; only then is the sum taken again on data scaled by its largest
+    entry, so every other norm keeps the bits of the plain sum.
     """
-    return float(np.sqrt(np.sum(wgt * np.abs(data) ** 2)))
+    with np.errstate(over="ignore", under="ignore"):
+        total = float(np.sum(wgt * np.abs(data) ** 2))
+        if math.isfinite(total) and (total >= sys.float_info.min or not data.any()):
+            return float(np.sqrt(total))
+        big = float(np.max(np.abs(data)))
+        if not math.isfinite(big):  # inf or nan entries: the plain sum says it
+            return float(np.sqrt(total))
+        return big * float(np.sqrt(np.sum(wgt * (np.abs(data) / big) ** 2)))
 
 
 def commutator_pairing(h: CoeffGrid, a: CoeffGrid, w: SobolevWeight) -> complex:

@@ -293,7 +293,7 @@ def test_07_growth_bounds():
         if i % 4 == 0:
             lam = 0.2 * linear_lambda(1.0, n) / n
         lset = LindbladSet(c=c_op, ls=ls, lam=lam)
-        if lset.is_empty:
+        if lset.is_empty():
             lset = LindbladSet(ls=[_unit_scaled(random_general(n, rng), wt, 0.3)])
 
         a0 = q_transform(random_fourier_real(n, rng))

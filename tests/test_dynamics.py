@@ -20,6 +20,7 @@ from qtorus import (
     dissipative_constant,
     drift_oracle,
     evolve_rk4,
+    evolve_steps,
     fourier_real_deviation,
     growth_bound,
     heisenberg_closed,
@@ -133,6 +134,35 @@ class TestIntegratorHarmonic:
         assert len(pts) == 1
         assert pts[0].t == 0.0
         assert np.max(np.abs(pts[0].grid.data - a0.data)) == 0.0
+
+
+class TestStreamingCore:
+    def test_records_match_the_list_wrapper(self, rng):
+        n = 3
+        a0 = random_hermitian(n, rng)
+        lset = LindbladSet(c=random_hermitian(n, rng, scale=0.2),
+                           ls=[random_general(n, rng, scale=0.2)], lam=linear_lambda(0.3, n))
+        cfg = EvolveConfig(0.1, dt=1e-2, alpha=1.0, record_every=3)
+        for picture in ("heisenberg", "schrodinger"):
+            recs = list(evolve_steps(a0, HarmonicSpec(a=1.5), lset, cfg, picture))
+            pts = evolve_rk4(a0, HarmonicSpec(a=1.5), lset, cfg, picture)
+            assert isinstance(pts, list)
+            # steps 3, 6, 9 and the last one (10), after the initial record
+            assert [t for t, _, _ in recs] == [p.t for p in pts] == [
+                0.0, 3 * 0.01, 6 * 0.01, 9 * 0.01, 10 * 0.01]
+            for (t, nrm, data), p in zip(recs, pts):
+                assert nrm == p.alpha_norm
+                assert np.array_equal(data, p.grid.data)
+                assert nrm == norm(p.grid, SobolevWeight(1.0))
+
+    def test_records_are_read_only_and_never_rewritten(self, rng):
+        a0 = random_hermitian(2, rng)
+        lset = LindbladSet(ls=[random_general(2, rng, scale=0.3)])
+        recs = list(evolve_steps(a0, HarmonicSpec(a=1.0), lset, EvolveConfig(0.05, dt=1e-2)))
+        assert len({id(data) for _, _, data in recs}) == len(recs)
+        for _, _, data in recs:
+            assert not data.flags.writeable
+        assert np.array_equal(recs[0][2], a0.data)
 
 
 class TestFloor:
@@ -336,6 +366,27 @@ class TestIntegratorGuards:
             warnings.simplefilter("ignore", RuntimeWarning)  # overflow en route
             with pytest.raises(IntegrationError):
                 evolve_rk4(a0, HarmonicSpec(a=0.0), lset, EvolveConfig(100.0, dt=1.0))
+
+    @pytest.mark.parametrize("n", [40, 48])
+    @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+    def test_unstable_lambda_step_raises_before_stepping(self, rng, n, picture):
+        # default dt resolves the phase gaps only; h |phi| reaches 2 n^2 dt > 2.79
+        a0 = random_hermitian(n, rng)
+        lset = LindbladSet(lam=linear_lambda(1.0, n))
+        steps = evolve_steps(a0, HarmonicSpec(a=6.283), lset, EvolveConfig(0.2), picture)
+        assert next(steps)[0] == 0.0
+        with pytest.raises(IntegrationError, match="reduce dt"):
+            next(steps)
+        with pytest.raises(IntegrationError, match="reduce dt"):
+            evolve_rk4(a0, HarmonicSpec(a=0.0), lset, EvolveConfig(0.2))
+
+    def test_stable_lambda_step_still_runs(self, rng):
+        n = 40  # 2 n^2 h = 2.56, inside RK4's stability interval (-2.785, 0]
+        a0 = random_hermitian(n, rng)
+        pts = evolve_rk4(a0, HarmonicSpec(a=0.0), LindbladSet(lam=linear_lambda(1.0, n)),
+                         EvolveConfig(0.02, dt=8e-4))
+        # inaccurate this close to the edge, but no mode grows
+        assert np.all(np.abs(final(pts).data) <= np.abs(a0.data) * (1 + 1e-12))
 
     def test_unresolved_gap_warns(self, rng):
         a0 = random_hermitian(4, rng)

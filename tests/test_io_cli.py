@@ -1,9 +1,12 @@
 """Grid JSON, PGM ingest, atomic writes, and the command-line surface."""
 
+import gc
 import json
 import os
+import re
 import shutil
 import tempfile
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -464,6 +467,14 @@ class TestCliNorms:
         v = float(line.split(",")[1])
         assert v == norm(read_grid(field_file), SobolevWeight(0.5))
 
+    def test_huge_entry_gives_a_finite_norm(self, tmp_path, capsys, recwarn):
+        path = str(tmp_path / "big.json")
+        write_grid(path, single_entry(1, 0, 0, 1e200))
+        assert run(["norms", "--in", path, "--alphas", "0,1"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[1:] == ["0.0,1e+200", "1.0,1e+200"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_bad_alpha_list(self, field_file):
         assert run(["norms", "--in", field_file, "--alphas", "1,zap"]) == 1
 
@@ -582,6 +593,7 @@ class TestCliEvolve:
     @pytest.mark.parametrize("flag,value", [
         ("--t", "nan"), ("--t", "inf"), ("--dt", "nan"), ("--alpha", "nan"),
         ("--a", "nan"), ("--b", "inf"), ("--lambda", "linear:nan"),
+        ("--t", "1e308"),  # t / dt overflows: no finite number of steps
     ])
     def test_non_finite_scalar_is_data_error(self, tmp_path, field_file, capsys,
                                              flag, value):
@@ -595,6 +607,85 @@ class TestCliEvolve:
         assert run(argv) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_memory_does_not_grow_with_run_length(self, tmp_path, rng):
+        n = 8
+        path = str(tmp_path / "f.json")
+        write_grid(path, random_fourier_real(n, rng))
+
+        def peak(t):
+            argv = ["evolve", "--field", path, "--a", "1.0", "--lambda", "linear:1.0",
+                    "--t", t, "--dt", "0.001", "--alpha", "1.0",
+                    "--out", str(tmp_path / "o.json"), "--trace", str(tmp_path / "t.csv")]
+            gc.collect()  # earlier runs' cyclic garbage would otherwise move the peak
+            tracemalloc.start()  # numpy reports its buffers to tracemalloc
+            try:
+                assert run(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("0.1")  # first-call caches
+        short, long = peak("0.1"), peak("1.0")  # 100 and 1000 steps
+        grid_bytes = (2 * n + 1) ** 2 * 16
+        assert long - short < 4 * grid_bytes, (short, long)
+
+    def test_unstable_step_is_data_error_and_writes_nothing(self, tmp_path, rng, capsys):
+        path = str(tmp_path / "f.json")
+        write_grid(path, random_fourier_real(40, rng))
+        assert run(["evolve", "--field", path, "--a", "6.283", "--lambda", "linear:1.0",
+                    "--t", "0.2", "--out", str(tmp_path / "o.json"),
+                    "--trace", str(tmp_path / "t.csv")]) == 2
+        assert "reduce dt" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["f.json"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
+    def test_blowup_partway_writes_nothing(self, tmp_path, rng, capsys):
+        field, lind = str(tmp_path / "f.json"), str(tmp_path / "l.json")
+        write_grid(field, random_fourier_real(2, rng))
+        write_grid(lind, random_general(2, rng, scale=30.0))
+        assert run(["evolve", "--field", field, "--a", "1.0", "--lindblad", lind,
+                    "--t", "1", "--dt", "0.01", "--out", str(tmp_path / "o.json"),
+                    "--trace", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite entries" in err
+        assert int(re.search(r"step (\d+)", err).group(1)) > 1  # trace rows were streamed
+        assert sorted(os.listdir(tmp_path)) == ["f.json", "l.json"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fuzzed_flags_never_escape(self, data):
+        def draw(values):
+            return data.draw(st.sampled_from(values))
+
+        # a finite t / dt is at most ~10^3 steps (no step count is capped);
+        # 1e308 / dt overflows for every dt drawn
+        flags = {"--t": draw(["0", "0.01", "0.05", "-1", "nan", "inf", "1e308", "x"]),
+                 "--dt": draw([None, "0.005", "0.05", "0", "-0.01", "nan", "x"]),
+                 "--a": draw(["0", "1", "-6.283", "1e3", "nan", "x"]),
+                 "--b": draw([None, "0.5", "-3", "inf", "x"]),
+                 "--alpha": draw([None, "1", "-0.5", "2", "nan"]),
+                 "--lambda": draw([None, "linear:0", "linear:1.0", "linear:-3", "linear:1e3",
+                                   "linear:nan", "quadratic:1"]),
+                 "--floor": draw([None, "-3", "0", "5", "x"])}
+        scale = draw([None, 0.0, 0.1, 30.0, 1e200])
+        rng = np.random.default_rng(7)
+        with tempfile.TemporaryDirectory() as work:
+            field = os.path.join(work, "f.json")
+            write_grid(field, random_fourier_real(2, rng))
+            out, trace = os.path.join(work, "o.json"), os.path.join(work, "t.csv")
+            argv = ["evolve", "--field", field, "--out", out, "--trace", trace]
+            if scale is not None:
+                argv += ["--lindblad", os.path.join(work, "l.json")]
+                write_grid(argv[-1], random_general(2, rng, scale=scale))
+            for flag, value in flags.items():
+                if value is not None:
+                    argv += [flag, value]
+            code = run(argv)
+            assert code in (0, 1, 2)
+            assert os.path.exists(out) == os.path.exists(trace) == (code == 0)
+            assert not [p for p in os.listdir(work) if p.endswith(".tmp")]
 
     def test_missing_required_flag(self):
         assert run(["evolve"]) == 1

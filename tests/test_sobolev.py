@@ -40,6 +40,25 @@ def test_unit_diagonal_entry_weight():
     assert norm(g, SobolevWeight(1.0)) == np.sqrt(3.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e200, -1e200j, 1e300 + 1e300j, 1e-200, 1e-305j])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_squares_out_of_range_still_give_the_norm(value, alpha):
+    # |value|^2 overflows or underflows; the norm itself is representable
+    g = single_entry(2, 1, -1, value)
+    expected = abs(value) * 3.0 ** (alpha / 2.0)
+    assert_allclose(norm(g, SobolevWeight(alpha)), expected, rtol=1e-15)
+
+
+def test_ordinary_norms_keep_the_plain_sum_bits(rng):
+    for alpha in (0.0, 0.5, 1.0, 2.0):
+        for scale in (1e-150, 1e-3, 1.0, 1e150):
+            g = random_general(4, rng, scale=scale)
+            wgt = SobolevWeight(alpha).weights(4)
+            plain = float(np.sqrt(np.sum(wgt * np.abs(g.data) ** 2)))
+            assert norm(g, SobolevWeight(alpha)) == plain
+
+
 def test_alpha_zero_is_frobenius(rng):
     a = random_general(4, rng)
     b = random_general(4, rng)
