@@ -8,6 +8,7 @@ sidecar echoing inputs and parameters.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -21,7 +22,7 @@ from .dynamics import (
     growth_factors,
     linear_lambda,
 )
-from .errors import QTorusError
+from .errors import DomainError, QTorusError
 from .grids import CoeffGrid
 from .gridio import (
     RunManifest,
@@ -234,6 +235,8 @@ def cmd_redundancy(args) -> int:
             "--counts <list> [--alpha <real>] --out <csv>\n"
             "redundancy: --field is required"
         )
+    if not math.isfinite(args.alpha):  # only the manifest reads it; nan or inf is not JSON
+        raise DomainError("--alpha must be finite, got %r" % args.alpha)
     params = {
         "command": "redundancy", "sigma": args.sigma, "counts": args.counts,
         "alpha": args.alpha, "zeros": args.zeros,

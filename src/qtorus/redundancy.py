@@ -85,7 +85,7 @@ def load_zero_table(source) -> ZeroTable:
         lines = source
         close = False
     else:
-        lines = open(source, "r")
+        lines = open(source, "r", encoding="utf-8")
         close = True
     try:
         vals = []
@@ -110,6 +110,8 @@ def load_zero_table(source) -> ZeroTable:
         if not vals:
             raise FormatError("no ordinates found")
         return ZeroTable(np.array(vals))
+    except UnicodeDecodeError as exc:
+        raise FormatError("zero table is not UTF-8 text: %s" % exc)
     finally:
         if close:
             lines.close()
@@ -187,6 +189,41 @@ def _require_sigma(sigma: float):
         raise DomainError("broadband averaging needs a finite sigma > 1, got %g" % sigma)
 
 
+@lru_cache(maxsize=16)
+def _axis_terms(n: int):
+    """The divisor expansion of one axis at band limit n: (pos, src, d, sgn, mu).
+
+    One term per index k = pos[j] - n and divisor d = d[j] of k with
+    mu[j] = mu(d) != 0: it reads the coefficient at k / d = src[j] - n, and
+    sgn[j] is the sign of k.  k = 0 sees only d = 1.  Terms run over k,
+    then ascending d.
+    """
+    divs = _divisor_lists(max(n, 1))
+    pos, src, dd, sgn, mus = [], [], [], [], []
+    for k in range(-n, n + 1):
+        for d in (divs[abs(k)] if k else [1]):
+            mu = moebius(d)
+            if mu:
+                pos.append(k + n)
+                src.append(k // d + n)
+                dd.append(d)
+                sgn.append((k > 0) - (k < 0))
+                mus.append(mu)
+    terms = tuple(np.array(a, dtype=np.int64) for a in (pos, src, dd, sgn)) + (
+        np.array(mus, dtype=np.int8),)
+    for a in terms:
+        a.setflags(write=False)
+    return terms
+
+
+def _sum_by_index(index: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """Complex sums of terms grouped by index, each sum in term order."""
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(index, weights=terms.real, minlength=size)
+    out.imag = np.bincount(index, weights=terms.imag, minlength=size)
+    return out
+
+
 def broadband_average_1d(fhat: np.ndarray, sigma: float, zeros: ZeroTable,
                          t: float) -> np.ndarray:
     """Average of the 1D re-encodings; index 0 passes through exactly.
@@ -199,25 +236,11 @@ def broadband_average_1d(fhat: np.ndarray, sigma: float, zeros: ZeroTable,
     fhat = np.asarray(fhat, dtype=np.complex128)
     if fhat.ndim != 1 or fhat.size % 2 != 1:
         raise DimensionError("coefficient vector must have odd length 2N+1")
-    n = (fhat.size - 1) // 2
     taus = zeros.upto(t)
-
-    ds = [d for d in range(2, n + 1) if moebius(d) != 0]
-    avg = {}
-    if ds:
-        ms = phase_average(taus, np.array([math.log(d) for d in ds]))
-        for d, m in zip(ds, ms):
-            avg[d] = moebius(d) * d ** (-float(sigma)) * m
-
-    out = fhat.copy()
-    divs = _divisor_lists(n) if n >= 1 else [[]]
-    for k in range(2, n + 1):
-        for d in divs[k]:
-            if d == 1 or d not in avg:
-                continue
-            out[k + n] += avg[d] * fhat[k // d + n]
-            out[-k + n] += np.conj(avg[d]) * fhat[-(k // d) + n]
-    return out
+    pos, src, dd, sgn, mu = _axis_terms((fhat.size - 1) // 2)
+    m = _phase_means(taus, sgn * np.log(dd), [taus.size])[0]  # M(0) = 1 at d = 1
+    terms = m * (mu * dd.astype(np.float64) ** (-float(sigma))) * fhat[src]
+    return _sum_by_index(pos, terms, fhat.size)
 
 
 @lru_cache(maxsize=16)
@@ -228,22 +251,11 @@ def _direct_plan(n: int):
     mu[j] * dr[j]^-sigma * M(xs[key[j]]) * fhat.flat[src[j]] to the flat
     output entry out[j]; mu = mu(d) mu(r), dr = d r, and xs holds
     log(num) - log(den) of each distinct gcd-reduced ratio
-    num/den = d^sgn(k) r^sgn(l).  Terms run over k, d, l, r in that nesting
-    order, so each output sums ascending in d, then r.
+    num/den = d^sgn(k) r^sgn(l).  Terms are outer products of the axis
+    expansion, so they run over k, d, l, r in that nesting order and each
+    output sums ascending in d, then r.
     """
-    divs = _divisor_lists(max(n, 1))
-    pos, src, dd, sgn, mus = [], [], [], [], []  # one entry per (k, d): the axis expansion
-    for k in range(-n, n + 1):
-        for d in (divs[abs(k)] if k else [1]):  # k = 0 sees only d = 1
-            mu = moebius(d)
-            if mu:
-                pos.append(k + n)
-                src.append(k // d + n)
-                dd.append(d)
-                sgn.append((k > 0) - (k < 0))
-                mus.append(mu)
-    pos, src, dd, sgn = (np.array(a, dtype=np.int64) for a in (pos, src, dd, sgn))
-    mus = np.array(mus, dtype=np.int8)
+    pos, src, dd, sgn, mus = _axis_terms(n)
     up = np.where(sgn > 0, dd, 1)
     down = np.where(sgn < 0, dd, 1)
 
@@ -298,9 +310,7 @@ def broadband_average_2d_counts(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
         terms = m_c[key]
         terms *= coef
         terms *= f
-        flat = np.empty(fhat.data.size, dtype=np.complex128)
-        flat.real = np.bincount(out, weights=terms.real, minlength=flat.size)
-        flat.imag = np.bincount(out, weights=terms.imag, minlength=flat.size)
+        flat = _sum_by_index(out, terms, fhat.data.size)
         grids.append(CoeffGrid(n, flat.reshape(fhat.data.shape), tag))
     return grids
 

@@ -1,5 +1,10 @@
 """Closed-form flows, the rotating-frame integrator, growth bounds."""
 
+import os
+import pathlib
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -23,6 +28,7 @@ from qtorus import (
     evolve_steps,
     fourier_real_deviation,
     growth_bound,
+    growth_factors,
     heisenberg_closed,
     hermitian_deviation,
     index_range,
@@ -34,6 +40,7 @@ from qtorus import (
     single_entry,
     synthesize,
 )
+from qtorus.dynamics import MAX_STEPS, _Remainder
 from qtorus.errors import DimensionError, DomainError, IntegrationError
 
 from helpers import random_fourier_real, random_general, random_hermitian, reference_remainder_rhs
@@ -232,6 +239,31 @@ class TestDiagonalLindblad:
         ref = diagonal_lindblad_closed(a0, lam, 2.0)
         assert np.max(np.abs(final(pts).data - ref.data)) < 1e-11
 
+    @pytest.mark.parametrize("n", [40, 48, 64])
+    @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+    def test_large_n_matches_closed_form(self, rng, n, picture):
+        # default dt resolves the phase gaps only; h |phi| reaches 2 n^2 dt,
+        # far outside classical RK4's stability interval, and the step is exact
+        a0 = random_hermitian(n, rng)
+        lam = linear_lambda(1.0, n)
+        h = HarmonicSpec(a=6.283)
+        got = final(evolve_rk4(a0, h, LindbladSet(lam=lam), EvolveConfig(0.2), picture)).data
+        sign = 1.0 if picture == "heisenberg" else -1.0
+        ref = diagonal_lindblad_closed(heisenberg_closed(a0, h, sign * 0.2), lam, 0.2).data
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(a0.data))
+
+    def test_filter_demo_checks_the_stepper_at_large_n(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "lindblad_filter_demo.py"), "--check-rk4",
+             "--n", "48", "--times", "0,0.2"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        gap = float(re.search(r"max entry gap (\S+)", proc.stdout).group(1))
+        assert gap <= 1e-12
+
     def test_norm_never_increases(self, rng):
         a0 = random_hermitian(5, rng)
         lam = linear_lambda(1.0, 5)
@@ -351,6 +383,18 @@ class TestGeneralDissipator:
         assert len(pts) == 11
         assert len(calls) <= 1
 
+    def test_lambda_only_run_never_calls_the_remainder(self, rng, monkeypatch):
+        def refuse(self, ad):
+            raise AssertionError("remainder called on a lambda-only run")
+
+        monkeypatch.setattr(_Remainder, "__call__", refuse)
+        n = 3
+        lset = LindbladSet(lam=linear_lambda(0.5, n))
+        for picture in ("heisenberg", "schrodinger"):
+            pts = evolve_rk4(random_hermitian(n, rng), HarmonicSpec(a=1.0), lset,
+                             EvolveConfig(0.01, dt=1e-3), picture)
+            assert len(pts) == 11
+
     def test_band_limit_mismatch_rejected(self, rng):
         a0 = random_hermitian(3, rng)
         lset = LindbladSet(lam=linear_lambda(1.0, 4))
@@ -361,32 +405,30 @@ class TestGeneralDissipator:
 class TestIntegratorGuards:
     def test_blowup_raises(self, rng):
         a0 = random_hermitian(3, rng)
-        lset = LindbladSet(lam=linear_lambda(100.0, 3))
+        lset = LindbladSet(ls=[random_general(3, rng, scale=30.0)])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # overflow en route
             with pytest.raises(IntegrationError):
                 evolve_rk4(a0, HarmonicSpec(a=0.0), lset, EvolveConfig(100.0, dt=1.0))
 
-    @pytest.mark.parametrize("n", [40, 48])
-    @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
-    def test_unstable_lambda_step_raises_before_stepping(self, rng, n, picture):
-        # default dt resolves the phase gaps only; h |phi| reaches 2 n^2 dt > 2.79
-        a0 = random_hermitian(n, rng)
-        lset = LindbladSet(lam=linear_lambda(1.0, n))
-        steps = evolve_steps(a0, HarmonicSpec(a=6.283), lset, EvolveConfig(0.2), picture)
-        assert next(steps)[0] == 0.0
-        with pytest.raises(IntegrationError, match="reduce dt"):
-            next(steps)
-        with pytest.raises(IntegrationError, match="reduce dt"):
-            evolve_rk4(a0, HarmonicSpec(a=0.0), lset, EvolveConfig(0.2))
-
     def test_stable_lambda_step_still_runs(self, rng):
-        n = 40  # 2 n^2 h = 2.56, inside RK4's stability interval (-2.785, 0]
+        n = 40
         a0 = random_hermitian(n, rng)
         pts = evolve_rk4(a0, HarmonicSpec(a=0.0), LindbladSet(lam=linear_lambda(1.0, n)),
                          EvolveConfig(0.02, dt=8e-4))
-        # inaccurate this close to the edge, but no mode grows
+        # exp(h phi) has modulus <= 1, so no mode grows
         assert np.all(np.abs(final(pts).data) <= np.abs(a0.data) * (1 + 1e-12))
+
+    def test_step_count_over_cap_refused_before_first_record(self, rng):
+        a0 = random_hermitian(1, rng)
+        steps = evolve_steps(a0, HarmonicSpec(a=0.0), None,
+                             EvolveConfig(1e-3 * (MAX_STEPS + 1), dt=1e-3))
+        with pytest.raises(DomainError, match="steps, more than"):
+            next(steps)
+        # at the cap itself the run starts
+        steps = evolve_steps(a0, HarmonicSpec(a=0.0), None,
+                             EvolveConfig(float(MAX_STEPS), dt=1.0))
+        assert next(steps)[0] == 0.0
 
     def test_unresolved_gap_warns(self, rng):
         a0 = random_hermitian(4, rng)
@@ -454,6 +496,11 @@ class TestGrowthBounds:
             gb.full_factor,
             1.0 + np.sqrt(gb.c * t * (np.exp(2 * gb.c * t) - 1.0)) / (2 * np.sqrt(2)),
             rtol=1e-14)
+
+    def test_factors_at_time_zero_are_one(self):
+        for c in (0.0, 2.5, float("inf")):
+            assert growth_factors(c, 0.0) == (1.0, 1.0)
+        assert all(np.isnan(f) for f in growth_factors(float("nan"), 0.0))
 
     def test_negative_arguments_rejected(self):
         with pytest.raises(DomainError):

@@ -33,6 +33,7 @@ from qtorus import (
     growth_bound,
     ingest_pgm,
     linear_lambda,
+    load_zero_table,
     norm,
     q_transform,
     read_grid,
@@ -288,6 +289,26 @@ class TestPgm:
                     "--out", str(out)]) == 2
         assert "decimal integer" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-square images crop
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mutated_pgm_files_never_escape(self, data):
+        blob = _mutated_pgm(data)
+        with tempfile.TemporaryDirectory() as work:
+            path, out = os.path.join(work, "i.pgm"), os.path.join(work, "z.json")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            try:
+                img, maxval = read_pgm(path)
+            except FormatError:
+                pass
+            else:
+                assert 0 < maxval < 65536 and 0.0 <= img.min() <= img.max() <= 1.0
+            code = run(["ingest-pgm", "--in", path, "--n", "1", "--out", out])
+            assert code in (0, 1, 2)
+            assert os.path.exists(out) == (code == 0)
+            assert not [p for p in os.listdir(work) if p.endswith(".tmp")]
 
 
 class TestCenterFit:
@@ -630,14 +651,35 @@ class TestCliEvolve:
         grid_bytes = (2 * n + 1) ** 2 * 16
         assert long - short < 4 * grid_bytes, (short, long)
 
-    def test_unstable_step_is_data_error_and_writes_nothing(self, tmp_path, rng, capsys):
+    def test_large_lambda_at_default_dt_decays(self, tmp_path, rng):
         path = str(tmp_path / "f.json")
         write_grid(path, random_fourier_real(40, rng))
+        trace = tmp_path / "t.csv"
         assert run(["evolve", "--field", path, "--a", "6.283", "--lambda", "linear:1.0",
                     "--t", "0.2", "--out", str(tmp_path / "o.json"),
-                    "--trace", str(tmp_path / "t.csv")]) == 2
-        assert "reduce dt" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == ["f.json"]
+                    "--trace", str(trace)]) == 0
+        norms = [float(line.split(",")[1]) for line in trace.read_text().split("\n")[1:-1]]
+        assert len(norms) > 2 and all(np.isfinite(norms))
+        assert all(x >= y for x, y in zip(norms, norms[1:]))
+
+    def test_step_count_over_cap_is_data_error(self, tmp_path, field_file, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        assert run(["evolve", "--field", field_file, "--a", "1.0", "--t", "1e300",
+                    "--dt", "0.001", "--out", str(work / "o.json"),
+                    "--trace", str(work / "t.csv")]) == 2
+        assert "steps, more than" in capsys.readouterr().err
+        assert os.listdir(work) == []
+
+    def test_zero_time_bounds_with_overflowing_constant(self, tmp_path, capsys):
+        field, lind = str(tmp_path / "f.json"), str(tmp_path / "l.json")
+        write_grid(field, CoeffGrid(1, np.zeros((3, 3), dtype=complex), FOURIER_REAL))
+        write_grid(lind, CoeffGrid(1, np.full((3, 3), 1e200 + 0j)))
+        trace = tmp_path / "t.csv"
+        # the dissipative constant overflows to inf; both bounds at t = 0 are the initial norm
+        assert run(["evolve", "--field", field, "--a", "1.0", "--lindblad", lind,
+                    "--t", "0", "--out", str(tmp_path / "o.json"), "--trace", str(trace)]) == 0
+        assert trace.read_text().split("\n")[1] == "0.0,0.0,0.0,0.0"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
     def test_blowup_partway_writes_nothing(self, tmp_path, rng, capsys):
@@ -659,9 +701,8 @@ class TestCliEvolve:
         def draw(values):
             return data.draw(st.sampled_from(values))
 
-        # a finite t / dt is at most ~10^3 steps (no step count is capped);
-        # 1e308 / dt overflows for every dt drawn
-        flags = {"--t": draw(["0", "0.01", "0.05", "-1", "nan", "inf", "1e308", "x"]),
+        # 1e300 / dt is past the step cap and 1e308 / dt overflows for every dt drawn
+        flags = {"--t": draw(["0", "0.01", "0.05", "-1", "nan", "inf", "1e300", "1e308", "x"]),
                  "--dt": draw([None, "0.005", "0.05", "0", "-0.01", "nan", "x"]),
                  "--a": draw(["0", "1", "-6.283", "1e3", "nan", "x"]),
                  "--b": draw([None, "0.5", "-3", "inf", "x"]),
@@ -751,6 +792,65 @@ class TestCliRedundancy:
                     "--zeros", zeros, "--out", str(tmp_path / "o.csv")]) == 1
 
 
+    def test_non_utf8_zero_table_is_data_error(self, tmp_path, field_file, capsys):
+        table = tmp_path / "z.txt"
+        table.write_bytes(b"14.134725\n\xff\n")
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_zero_table(table)
+        out = tmp_path / "o.csv"
+        assert run(["redundancy", "--field", field_file, "--zeros", str(table),
+                    "--counts", "1", "--out", str(out)]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mutated_zero_tables_never_escape(self, data):
+        blob = _mutated_zero_table(data)
+        with tempfile.TemporaryDirectory() as work:
+            table, out = os.path.join(work, "z.txt"), os.path.join(work, "o.csv")
+            with open(table, "wb") as fh:
+                fh.write(blob)
+            try:
+                taus = load_zero_table(table).ordinates
+            except FormatError:
+                pass
+            else:
+                assert taus[0] > 0 and np.all(np.isfinite(taus)) and np.all(np.diff(taus) > 0)
+            code = _redundancy_run(work, ["--zeros", table, "--counts",
+                                          data.draw(st.sampled_from(["1", "3", "1,3"]))])
+            assert code in (0, 1, 2)
+            assert os.path.exists(out) == (code == 0)
+            assert not [p for p in os.listdir(work) if p.endswith(".tmp")]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fuzzed_flags_never_escape(self, data):
+        def draw(values):
+            return data.draw(st.sampled_from(values))
+
+        flags = {"--sigma": draw([None, "3", "1", "1.0000001", "0", "-2", "nan", "inf",
+                                  "1e308", "x"]),
+                 "--counts": draw(["1", "3,1,3", "4", "0", "-1", "", ",", "1e1",
+                                   "99999999999999999999", "x"]),
+                 "--alpha": draw([None, "0", "1", "-0.5", "1e308", "nan", "inf", "x"])}
+        with tempfile.TemporaryDirectory() as work:
+            table, out = os.path.join(work, "z.txt"), os.path.join(work, "o.csv")
+            with open(table, "w") as fh:
+                fh.write("14.134725\n21.022040\n25.010858\n")
+            argv = ["--zeros", table]
+            for flag, value in flags.items():
+                if value is not None:
+                    argv += [flag, value]
+            code = _redundancy_run(work, argv)
+            assert code in (0, 1, 2)
+            assert os.path.exists(out) == (code == 0)
+            assert not [p for p in os.listdir(work) if p.endswith(".tmp")]
+            if code == 0:  # the sidecar echoes every flag and must stay strict JSON
+                with open(out + ".manifest.json") as fh:
+                    json.loads(fh.read(), parse_constant=_refuse_constant)
+
+
 class TestCliPlumbing:
     def test_no_arguments(self):
         assert run([]) == 1
@@ -802,6 +902,15 @@ _FUZZ_TOKENS = ["null", "true", '"1.5"', "{}", "[]", "[1, 2]", "NaN", "Infinity"
                 "1.7976931348623157e308", "-0.0", "5e-324"]
 
 
+def _splice(data, blob: bytes) -> bytes:
+    """Maybe a few random bytes spliced in at a random cut, and the tail maybe dropped."""
+    if data.draw(st.booleans()):
+        cut = data.draw(st.integers(0, len(blob)))
+        blob = blob[:cut] + data.draw(st.binary(max_size=3)) + blob[cut:][:data.draw(
+            st.sampled_from((0, len(blob))))]
+    return blob
+
+
 def _mutated_grid_text(data) -> bytes:
     """A valid fourier-real n=1 grid file with entries swapped, dropped or
     duplicated, non-number tokens injected, and possibly truncated or spliced."""
@@ -819,8 +928,61 @@ def _mutated_grid_text(data) -> bytes:
             pairs[i].reverse()
     text = ('{"n": 1, "tag": "fourier-real", "entries": [%s]}'
             % ", ".join("[%s, %s]" % tuple(p) for p in pairs)).encode()
-    if data.draw(st.booleans()):
-        cut = data.draw(st.integers(0, len(text)))
-        text = text[:cut] + data.draw(st.binary(max_size=3)) + text[cut:][:data.draw(
-            st.sampled_from((0, len(text))))]
-    return text
+    return _splice(data, text)
+
+
+_PGM_TOKENS = [b"P2", b"P5", b"P3", b"0", b"1", b"255", b"256", b"65535", b"65536", b"-1",
+               b"+7", b"1_0", b"1.5", b"2e2", b"nan", b"9" * 30, b"#", b"# note\n", b"",
+               b"\xff", b"\x00\x01"]
+
+
+def _mutated_pgm(data) -> bytes:
+    """A valid 3x3 P2 or P5 file (8- or 16-bit) with header or pixel tokens
+    replaced, then possibly truncated or spliced."""
+    binary = data.draw(st.booleans())
+    maxval = data.draw(st.sampled_from((255, 65535)))
+    pix = np.arange(9) * (maxval // 8)
+    if binary:
+        raster = [pix.astype(">u2" if maxval > 255 else "u1").tobytes()]
+    else:
+        raster = [str(v).encode() for v in pix]
+    tokens = [b"P5" if binary else b"P2", b"3", b"3", str(maxval).encode()] + raster
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = data.draw(st.sampled_from(_PGM_TOKENS))
+    return _splice(data, b"\n".join(tokens))
+
+
+_ZERO_TOKENS = [b"nan", b"inf", b"-14.1", b"0", b"1e400", b"5e-324", b"1e308", b"1_0",
+                b"0x10", b"abc", b"", b"# note", b"\xff", b"\x00"]
+
+
+def _mutated_zero_table(data) -> bytes:
+    """A valid three-ordinate table with lines replaced, dropped, duplicated or
+    swapped, then possibly truncated or spliced."""
+    lines = [b"# ordinates", b"14.134725", b"21.022040", b"25.010858"]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        action = data.draw(st.sampled_from(("token", "drop", "duplicate", "swap")))
+        if action == "token":
+            lines[i] = data.draw(st.sampled_from(_ZERO_TOKENS))
+        elif action == "drop" and len(lines) > 1:
+            del lines[i]
+        elif action == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return _splice(data, b"\n".join(lines) + b"\n")
+
+
+def _redundancy_run(work: str, flags) -> int:
+    """`qtorus redundancy` on an n=1 field in `work`, writing `work`/o.csv."""
+    field = os.path.join(work, "f.json")
+    write_grid(field, random_fourier_real(1, np.random.default_rng(7)))
+    return run(["redundancy", "--field", field, "--out", os.path.join(work, "o.csv")]
+               + list(flags))
+
+
+def _refuse_constant(name):
+    raise AssertionError("manifest holds %s, which is not JSON" % name)
