@@ -56,9 +56,7 @@ def main():
     a0 = q_transform(field)
     lam = linear_lambda(args.rate, n)
     wt = SobolevWeight(args.alpha)
-    idx = np.arange(-n, n + 1, dtype=float)
-    limit2 = float(np.sum((1.0 + 2.0 * idx**2) ** args.alpha
-                          * np.abs(np.diag(a0.data)) ** 2))
+    limit2 = float(np.sum(wt.weights(n).diagonal() * np.abs(np.diag(a0.data)) ** 2))
 
     times = [float(t) for t in args.times.split(",")]
     print("lambda_k = %g k on band limit %d, alpha = %g" % (args.rate, n, args.alpha))

@@ -8,7 +8,6 @@ sidecar echoing inputs and parameters.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -22,7 +21,7 @@ from .dynamics import (
     growth_factors,
     linear_lambda,
 )
-from .errors import DomainError, QTorusError
+from .errors import QTorusError
 from .grids import CoeffGrid
 from .gridio import (
     RunManifest,
@@ -124,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", type=float, default=3.0)
     sp.add_argument("--zeros", required=True)
     sp.add_argument("--counts", type=_count_list, required=True)
-    sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(handler=cmd_redundancy)
 
@@ -232,14 +230,12 @@ def cmd_redundancy(args) -> int:
     if not args.field:
         raise UsageError(
             "usage: qtorus redundancy --field <json> --sigma <real> --zeros <path> "
-            "--counts <list> [--alpha <real>] --out <csv>\n"
+            "--counts <list> --out <csv>\n"
             "redundancy: --field is required"
         )
-    if not math.isfinite(args.alpha):  # only the manifest reads it; nan or inf is not JSON
-        raise DomainError("--alpha must be finite, got %r" % args.alpha)
     params = {
         "command": "redundancy", "sigma": args.sigma, "counts": args.counts,
-        "alpha": args.alpha, "zeros": args.zeros,
+        "zeros": args.zeros,
     }
     manifest = RunManifest([args.field, args.zeros], params)
     field = read_grid(args.field)

@@ -54,21 +54,22 @@ def _divisor_lists(lmax: int):
 
 
 @lru_cache(maxsize=16)
-def _window_pattern(n: int):
-    """Where each (k, d | k) coefficient lands in the window operator at band limit n.
+def _window_terms(n: int):
+    """Every entry of the window operator at band limit n: (row, col, d, sgn, mu).
 
-    Returns (pos, neg, d) over all 1 <= k <= n, d | k: coefficient d sits
-    at the flat position pos of entry (k, k/d) of the (2N+1)^2 matrix, and
-    its conjugate at neg, entry (-k, -k/d).  Each entry is hit once.
+    Term j is the divisor d of k = row[j] - n, at column k / d = col[j] - n;
+    sgn[j] is the sign of k (the negative cone takes conj(a_d)) and
+    mu[j] = mu(d).  Terms run over k = -N..N, then ascending d; k = 0 has
+    the single term (0, 0) with d = 1.  Each entry is hit once.
     """
     divs = _divisor_lists(n)
-    ks = np.array([k for k in range(1, n + 1) for _ in divs[k]], dtype=np.intp)
-    ds = np.array([d for k in range(1, n + 1) for d in divs[k]], dtype=np.intp)
-    m = 2 * n + 1
-    pattern = ((n + ks) * m + n + ks // ds, (n - ks) * m + n - ks // ds, ds)
-    for a in pattern:
+    pairs = [(k, d) for k in range(-n, n + 1) for d in (divs[abs(k)] if k else [1])]
+    k, d = np.array(pairs, dtype=np.int64).T.copy()
+    terms = (k + n, k // d + n, d, np.sign(k),
+             np.array([moebius(j) for j in d.tolist()], dtype=np.int8))
+    for a in terms:
         a.setflags(write=False)
-    return pattern
+    return terms
 
 
 def dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,14 +196,13 @@ def d_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
         raise DimensionError(
             "sequence only reaches %d but band limit is %d" % (lmax, n)
         )
-    m = 2 * n + 1
-    pos, neg, d = _window_pattern(n)
-    mat = np.zeros(coeffs.shape[:-1] + (m * m,), dtype=np.complex128)
-    mat[..., n * m + n] = 1.0
-    cf = coeffs[..., d]
-    mat[..., pos] = cf
-    mat[..., neg] = np.conj(cf)
-    return mat.reshape(coeffs.shape[:-1] + (m, m))
+    row, col, d, _, _ = _window_terms(n)
+    neg, pos = slice(0, d.size // 2), slice(d.size // 2 + 1, None)  # k = 0 sits between
+    mat = np.zeros(coeffs.shape[:-1] + (2 * n + 1,) * 2, dtype=np.complex128)
+    mat[..., row[pos], col[pos]] = coeffs[..., d[pos]]
+    mat[..., row[neg], col[neg]] = np.conj(coeffs[..., d[neg]])
+    mat[..., n, n] = 1.0
+    return mat
 
 
 def d_transform_2d(seq: ArithmeticSeq, fhat: CoeffGrid) -> CoeffGrid:
@@ -225,21 +225,9 @@ def operator_norm_bound(seq: ArithmeticSeq) -> float:
     return max(1.0, float(np.sum(np.abs(seq.a[1:]))))
 
 
-def estimated_operator_norm(seq: ArithmeticSeq, n: int, iters: int = 100,
-                            seed: int = 0) -> float:
-    """Largest singular value of the truncated D by power iteration."""
-    mat = d_matrix(seq.a, n)
-    gram = np.conj(mat.T) @ mat
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-    return float(np.linalg.norm(mat @ v))
+def estimated_operator_norm(seq: ArithmeticSeq, n: int) -> float:
+    """Largest singular value of the truncated D, exact (by SVD)."""
+    return float(np.linalg.norm(d_matrix(seq.a, n), 2))
 
 
 class PeriodizedZeta(NamedTuple):

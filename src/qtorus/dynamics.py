@@ -390,9 +390,7 @@ def dissipative_constant(alpha: float, lset: LindbladSet) -> float:
         for l in lset.ls:
             c += 4.0 * float(np.float64(norm(l, w)) ** 2)
     if lset.lam is not None:
-        n = (lset.lam.size - 1) // 2
-        idx = index_range(n)
-        wts = (1.0 + 2.0 * idx.astype(float) ** 2) ** alpha
+        wts = w.weights((lset.lam.size - 1) // 2).diagonal()
         c += 4.0 * float(np.sum(wts * np.abs(lset.lam) ** 2))
     return c
 

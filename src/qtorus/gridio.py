@@ -224,10 +224,9 @@ def read_pgm(path):
         raise FormatError("not a PGM file (magic %r)" % blob[:2])
     binary = blob[:2] == b"P5"
     tokens, pos = _read_pgm_tokens(blob, 3, 2)
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
+    if not all(t.isdigit() for t in tokens):  # bytes.isdigit is ASCII; int() takes "1_0"
         raise FormatError("malformed PGM header fields %r" % tokens)
+    width, height, maxval = (int(t) for t in tokens)
     if width <= 0 or height <= 0 or not (0 < maxval < 65536):
         raise FormatError("invalid PGM dimensions or maxval")
     npix = width * height

@@ -9,17 +9,17 @@ Two implementations of the 2D average are kept deliberately separate:
 broadband_average_2d applies averaged phase factors divisor pair by
 divisor pair, while broadband_average_2d_per_zero averages the per-zero
 inverse D-transforms B(tau) fhat B(tau)^T.  They must agree; tests hold
-them to 1e-10.
+them to 1e-10.  Both read the divisor layout of the window operator from
+dirichlet._window_terms; the terms with mu(d) != 0 are those of B.
 
-Phase averages are summed in fixed blocks of BLOCK ordinates (pairwise
-np.sum within a block), and the block sums are Neumaier-folded in
-ascending order, the partial block below a count last.  M over the first
-c ordinates therefore depends on c alone, not on which other counts or
-arguments share the pass, and one pass over the table serves every
-count.  Only distinct arguments x > 0 are evaluated: M(-x) = conj(M(x))
-and M(0) = 1 exactly.  The per-zero route sums its grids in the same
-fixed blocks (SUB_BATCH ordinates per stacked matrix product, in
-ascending order) and Neumaier-folds the block sums the same way.
+Both routes sum in fixed blocks of BLOCK ordinates (phases by pairwise
+np.sum within a block, per-zero grids SUB_BATCH ordinates per stacked
+matrix product), and _block_folds Neumaier-folds the block sums in
+ascending order, the partial block below a count last.  A sum over the
+first c ordinates therefore depends on c alone, not on which other
+counts or arguments share the pass, and one pass over the table serves
+every count.  Only distinct arguments x > 0 are evaluated: M(-x) =
+conj(M(x)) and M(0) = 1 exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dirichlet import _divisor_lists, d_matrix, moebius, moebius_inverse_rows
+from .dirichlet import _window_terms, d_matrix, moebius_inverse_rows
 from .errors import DimensionError, DomainError, EmptyRangeError, FormatError
 from .grids import FOURIER_REAL, GENERAL, CoeffGrid
 from .spectral import s_map
@@ -48,6 +48,8 @@ class ZeroTable:
         arr = np.asarray(self.ordinates, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise FormatError("zero table needs at least one ordinate")
+        if not np.all(np.isfinite(arr)):
+            raise FormatError("ordinates must be finite")
         if arr[0] <= 0:
             raise FormatError("ordinates must be positive")
         if np.any(np.diff(arr) <= 0):
@@ -95,10 +97,12 @@ def load_zero_table(source) -> ZeroTable:
             if not line or line.startswith("#"):
                 continue
             try:
+                if not line.isascii() or "_" in line:  # float() takes "1_4.5" and "٢١" too
+                    raise ValueError(line)
                 tau = float(line)
             except ValueError:
                 raise FormatError("line %d: not a decimal ordinate: %r" % (lineno, line))
-            if not math.isfinite(tau) or tau <= 0:
+            if not 0 < tau < math.inf:  # also refuses nan
                 raise FormatError("line %d: ordinate must be positive and finite" % lineno)
             if tau <= prev:
                 raise FormatError(
@@ -127,24 +131,25 @@ def _block_sum(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prefix_phase_sums(taus: np.ndarray, xs: np.ndarray, counts) -> dict:
-    """{c: sum of exp(-i tau x) over taus[:c]} for every c, in one pass over the blocks.
+def _block_folds(counts, shape, block_sum) -> dict:
+    """{c: sum over ordinates [0, c)} for every c, in one pass over fixed blocks.
 
-    The full blocks below c are Neumaier-folded in ascending order and the
-    partial block [BLOCK * (c // BLOCK), c) is folded last, on a copy, so
-    each sum depends on c alone.
+    block_sum(start, stop) sums ordinates [start, stop).  The full blocks
+    of BLOCK ordinates below c are Neumaier-folded in ascending order and
+    the partial block [BLOCK * (c // BLOCK), c) is folded last, on a copy,
+    so each sum depends on c alone.
     """
-    acc = KahanAccumulator(xs.shape)
+    acc = KahanAccumulator(shape)
     folded = 0
     sums = {}
     for c in sorted(set(counts)):
         full = c // BLOCK
         for b in range(folded, full):
-            acc.add(_block_sum(taus[b * BLOCK:(b + 1) * BLOCK], xs))
+            acc.add(block_sum(b * BLOCK, (b + 1) * BLOCK))
         folded = full
         if c % BLOCK:
             part = acc.copy()
-            part.add(_block_sum(taus[full * BLOCK:c], xs))
+            part.add(block_sum(full * BLOCK, c))
             sums[c] = part.value()
         else:
             sums[c] = acc.value()
@@ -160,7 +165,8 @@ def _phase_means(taus: np.ndarray, xs, counts) -> list:
     xs = np.asarray(xs, dtype=np.float64)
     ax, inv = np.unique(np.abs(xs).ravel(), return_inverse=True)
     live = ax != 0
-    sums = _prefix_phase_sums(taus, ax[live], counts)
+    xl = ax[live]
+    sums = _block_folds(counts, xl.shape, lambda start, stop: _block_sum(taus[start:stop], xl))
     means = []
     for c in counts:
         m = np.ones(ax.shape, dtype=np.complex128)
@@ -189,31 +195,11 @@ def _require_sigma(sigma: float):
         raise DomainError("broadband averaging needs a finite sigma > 1, got %g" % sigma)
 
 
-@lru_cache(maxsize=16)
-def _axis_terms(n: int):
-    """The divisor expansion of one axis at band limit n: (pos, src, d, sgn, mu).
-
-    One term per index k = pos[j] - n and divisor d = d[j] of k with
-    mu[j] = mu(d) != 0: it reads the coefficient at k / d = src[j] - n, and
-    sgn[j] is the sign of k.  k = 0 sees only d = 1.  Terms run over k,
-    then ascending d.
-    """
-    divs = _divisor_lists(max(n, 1))
-    pos, src, dd, sgn, mus = [], [], [], [], []
-    for k in range(-n, n + 1):
-        for d in (divs[abs(k)] if k else [1]):
-            mu = moebius(d)
-            if mu:
-                pos.append(k + n)
-                src.append(k // d + n)
-                dd.append(d)
-                sgn.append((k > 0) - (k < 0))
-                mus.append(mu)
-    terms = tuple(np.array(a, dtype=np.int64) for a in (pos, src, dd, sgn)) + (
-        np.array(mus, dtype=np.int8),)
-    for a in terms:
-        a.setflags(write=False)
-    return terms
+def _inverse_terms(n: int):
+    """The window operator's terms with mu(d) != 0: the divisor expansion of B = D^-1."""
+    terms = _window_terms(n)
+    live = terms[4] != 0
+    return [a[live] for a in terms]
 
 
 def _sum_by_index(index: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
@@ -237,7 +223,7 @@ def broadband_average_1d(fhat: np.ndarray, sigma: float, zeros: ZeroTable,
     if fhat.ndim != 1 or fhat.size % 2 != 1:
         raise DimensionError("coefficient vector must have odd length 2N+1")
     taus = zeros.upto(t)
-    pos, src, dd, sgn, mu = _axis_terms((fhat.size - 1) // 2)
+    pos, src, dd, sgn, mu = _inverse_terms((fhat.size - 1) // 2)
     m = _phase_means(taus, sgn * np.log(dd), [taus.size])[0]  # M(0) = 1 at d = 1
     terms = m * (mu * dd.astype(np.float64) ** (-float(sigma))) * fhat[src]
     return _sum_by_index(pos, terms, fhat.size)
@@ -251,11 +237,11 @@ def _direct_plan(n: int):
     mu[j] * dr[j]^-sigma * M(xs[key[j]]) * fhat.flat[src[j]] to the flat
     output entry out[j]; mu = mu(d) mu(r), dr = d r, and xs holds
     log(num) - log(den) of each distinct gcd-reduced ratio
-    num/den = d^sgn(k) r^sgn(l).  Terms are outer products of the axis
-    expansion, so they run over k, d, l, r in that nesting order and each
-    output sums ascending in d, then r.
+    num/den = d^sgn(k) r^sgn(l).  Terms are outer products of the one-axis
+    expansion of B, so they run over k, d, l, r in that nesting order and
+    each output sums ascending in d, then r.
     """
-    pos, src, dd, sgn, mus = _axis_terms(n)
+    pos, src, dd, sgn, mus = _inverse_terms(n)
     up = np.where(sgn > 0, dd, 1)
     down = np.where(sgn < 0, dd, 1)
 
@@ -334,15 +320,16 @@ def broadband_average_2d_per_zero(fhat: CoeffGrid, sigma: float, zeros: ZeroTabl
     _require_sigma(sigma)
     n = fhat.n
     taus = zeros.upto(t)
-    acc = KahanAccumulator(fhat.data.shape)
-    for start in range(0, taus.size, BLOCK):
-        rows = moebius_inverse_rows(sigma, taus[start:start + BLOCK], n)
+
+    def block_sum(start, stop):
+        rows = moebius_inverse_rows(sigma, taus[start:stop], n)
         block = np.zeros(fhat.data.shape, dtype=np.complex128)
         for sub in range(0, rows.shape[0], SUB_BATCH):
             b = d_matrix(rows[sub:sub + SUB_BATCH], n)
             block += np.sum((b @ fhat.data) @ b.transpose(0, 2, 1), axis=0)
-        acc.add(block)
-    out = acc.value() / taus.size
+        return block
+
+    out = _block_folds([taus.size], fhat.data.shape, block_sum)[taus.size] / taus.size
     tag = FOURIER_REAL if fhat.tag == FOURIER_REAL else GENERAL
     return CoeffGrid(n, out, tag)
 

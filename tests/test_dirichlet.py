@@ -27,7 +27,7 @@ from qtorus import (
     s_map,
     unit_sequence,
 )
-from qtorus.dirichlet import _window_pattern, moebius_inverse_rows
+from qtorus.dirichlet import _window_terms, moebius_inverse_rows
 from qtorus.errors import DimensionError, DomainError
 
 from helpers import (
@@ -213,15 +213,17 @@ class TestWindowOperator:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 12, 60])
     def test_pattern_hits_each_entry_once(self, n):
-        pos, neg, d = _window_pattern(n)
-        m = 2 * n + 1
-        assert len(set(zip(pos.tolist(), d.tolist()))) == pos.size
-        assert len(set(zip(neg.tolist(), d.tolist()))) == neg.size
-        cells = np.concatenate((pos, neg, [n * m + n]))
-        assert np.unique(cells).size == cells.size
-        # one entry per divisor pair (k, d | k) on each cone
-        assert pos.size == sum(1 for k in range(1, n + 1)
-                               for j in range(1, k + 1) if k % j == 0)
+        row, col, d, sgn, mu = _window_terms(n)
+        cells = list(zip(row.tolist(), col.tolist()))
+        assert len(set(cells)) == len(cells)
+        k = row - n
+        assert np.array_equal(sgn, np.sign(k))
+        assert np.array_equal(k, d * (col - n))  # entry (k, k/d)
+        # one term per divisor pair (k, d | k) on each cone, d ascending; k = 0 has d = 1
+        expect = [(i, j) for i in range(-n, n + 1)
+                  for j in range(1, max(abs(i), 1) + 1) if i % j == 0]
+        assert list(zip(k.tolist(), d.tolist())) == expect
+        assert mu.tolist() == [moebius(j) for j in d.tolist()]
 
     def test_applies_along_first_axis_only(self, rng):
         seq = ArithmeticSeq(np.array([0.0, 1.0, 0.5]))
@@ -280,9 +282,9 @@ class TestOperatorNorm:
             raw = 0.6 * (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
             raw[1] = 1.0 + 0.2j
             seq = ArithmeticSeq(raw)
-            est = estimated_operator_norm(seq, n, iters=300)
+            est = estimated_operator_norm(seq, n)
             exact = np.linalg.svd(d_matrix(seq.a, n), compute_uv=False)[0]
-            assert_allclose(est, exact, rtol=1e-8)
+            assert_allclose(est, exact, rtol=1e-12)
 
     def test_estimate_below_bound(self, rng):
         for _ in range(30):

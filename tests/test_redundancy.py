@@ -98,6 +98,11 @@ class TestZeroTable:
         with pytest.raises(FormatError):
             ZeroTable(np.array([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("ordinates", [[1.0, np.inf], [np.nan], [1.0, np.nan, 3.0]])
+    def test_constructor_rejects_non_finite(self, ordinates):
+        with pytest.raises(FormatError, match="finite"):
+            ZeroTable(np.array(ordinates))
+
 
 class TestPhaseAverage:
     def test_zero_argument_is_exactly_one(self, zeros100):
@@ -410,3 +415,21 @@ class TestErrorAccounting:
                                   CoeffGrid(2, gd, FOURIER_REAL))
         assert_allclose(l2, np.sqrt(2.0) * 0.75, rtol=1e-14)
         assert_allclose(hs, l2, rtol=1e-13)
+
+
+def test_sweep_script_prints_one_row_per_cell():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "redundancy_sweep.py"),
+         "--zeros", str(root / "data" / "zeta_zeros_100.txt"), "--field", "random4",
+         "--n", "5", "--sigmas", "2,3", "--counts", "1,10,100"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "field,sigma,zero_count,T,l2_error,hs_error"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], float(r[1]), int(r[2])) for r in rows] == [
+        ("random4", s, c) for s in (2.0, 3.0) for c in (1, 10, 100)]
+    assert all(math.isfinite(float(v)) for r in rows for v in r[3:])
