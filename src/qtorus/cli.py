@@ -46,9 +46,12 @@ def _fmt(x: float) -> str:
 
 def _alpha_list(text: str):
     try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
+        alphas = [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise argparse.ArgumentTypeError("bad alpha list %r" % text)
+    if not alphas:
+        raise argparse.ArgumentTypeError("alpha list is empty")
+    return alphas
 
 
 def _count_list(text: str):

@@ -82,11 +82,10 @@ def dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def dirichlet_inverse(a: np.ndarray, lmax: int | None = None) -> np.ndarray:
+def dirichlet_inverse(a: np.ndarray) -> np.ndarray:
     """b with a*b = (1, 0, 0, ...), by the divisor-sum recursion."""
-    if lmax is None:
-        lmax = len(a) - 1
-    if lmax < 1 or len(a) <= 1:
+    lmax = len(a) - 1
+    if lmax < 1:
         raise DomainError("need at least the coefficient at 1")
     if a[1] == 0:
         raise DomainError("sequence has a_1 = 0; no Dirichlet inverse")
@@ -127,14 +126,18 @@ class ArithmeticSeq:
         return dirichlet_inverse(self.a)
 
 
+def _require_sigma(sigma: float):
+    if not (math.isfinite(sigma) and sigma > 1):
+        raise DomainError("the zeta re-encoding needs a finite sigma > 1, got %g" % sigma)
+
+
 @dataclass(frozen=True)
 class ZetaParams:
     sigma: float
     tau: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 1):
-            raise DomainError("sigma must be finite and exceed 1, got %g" % self.sigma)
+        _require_sigma(self.sigma)
 
     @property
     def s(self) -> complex:
@@ -155,6 +158,7 @@ class ZetaParams:
 
 def moebius_inverse_rows(sigma: float, taus, lmax: int) -> np.ndarray:
     """b_k = mu(k) k^-sigma e^{-i tau log k} for each tau: one 1-based row per ordinate."""
+    _require_sigma(sigma)
     k = np.arange(1, lmax + 1)
     mu = np.array([moebius(j) for j in range(1, lmax + 1)], dtype=np.float64)
     logk = np.log(k)

@@ -23,7 +23,7 @@ The generator splits into an entrywise rate and a remainder,
 
 with s = +1 and phi_s = phi in the Heisenberg picture; the Schroedinger
 picture (s = -1) swaps L_j and L_j^+ in the first term and uses
-phi_s = conj(phi).  R is built once per run by `_entrywise_rate`.
+phi_s = conj(phi).  An unknown picture name raises DomainError.
 
 The integrator is Lawson's integrating-factor RK4: exp(h R) is applied
 exactly each step and classical RK4 only sees N.  Every factor it
@@ -36,9 +36,9 @@ exact up to round-off; otherwise the order is the classical 4.
 records that holds only the current step, so memory is bounded in the run
 length.  `evolve_rk4` collects its records into TrajectoryPoint grids.
 
-The remainder is built once per (operator set, picture).  The L_j are
-stacked, so the first term of N is two matrix products for any number of
-operators.
+`lindblad_rhs` and `evolve_steps` both build R and N once, as one
+`_Generator`.  The L_j are stacked, so the first term of N is two matrix
+products for any number of operators.
 """
 from __future__ import annotations
 
@@ -99,14 +99,8 @@ def _check_initial_grid(a0: CoeffGrid, floor: Optional[int]):
         raise DomainError("initial grid has non-finite entries")
     if floor is None:
         return
-    idx = index_range(a0.n)
-    bad = idx < floor
-    dev = 0.0
-    if bad.any():
-        dev = max(
-            float(np.max(np.abs(a0.data[bad, :]))),
-            float(np.max(np.abs(a0.data[:, bad]))),
-        )
+    bad = index_range(a0.n) < floor
+    dev = float(np.max(np.abs(a0.data), where=bad[:, None] | bad[None, :], initial=0.0))
     if dev > SUPPORT_RTOL * max(a0.scale(), 1e-300):
         raise DomainError(
             "initial grid has support below the spectrum floor %d (max %.3e below it)"
@@ -132,27 +126,19 @@ class LindbladSet:
             self.lam = np.asarray(self.lam, dtype=np.complex128)
             if not np.all(np.isfinite(self.lam)):
                 raise DomainError("lambda entries must be finite")
-        sizes = set()
-        if self.c is not None:
-            sizes.add(self.c.n)
-        for l in self.ls:
-            sizes.add(l.n)
-        if self.lam is not None:
             if self.lam.ndim != 1 or self.lam.size % 2 != 1:
                 raise DimensionError("lambda must be a 1D sequence of odd length 2N+1")
-            sizes.add((self.lam.size - 1) // 2)
-        if len(sizes) > 1:
-            raise DimensionError("inconsistent band limits in LindbladSet: %r" % sizes)
+        self.n  # refuses mixed band limits
 
     @property
     def n(self) -> Optional[int]:
-        if self.c is not None:
-            return self.c.n
-        if self.ls:
-            return self.ls[0].n
+        """The band limit shared by C, the L_j and lambda; None for an empty set."""
+        sizes = {g.n for g in [self.c, *self.ls] if g is not None}
         if self.lam is not None:
-            return (self.lam.size - 1) // 2
-        return None
+            sizes.add((self.lam.size - 1) // 2)
+        if len(sizes) > 1:
+            raise DimensionError("inconsistent band limits in LindbladSet: %r" % sizes)
+        return sizes.pop() if sizes else None
 
     def is_empty(self) -> bool:
         return self.c is None and not self.ls and self.lam is None
@@ -192,6 +178,7 @@ class TrajectoryPoint:
 
 
 def heisenberg_closed(a0: CoeffGrid, h: HarmonicSpec, t: float) -> CoeffGrid:
+    _require_finite(t=t)
     _check_initial_grid(a0, h.floor)
     phase = np.exp(1j * h.gaps(a0.n) * t)
     return CoeffGrid(a0.n, a0.data * phase, a0.tag)
@@ -205,6 +192,7 @@ def drift_oracle(f0: CoeffGrid, a: float, t: float) -> CoeffGrid:
     i.e. f_t(x, y) = f_0(x + (a/2pi) t, y - (a/2pi) t).  Matches the
     Q-conjugated closed form exactly.
     """
+    _require_finite(a=a, t=t)
     require_fourier_real(f0)
     k, l = kl_mesh(f0.n)
     phase = np.exp(1j * a * (k - l) * t)
@@ -212,6 +200,7 @@ def drift_oracle(f0: CoeffGrid, a: float, t: float) -> CoeffGrid:
 
 
 def diagonal_lindblad_closed(a0: CoeffGrid, lam: Sequence[complex], t: float) -> CoeffGrid:
+    _require_finite(t=t)
     if t < 0:
         raise DomainError("diagonal Lindblad closed form needs t >= 0")
     lset = LindbladSet(lam=np.asarray(lam))
@@ -222,41 +211,56 @@ def diagonal_lindblad_closed(a0: CoeffGrid, lam: Sequence[complex], t: float) ->
     return CoeffGrid(a0.n, a0.data * factor, a0.tag)
 
 
-def _entrywise_rate(h: HarmonicSpec, lset: LindbladSet, n: int, sign: float) -> np.ndarray:
-    """R = s i Delta + phi_s, the part of the generator that acts entrywise."""
-    rate = (sign * 1j) * h.gaps(n)
-    phi = lset.phi_matrix()
-    if phi is not None:
-        rate += phi if sign > 0 else np.conj(phi)
-    return rate
+_PICTURES = {"heisenberg": 1.0, "schrodinger": -1.0}
 
 
-class _Remainder:
-    """The generator minus its entrywise rate, on raw data.
+class _Generator:
+    """The generator A -> R .* A + N(A) of one run, on raw data.
 
-    Built once per (operator set, picture); each call costs two products
+    Checks the operator set's band limit against n and the picture name, and
+    holds the largest phase gap, R and N; a call of N costs two products
     with M and two with the stacked L_j.
     """
 
-    def __init__(self, lset: LindbladSet, sign: float):
-        self.m = self.m_h = self.left = self.right = None
+    def __init__(self, h: HarmonicSpec, lset: Optional[LindbladSet], n: int, picture: str):
+        lset = lset or LindbladSet()
+        if lset.n is not None and lset.n != n:
+            raise DimensionError("operator set band limit %d vs grid %d" % (lset.n, n))
+        if picture not in _PICTURES:
+            raise DomainError("unknown picture %r; expected 'heisenberg' or 'schrodinger'"
+                              % (picture,))
+        sign = _PICTURES[picture]
+        gaps = h.gaps(n)
+        self.gap = float(np.max(np.abs(gaps)))
+        self.rate = (sign * 1j) * gaps
+        phi = lset.phi_matrix()
+        if phi is not None:
+            self.rate += phi if sign > 0 else np.conj(phi)
+        self.m = self.left = self.right = None
         if lset.c is not None:
             self.m = (sign * 1j) * lset.c.data
         if lset.ls:
             ls = np.concatenate([l.data for l in lset.ls])  # (J m, m): L_j stacked by rows
             lh = np.concatenate([np.conj(l.data.T) for l in lset.ls])
-            lhl = np.conj(ls.T) @ ls  # sum_j L_j^+ L_j in one product
-            self.m = -0.5 * lhl if self.m is None else self.m - 0.5 * lhl
+            # an M past 1e308 is left to the stepper's per-step finiteness check
+            with np.errstate(over="ignore", invalid="ignore"):
+                lhl = np.conj(ls.T) @ ls  # sum_j L_j^+ L_j in one product
+                self.m = -0.5 * lhl if self.m is None else self.m - 0.5 * lhl
             # Heisenberg: sum_j L_j^+ A L_j; Schroedinger: sum_j L_j A L_j^+
             self.left, self.right = (lh, ls) if sign > 0 else (ls, lh)
         if self.m is not None:
             self.m_h = np.conj(self.m.T)
 
-    def __call__(self, ad: np.ndarray) -> np.ndarray:
+    @property
+    def remainder(self):
+        """N on raw data, or None without C and L_j.  Not stored: a bound method
+        kept on the instance is a reference cycle that outlives the run."""
+        return None if self.m is None else self._remainder
+
+    def _remainder(self, ad: np.ndarray) -> np.ndarray:
         out = np.zeros_like(ad)
-        if self.m is not None:
-            out += self.m @ ad
-            out += ad @ self.m_h
+        out += self.m @ ad
+        out += ad @ self.m_h
         if self.left is not None:
             side = ad.shape[0]
             # rows j m .. (j+1) m - 1 of left @ A hold left_j A; laid side by
@@ -269,12 +273,10 @@ class _Remainder:
 def lindblad_rhs(a: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet] = None,
                  picture: str = "heisenberg") -> CoeffGrid:
     """Full generator: affine phases + compact commutator + dissipator."""
-    lset = lset or LindbladSet()
-    if lset.n is not None and lset.n != a.n:
-        raise DimensionError("operator set band limit %d vs grid %d" % (lset.n, a.n))
-    sign = {"heisenberg": 1.0, "schrodinger": -1.0}[picture]
-    out = _entrywise_rate(h, lset, a.n, sign) * a.data + _Remainder(lset, sign)(a.data)
-    return CoeffGrid(a.n, out, GENERAL)
+    gen = _Generator(h, lset, a.n, picture)
+    # a missing remainder still adds zero, which turns -0.0 entries into +0.0
+    rest = 0.0 if gen.remainder is None else gen.remainder(a.data)
+    return CoeffGrid(a.n, gen.rate * a.data + rest, GENERAL)
 
 
 def default_dt(h: HarmonicSpec, n: int) -> float:
@@ -300,18 +302,14 @@ def evolve_steps(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
     with the number of steps.  Every step is checked for finite entries.
     A run of more than MAX_STEPS steps is refused before the first record.
     """
-    lset = lset or LindbladSet()
     _check_initial_grid(a0, h.floor)
     n = a0.n
-    if lset.n is not None and lset.n != n:
-        raise DimensionError("operator set band limit %d vs grid %d" % (lset.n, n))
-    sign = {"heisenberg": 1.0, "schrodinger": -1.0}[picture]
+    gen = _Generator(h, lset, n, picture)
     dt = cfg.dt if cfg.dt is not None else default_dt(h, n)
-    gap = float(np.max(np.abs(h.gaps(n))))
-    if dt * gap > 0.5:
+    if dt * gen.gap > 0.5:
         warnings.warn(
             "dt=%g does not resolve the fastest phase gap %g (dt*gap=%.3g > 0.5)"
-            % (dt, gap, dt * gap),
+            % (dt, gen.gap, dt * gen.gap),
             RuntimeWarning,
         )
     if not math.isfinite(cfg.t_end / dt):
@@ -330,10 +328,9 @@ def evolve_steps(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
         return
 
     base_dt = cfg.t_end / n_steps  # uniform steps <= dt that land exactly on t_end
-    rate = _entrywise_rate(h, lset, n, sign)
-    e_full = np.exp(base_dt * rate)
-    e_half = np.exp((base_dt / 2.0) * rate)
-    remainder = None if lset.c is None and not lset.ls else _Remainder(lset, sign)
+    e_full = np.exp(base_dt * gen.rate)
+    e_half = np.exp((base_dt / 2.0) * gen.rate)
+    remainder = gen.remainder
 
     for step in range(1, n_steps + 1):
         if remainder is None:
@@ -390,7 +387,7 @@ def dissipative_constant(alpha: float, lset: LindbladSet) -> float:
         for l in lset.ls:
             c += 4.0 * float(np.float64(norm(l, w)) ** 2)
     if lset.lam is not None:
-        wts = w.weights((lset.lam.size - 1) // 2).diagonal()
+        wts = w.weights(lset.n).diagonal()
         c += 4.0 * float(np.sum(wts * np.abs(lset.lam) ** 2))
     return c
 

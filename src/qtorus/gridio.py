@@ -26,17 +26,16 @@ import tempfile
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 import orjson
 
-from .errors import DimensionError, FormatError
+from . import __version__
+from .errors import FormatError
 from .grids import TAGS, CoeffGrid, SampleGrid
 from .spectral import analyze
-
-TOOL_VERSION = "0.1.0"
 
 
 def _grid_bytes(grid: CoeffGrid) -> bytes:
@@ -178,17 +177,16 @@ class RunManifest:
 
     inputs: list
     params: dict
-    tool_version: str = TOOL_VERSION
-    duration_s: float = 0.0
-    started: float = field(default_factory=time.time)
+
+    def __post_init__(self):
+        self.started = time.time()
 
     def write_for(self, out_path):
-        self.duration_s = time.time() - self.started
         payload = {
             "inputs": [str(p) for p in self.inputs],
             "params": self.params,
-            "tool_version": self.tool_version,
-            "duration_s": self.duration_s,
+            "tool_version": __version__,
+            "duration_s": time.time() - self.started,
         }
         atomic_write_text(str(out_path) + ".manifest.json",
                           json.dumps(payload, sort_keys=True, default=str) + "\n")

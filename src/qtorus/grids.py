@@ -56,13 +56,8 @@ class CoeffGrid:
                 "grid with n=%d needs shape (%d, %d), got %r"
                 % (self.n, side, side, arr.shape)
             )
-        arr.setflags(write=False)  # grids are shared across threads; keep frozen
+        arr.setflags(write=False)  # entries never change after construction
         self.data = arr
-
-    @classmethod
-    def zeros(cls, n: int, tag: str = GENERAL) -> "CoeffGrid":
-        side = 2 * n + 1
-        return cls(n, np.zeros((side, side), dtype=np.complex128), tag)
 
     def entry(self, k: int, l: int) -> complex:
         if abs(k) > self.n or abs(l) > self.n:
@@ -104,21 +99,21 @@ def hermitian_deviation(grid: CoeffGrid) -> float:
     return float(np.max(np.abs(w - np.conj(w.T))))
 
 
-def require_fourier_real(grid: CoeffGrid, rtol: float = SYMMETRY_RTOL):
+def require_fourier_real(grid: CoeffGrid):
     dev = fourier_real_deviation(grid)
-    if not dev <= rtol * grid.scale():  # a NaN deviation fails too
+    if not dev <= SYMMETRY_RTOL * grid.scale():  # a NaN deviation fails too
         raise SymmetryError(
             "grid is not fourier-real: deviation %.3e exceeds %.1e * scale %.3e"
-            % (dev, rtol, grid.scale())
+            % (dev, SYMMETRY_RTOL, grid.scale())
         )
 
 
-def require_hermitian(grid: CoeffGrid, rtol: float = SYMMETRY_RTOL):
+def require_hermitian(grid: CoeffGrid):
     dev = hermitian_deviation(grid)
-    if not dev <= rtol * grid.scale():  # a NaN deviation fails too
+    if not dev <= SYMMETRY_RTOL * grid.scale():  # a NaN deviation fails too
         raise HermiticityError(
             "grid is not hermitian: deviation %.3e exceeds %.1e * scale %.3e"
-            % (dev, rtol, grid.scale())
+            % (dev, SYMMETRY_RTOL, grid.scale())
         )
 
 

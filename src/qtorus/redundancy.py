@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dirichlet import _window_terms, d_matrix, moebius_inverse_rows
+from .dirichlet import _require_sigma, _window_terms, d_matrix, moebius_inverse_rows
 from .errors import DimensionError, DomainError, EmptyRangeError, FormatError
 from .grids import FOURIER_REAL, GENERAL, CoeffGrid
 from .spectral import s_map
@@ -188,11 +188,6 @@ def c_d(d: int, sigma: float, zeros: ZeroTable, t: float) -> float:
     taus = zeros.upto(t)
     m = phase_average(taus, np.array([math.log(d)]))
     return float(d ** (-sigma) * abs(m[0]))
-
-
-def _require_sigma(sigma: float):
-    if not (math.isfinite(sigma) and sigma > 1):
-        raise DomainError("broadband averaging needs a finite sigma > 1, got %g" % sigma)
 
 
 def _inverse_terms(n: int):

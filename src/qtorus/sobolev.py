@@ -26,6 +26,10 @@ class SobolevWeight:
     # radial profile of k^2 + l^2, overrides alpha when set
     profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise DomainError("Sobolev exponent alpha must be finite, got %r" % (self.alpha,))
+
     def weights(self, n: int) -> np.ndarray:
         k, l = kl_mesh(n)
         r2 = (k * k + l * l).astype(np.float64)

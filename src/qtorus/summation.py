@@ -18,17 +18,14 @@ class KahanAccumulator:
     the accumulator itself is sequential by design.
     """
 
-    def __init__(self, shape, dtype=np.complex128):
-        self.total = np.zeros(shape, dtype=dtype)
-        self.comp = np.zeros(shape, dtype=dtype)
+    def __init__(self, shape):
+        self.total = np.zeros(shape, dtype=np.complex128)
+        self.comp = np.zeros(shape, dtype=np.complex128)
 
     def add(self, term: np.ndarray):
-        term = np.asarray(term, dtype=self.total.dtype)
-        if np.iscomplexobj(self.total):
-            self._add_part(self.total.real, self.comp.real, term.real)
-            self._add_part(self.total.imag, self.comp.imag, term.imag)
-        else:
-            self._add_part(self.total, self.comp, term)
+        term = np.asarray(term, dtype=np.complex128)
+        self._add_part(self.total.real, self.comp.real, term.real)
+        self._add_part(self.total.imag, self.comp.imag, term.imag)
 
     @staticmethod
     def _add_part(total, comp, x):
@@ -38,7 +35,7 @@ class KahanAccumulator:
         total[...] = t
 
     def copy(self) -> "KahanAccumulator":
-        twin = KahanAccumulator(self.total.shape, self.total.dtype)
+        twin = KahanAccumulator(self.total.shape)
         twin.total[...] = self.total
         twin.comp[...] = self.comp
         return twin

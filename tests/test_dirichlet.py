@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from qtorus import (
     FOURIER_REAL,
     ArithmeticSeq,
-    CoeffGrid,
     ZetaParams,
     apply_D,
     apply_D_inv,
@@ -338,11 +337,16 @@ class TestPeriodizedZeta:
             periodized_zeta(2.0, 0.0, -1)
         with pytest.raises(DomainError):
             ZetaParams(sigma=1.0, tau=0.0)
+        for sigma in (1.0, 0.5, -2.0):
+            with pytest.raises(DomainError, match="finite sigma > 1"):
+                moebius_inverse_rows(sigma, [14.134725], 10)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(DomainError):
             ZetaParams(sigma=sigma, tau=14.0)
+        with pytest.raises(DomainError, match="finite sigma > 1"):
+            moebius_inverse_rows(sigma, [14.134725], 10)
 
     @pytest.mark.parametrize("s", [complex(float("nan"), 0.0), complex(float("inf"), 0.0),
                                    complex(-float("inf"), 0.0), complex(2.0, float("nan"))])

@@ -40,7 +40,7 @@ from qtorus import (
     single_entry,
     synthesize,
 )
-from qtorus.dynamics import MAX_STEPS, _Remainder
+from qtorus.dynamics import MAX_STEPS, _Generator
 from qtorus.errors import DimensionError, DomainError, IntegrationError
 
 from helpers import random_fourier_real, random_general, random_hermitian, reference_remainder_rhs
@@ -387,7 +387,7 @@ class TestGeneralDissipator:
         def refuse(self, ad):
             raise AssertionError("remainder called on a lambda-only run")
 
-        monkeypatch.setattr(_Remainder, "__call__", refuse)
+        monkeypatch.setattr(_Generator, "_remainder", refuse)
         n = 3
         lset = LindbladSet(lam=linear_lambda(0.5, n))
         for picture in ("heisenberg", "schrodinger"):
@@ -400,6 +400,18 @@ class TestGeneralDissipator:
         lset = LindbladSet(lam=linear_lambda(1.0, 4))
         with pytest.raises(DimensionError):
             evolve_rk4(a0, HarmonicSpec(a=1.0), lset, EvolveConfig(0.1))
+
+    @pytest.mark.parametrize("picture", ["Heisenberg", "interaction", ""])
+    def test_unknown_picture_is_domain_error(self, rng, picture):
+        a0 = random_hermitian(2, rng)
+        lset = LindbladSet(ls=[random_general(2, rng, scale=0.3)])
+        h = HarmonicSpec(a=1.0)
+        with pytest.raises(DomainError, match="unknown picture"):
+            lindblad_rhs(a0, h, lset, picture=picture)
+        with pytest.raises(DomainError, match="unknown picture"):
+            next(evolve_steps(a0, h, lset, EvolveConfig(0.01), picture))
+        with pytest.raises(DomainError, match="unknown picture"):
+            evolve_rk4(a0, h, None, EvolveConfig(0.01), picture)
 
 
 class TestIntegratorGuards:
@@ -452,7 +464,7 @@ class TestIntegratorGuards:
             EvolveConfig(1.0, record_every=0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_scalars_rejected(self, bad):
+    def test_non_finite_scalars_rejected(self, rng, bad):
         for kwargs in ({"t_end": bad}, {"t_end": 1.0, "dt": bad},
                        {"t_end": 1.0, "alpha": bad}):
             with pytest.raises(DomainError):
@@ -465,6 +477,16 @@ class TestIntegratorGuards:
             LindbladSet(lam=np.array([0.0, bad, 1.0]))
         with pytest.raises(DomainError):
             LindbladSet(lam=np.array([0.0, complex(0.0, bad), 1.0]))
+        # the closed forms; at t = inf the frozen diagonal would read 0 * inf = nan
+        a0, f0 = random_hermitian(2, rng), random_fourier_real(2, rng)
+        with pytest.raises(DomainError, match="t must be finite"):
+            heisenberg_closed(a0, HarmonicSpec(a=1.0), bad)
+        with pytest.raises(DomainError, match="t must be finite"):
+            diagonal_lindblad_closed(a0, linear_lambda(1.0, 2), bad)
+        with pytest.raises(DomainError, match="t must be finite"):
+            drift_oracle(f0, 1.0, bad)
+        with pytest.raises(DomainError, match="a must be finite"):
+            drift_oracle(f0, bad, 1.0)
 
 
 class TestGrowthBounds:

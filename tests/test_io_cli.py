@@ -4,7 +4,6 @@ import gc
 import json
 import os
 import re
-import shutil
 import tempfile
 import tracemalloc
 
@@ -509,6 +508,17 @@ class TestCliNorms:
 
     def test_bad_alpha_list(self, field_file):
         assert run(["norms", "--in", field_file, "--alphas", "1,zap"]) == 1
+
+    @pytest.mark.parametrize("alphas,code", [("nan", 2), ("inf,-inf", 2), ("0,nan", 2),
+                                             ("", 1), (",", 1)])
+    def test_non_finite_or_empty_alphas_refused(self, tmp_path, field_file, capsys,
+                                                alphas, code):
+        out = tmp_path / "norms.csv"
+        assert run(["norms", "--in", field_file, "--alphas", alphas,
+                    "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+        assert os.listdir(tmp_path) == [os.path.basename(field_file)]
 
     @pytest.mark.parametrize("tag,bad", [("fourier-real", float("nan")),
                                          ("general", float("inf"))])
