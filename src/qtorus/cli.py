@@ -25,7 +25,7 @@ from .errors import QTorusError
 from .grids import CoeffGrid
 from .gridio import (
     RunManifest,
-    atomic_write_text,
+    atomic_write_bytes,
     atomic_writer,
     ingest_pgm,
     read_grid,
@@ -184,7 +184,7 @@ def cmd_norms(args) -> int:
     if args.out:
         manifest = RunManifest([args.infile],
                                {"command": "norms", "alphas": args.alphas})
-        atomic_write_text(args.out, text)
+        atomic_write_bytes(args.out, text.encode())
         manifest.write_for(args.out)
     return 0
 
@@ -249,7 +249,7 @@ def cmd_redundancy(args) -> int:
         t = table.t_covering(count)
         l2, hs = averaging_errors(zbar, field)
         rows.append("%d,%s,%s,%s" % (count, _fmt(t), _fmt(l2), _fmt(hs)))
-    atomic_write_text(args.out, "\n".join(rows) + "\n")
+    atomic_write_bytes(args.out, ("\n".join(rows) + "\n").encode())
     manifest.write_for(args.out)
     return 0
 

@@ -21,9 +21,7 @@ def op_commutator(a: CoeffGrid, b: CoeffGrid) -> CoeffGrid:
 
 
 def field_commutator(f: CoeffGrid, g: CoeffGrid) -> CoeffGrid:
-    wf = s_map(f)
-    wg = s_map(g)
-    k = 1j * (wf.data @ wg.data - wg.data @ wf.data)
+    k = 1j * op_commutator(s_map(f), s_map(g)).data
     return s_inv(CoeffGrid(f.n, k))
 
 

@@ -72,6 +72,13 @@ def _window_terms(n: int):
     return terms
 
 
+def _window_image(fhat: CoeffGrid, data: np.ndarray) -> CoeffGrid:
+    """The grid B fhat B^T of window operators B.  Their negative cone takes
+    conj(a_d) (the sgn column above), so a fourier-real fhat gives a
+    fourier-real image; no other symmetry survives, so any other is general."""
+    return CoeffGrid(fhat.n, data, FOURIER_REAL if fhat.tag == FOURIER_REAL else GENERAL)
+
+
 def dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a*b)_n = sum over d | n of a_d b_{n/d}; 1-based arrays in and out."""
     lmax = min(len(a), len(b)) - 1
@@ -212,9 +219,7 @@ def d_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
 def d_transform_2d(seq: ArithmeticSeq, fhat: CoeffGrid) -> CoeffGrid:
     """Z = B fhat B^T with B = D^-1: inverse convolution down columns, then rows."""
     b = d_matrix(seq.b, fhat.n)
-    z = (b @ fhat.data) @ b.T
-    tag = FOURIER_REAL if fhat.tag == FOURIER_REAL else GENERAL
-    return CoeffGrid(fhat.n, z, tag)
+    return _window_image(fhat, (b @ fhat.data) @ b.T)
 
 
 def qd_transform(seq: ArithmeticSeq, f: CoeffGrid) -> CoeffGrid:

@@ -38,7 +38,10 @@ length.  `evolve_rk4` collects its records into TrajectoryPoint grids.
 
 `lindblad_rhs` and `evolve_steps` both build R and N once, as one
 `_Generator`.  The L_j are stacked, so the first term of N is two matrix
-products for any number of operators.
+products for any number of operators.  N returns zeros without C and L_j;
+the generator's `exact` flag then sends `evolve_steps` down the exact
+path.  A rate or an M that overflows is left to the per-step finiteness
+check, without a warning at construction.
 """
 from __future__ import annotations
 
@@ -113,7 +116,7 @@ def linear_lambda(c: complex, n: int) -> np.ndarray:
     return c * index_range(n).astype(np.complex128)
 
 
-@dataclass
+@dataclass(eq=False)
 class LindbladSet:
     c: Optional[CoeffGrid] = None
     ls: List[CoeffGrid] = field(default_factory=list)
@@ -218,8 +221,8 @@ class _Generator:
     """The generator A -> R .* A + N(A) of one run, on raw data.
 
     Checks the operator set's band limit against n and the picture name, and
-    holds the largest phase gap, R and N; a call of N costs two products
-    with M and two with the stacked L_j.
+    holds the largest phase gap, R, N and whether N vanishes; a call of N
+    costs two products with M and two with the stacked L_j.
     """
 
     def __init__(self, h: HarmonicSpec, lset: Optional[LindbladSet], n: int, picture: str):
@@ -233,32 +236,30 @@ class _Generator:
         gaps = h.gaps(n)
         self.gap = float(np.max(np.abs(gaps)))
         self.rate = (sign * 1j) * gaps
-        phi = lset.phi_matrix()
-        if phi is not None:
-            self.rate += phi if sign > 0 else np.conj(phi)
         self.m = self.left = self.right = None
         if lset.c is not None:
             self.m = (sign * 1j) * lset.c.data
-        if lset.ls:
-            ls = np.concatenate([l.data for l in lset.ls])  # (J m, m): L_j stacked by rows
-            lh = np.concatenate([np.conj(l.data.T) for l in lset.ls])
-            # an M past 1e308 is left to the stepper's per-step finiteness check
-            with np.errstate(over="ignore", invalid="ignore"):
+        # a rate or an M past 1e308 is left to the stepper's per-step finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = lset.phi_matrix()
+            if phi is not None:
+                self.rate += phi if sign > 0 else np.conj(phi)
+            if lset.ls:
+                ls = np.concatenate([l.data for l in lset.ls])  # (J m, m): L_j stacked by rows
+                lh = np.concatenate([np.conj(l.data.T) for l in lset.ls])
                 lhl = np.conj(ls.T) @ ls  # sum_j L_j^+ L_j in one product
                 self.m = -0.5 * lhl if self.m is None else self.m - 0.5 * lhl
-            # Heisenberg: sum_j L_j^+ A L_j; Schroedinger: sum_j L_j A L_j^+
-            self.left, self.right = (lh, ls) if sign > 0 else (ls, lh)
-        if self.m is not None:
+                # Heisenberg: sum_j L_j^+ A L_j; Schroedinger: sum_j L_j A L_j^+
+                self.left, self.right = (lh, ls) if sign > 0 else (ls, lh)
+        self.exact = self.m is None  # no C, no L_j: N vanishes and exp(h R) steps exactly
+        if not self.exact:
             self.m_h = np.conj(self.m.T)
 
-    @property
-    def remainder(self):
-        """N on raw data, or None without C and L_j.  Not stored: a bound method
-        kept on the instance is a reference cycle that outlives the run."""
-        return None if self.m is None else self._remainder
-
-    def _remainder(self, ad: np.ndarray) -> np.ndarray:
+    def remainder(self, ad: np.ndarray) -> np.ndarray:
+        """N on raw data; zeros on an exact run."""
         out = np.zeros_like(ad)
+        if self.exact:
+            return out
         out += self.m @ ad
         out += ad @ self.m_h
         if self.left is not None:
@@ -274,9 +275,7 @@ def lindblad_rhs(a: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet] = No
                  picture: str = "heisenberg") -> CoeffGrid:
     """Full generator: affine phases + compact commutator + dissipator."""
     gen = _Generator(h, lset, a.n, picture)
-    # a missing remainder still adds zero, which turns -0.0 entries into +0.0
-    rest = 0.0 if gen.remainder is None else gen.remainder(a.data)
-    return CoeffGrid(a.n, gen.rate * a.data + rest, GENERAL)
+    return CoeffGrid(a.n, gen.rate * a.data + gen.remainder(a.data), GENERAL)
 
 
 def default_dt(h: HarmonicSpec, n: int) -> float:
@@ -330,17 +329,16 @@ def evolve_steps(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
     base_dt = cfg.t_end / n_steps  # uniform steps <= dt that land exactly on t_end
     e_full = np.exp(base_dt * gen.rate)
     e_half = np.exp((base_dt / 2.0) * gen.rate)
-    remainder = gen.remainder
 
     for step in range(1, n_steps + 1):
-        if remainder is None:
+        if gen.exact:
             a = e_full * a
         else:
             ea = e_full * a
-            k1 = remainder(a)
-            k2 = remainder(e_half * (a + (base_dt / 2.0) * k1))
-            k3 = remainder(e_half * a + (base_dt / 2.0) * k2)
-            k4 = remainder(ea + base_dt * (e_half * k3))
+            k1 = gen.remainder(a)
+            k2 = gen.remainder(e_half * (a + (base_dt / 2.0) * k1))
+            k3 = gen.remainder(e_half * a + (base_dt / 2.0) * k2)
+            k4 = gen.remainder(ea + base_dt * (e_half * k3))
             a = ea + (base_dt / 6.0) * (e_full * k1 + 2.0 * (e_half * (k2 + k3)) + k4)
         t = step * base_dt
         if not np.all(np.isfinite(a)):
@@ -386,9 +384,9 @@ def dissipative_constant(alpha: float, lset: LindbladSet) -> float:
     with np.errstate(over="ignore"):  # a float ** 2 past 1e308 raises; here it is inf
         for l in lset.ls:
             c += 4.0 * float(np.float64(norm(l, w)) ** 2)
-    if lset.lam is not None:
-        wts = w.weights(lset.n).diagonal()
-        c += 4.0 * float(np.sum(wts * np.abs(lset.lam) ** 2))
+        if lset.lam is not None:
+            wts = w.weights(lset.n).diagonal()
+            c += 4.0 * float(np.sum(wts * np.abs(lset.lam) ** 2))
     return c
 
 

@@ -163,10 +163,6 @@ def atomic_write_bytes(path, payload: bytes):
         fh.write(payload)
 
 
-def atomic_write_text(path, text: str):
-    atomic_write_bytes(path, text.encode())
-
-
 def write_grid(path, grid: CoeffGrid):
     atomic_write_bytes(path, _grid_bytes(grid) + b"\n")
 
@@ -188,8 +184,8 @@ class RunManifest:
             "tool_version": __version__,
             "duration_s": time.time() - self.started,
         }
-        atomic_write_text(str(out_path) + ".manifest.json",
-                          json.dumps(payload, sort_keys=True, default=str) + "\n")
+        atomic_write_bytes(str(out_path) + ".manifest.json",
+                           (json.dumps(payload, sort_keys=True, default=str) + "\n").encode())
 
 
 def _read_pgm_tokens(blob: bytes, count: int, offset: int):
@@ -262,7 +258,7 @@ def write_pgm(path, values: np.ndarray, maxval: int = 255, binary: bool = False)
         atomic_write_bytes(path, header.encode() + pix.astype(dtype).tobytes())
     else:
         body = "\n".join(" ".join(str(int(v)) for v in row) for row in pix)
-        atomic_write_text(path, header + body + "\n")
+        atomic_write_bytes(path, (header + body + "\n").encode())
 
 
 def center_fit(img: np.ndarray, side: int) -> np.ndarray:

@@ -3,14 +3,17 @@
 A smooth field re-encoded through the slowly-decaying bases D(sigma, tau)
 is recovered by averaging over many ordinates tau_n: the corrections ride
 on averages M(x) of exp(-i tau_n x) phases, which cancel as the table
-grows.  Ordinates are ingested from text tables, never computed here.
+grows.  Ordinates are ingested from text tables, never computed here:
+load_zero_table only parses a table, line by line, and ZeroTable is the
+one check of ordinate values.
 
 Two implementations of the 2D average are kept deliberately separate:
 broadband_average_2d applies averaged phase factors divisor pair by
 divisor pair, while broadband_average_2d_per_zero averages the per-zero
 inverse D-transforms B(tau) fhat B(tau)^T.  They must agree; tests hold
 them to 1e-10.  Both read the divisor layout of the window operator from
-dirichlet._window_terms; the terms with mu(d) != 0 are those of B.
+dirichlet._window_terms; the terms with mu(d) != 0 are those of B.  Both
+tag their grids through dirichlet._window_image, as d_transform_2d does.
 
 Both routes sum in fixed blocks of BLOCK ordinates (phases by pairwise
 np.sum within a block, per-zero grids SUB_BATCH ordinates per stacked
@@ -30,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dirichlet import _require_sigma, _window_terms, d_matrix, moebius_inverse_rows
+from .dirichlet import _require_sigma, _window_image, _window_terms, d_matrix, moebius_inverse_rows
 from .errors import DimensionError, DomainError, EmptyRangeError, FormatError
-from .grids import FOURIER_REAL, GENERAL, CoeffGrid
+from .grids import CoeffGrid
 from .spectral import s_map
 from .summation import KahanAccumulator
 
@@ -42,19 +45,23 @@ SUB_BATCH = 8  # ordinates per stacked matrix product of the per-zero route
 
 @dataclass(eq=False)
 class ZeroTable:
+    """Zero ordinates, finite, positive and strictly increasing.  The one check
+    of their values: it names the first bad ordinate by position and value."""
+
     ordinates: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.ordinates, dtype=np.float64)
+        arr = np.array(self.ordinates, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise FormatError("zero table needs at least one ordinate")
-        if not np.all(np.isfinite(arr)):
-            raise FormatError("ordinates must be finite")
-        if arr[0] <= 0:
-            raise FormatError("ordinates must be positive")
-        if np.any(np.diff(arr) <= 0):
-            raise FormatError("ordinates must be strictly increasing")
-        arr = np.array(arr)
+        ok = np.isfinite(arr) & (arr > 0)
+        ok[1:] &= arr[1:] > arr[:-1]
+        if not ok.all():
+            i = int(np.argmin(ok))
+            tau = float(arr[i])
+            rule = ("finite" if not math.isfinite(tau) else "positive" if tau <= 0
+                    else "strictly increasing (ordinate %d is %r)" % (i, float(arr[i - 1])))
+            raise FormatError("ordinate %d is %r; ordinates must be %s" % (i + 1, tau, rule))
         arr.setflags(write=False)
         self.ordinates = arr
 
@@ -82,7 +89,10 @@ class ZeroTable:
 
 
 def load_zero_table(source) -> ZeroTable:
-    """Parse an ordinate table: one positive decimal per line, '#' comments."""
+    """Parse an ordinate table: one decimal per line, '#' comments.
+
+    Lines are read one at a time and only parsed; ZeroTable checks the values.
+    """
     if hasattr(source, "read"):
         lines = source
         close = False
@@ -91,7 +101,6 @@ def load_zero_table(source) -> ZeroTable:
         close = True
     try:
         vals = []
-        prev = 0.0
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -99,26 +108,15 @@ def load_zero_table(source) -> ZeroTable:
             try:
                 if not line.isascii() or "_" in line:  # float() takes "1_4.5" and "٢١" too
                     raise ValueError(line)
-                tau = float(line)
+                vals.append(float(line))
             except ValueError:
                 raise FormatError("line %d: not a decimal ordinate: %r" % (lineno, line))
-            if not 0 < tau < math.inf:  # also refuses nan
-                raise FormatError("line %d: ordinate must be positive and finite" % lineno)
-            if tau <= prev:
-                raise FormatError(
-                    "line %d: ordinates must be strictly increasing (%r after %r)"
-                    % (lineno, tau, prev)
-                )
-            vals.append(tau)
-            prev = tau
-        if not vals:
-            raise FormatError("no ordinates found")
-        return ZeroTable(np.array(vals))
     except UnicodeDecodeError as exc:
         raise FormatError("zero table is not UTF-8 text: %s" % exc)
     finally:
         if close:
             lines.close()
+    return ZeroTable(np.array(vals))
 
 
 def _block_sum(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -285,14 +283,13 @@ def broadband_average_2d_counts(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
     out, src, key, mu, dr, xs = _direct_plan(n)
     coef = mu * dr.astype(np.float64) ** (-float(sigma))
     f = fhat.data.ravel()[src]
-    tag = FOURIER_REAL if fhat.tag == FOURIER_REAL else GENERAL
     grids = []
     for m_c in _phase_means(zeros.ordinates, xs, counts):
         terms = m_c[key]
         terms *= coef
         terms *= f
         flat = _sum_by_index(out, terms, fhat.data.size)
-        grids.append(CoeffGrid(n, flat.reshape(fhat.data.shape), tag))
+        grids.append(_window_image(fhat, flat.reshape(fhat.data.shape)))
     return grids
 
 
@@ -325,8 +322,7 @@ def broadband_average_2d_per_zero(fhat: CoeffGrid, sigma: float, zeros: ZeroTabl
         return block
 
     out = _block_folds([taus.size], fhat.data.shape, block_sum)[taus.size] / taus.size
-    tag = FOURIER_REAL if fhat.tag == FOURIER_REAL else GENERAL
-    return CoeffGrid(n, out, tag)
+    return _window_image(fhat, out)
 
 
 def averaging_errors(zbar: CoeffGrid, fhat: CoeffGrid):

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .commutators import op_commutator
 from .errors import DimensionError, DomainError
 from .grids import CoeffGrid, kl_mesh, require_hermitian, require_same_size
 
@@ -76,5 +77,4 @@ def commutator_pairing(h: CoeffGrid, a: CoeffGrid, w: SobolevWeight) -> complex:
     require_same_size(h, a)
     require_hermitian(h)
     require_hermitian(a)
-    comm = h.data @ a.data - a.data @ h.data
-    return inner(CoeffGrid(a.n, comm), a, w)
+    return inner(op_commutator(h, a), a, w)

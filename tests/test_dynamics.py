@@ -387,13 +387,20 @@ class TestGeneralDissipator:
         def refuse(self, ad):
             raise AssertionError("remainder called on a lambda-only run")
 
-        monkeypatch.setattr(_Generator, "_remainder", refuse)
+        monkeypatch.setattr(_Generator, "remainder", refuse)
         n = 3
         lset = LindbladSet(lam=linear_lambda(0.5, n))
         for picture in ("heisenberg", "schrodinger"):
             pts = evolve_rk4(random_hermitian(n, rng), HarmonicSpec(a=1.0), lset,
                              EvolveConfig(0.01, dt=1e-3), picture)
             assert len(pts) == 11
+
+    def test_sets_compare_by_identity(self):
+        one = LindbladSet(lam=linear_lambda(0.5, 2))
+        other = LindbladSet(lam=linear_lambda(0.5, 2))
+        assert one == one
+        assert not one == other
+        assert one != other
 
     def test_band_limit_mismatch_rejected(self, rng):
         a0 = random_hermitian(3, rng)

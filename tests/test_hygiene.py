@@ -1,7 +1,9 @@
-"""Source hygiene: every imported name is used in the module that imports it.
+"""Source hygiene: every imported name is used in the module that imports it,
+and every private module-level name in the package is used somewhere in it.
 
-The check is a stdlib `ast` scan, since no linter is part of the toolchain.
-The package `__init__.py` is left out: its imports are the public re-exports.
+The checks are stdlib `ast` scans, since no linter is part of the toolchain.
+The package `__init__.py` is left out of the import check: its imports are the
+public re-exports.
 """
 
 import ast
@@ -10,6 +12,7 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src/qtorus").glob("*.py"))
 SOURCES = sorted(
     p for d in ("src/qtorus", "tests", "scripts") for p in (ROOT / d).glob("*.py")
     if p.relative_to(ROOT).as_posix() != "src/qtorus/__init__.py"
@@ -44,3 +47,42 @@ def test_scan_flags_an_unused_import():
     src = ("from __future__ import annotations\nimport os\nimport os.path\n"
            "import numpy as np\nfrom x import a, b\n\ndef f(g: a):\n    return np.pi\n")
     assert unused_imports(src) == [(2, "os"), (3, "os"), (5, "b")]
+
+
+def private_definitions(tree):
+    """Module-level functions, classes and constants named _x (dunders excepted)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def unreferenced_privates(sources: dict):
+    """(module, name) of each private definition that no module reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in private_definitions(tree) if name not in read)
+
+
+def test_package_private_names_are_all_used():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert "dynamics.py" in sources
+    assert unreferenced_privates(sources) == []
+
+
+def test_scan_flags_an_unreferenced_private():
+    sources = {"a.py": "_A = 1\n_B: int = 2\n__all__ = []\n\ndef _f():\n    return _A\n\n"
+                       "class _C:\n    pass\n\ndef g():\n    return m._C\n",
+               "b.py": "from a import _B\n\ndef _h(_f):\n    _f = 3\n"}
+    assert unreferenced_privates(sources) == [("a.py", "_B"), ("a.py", "_f"), ("b.py", "_h")]

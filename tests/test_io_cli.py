@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -701,6 +702,21 @@ class TestCliEvolve:
         assert run(["evolve", "--field", field, "--a", "1.0", "--lindblad", lind,
                     "--t", "0", "--out", str(tmp_path / "o.json"), "--trace", str(trace)]) == 0
         assert trace.read_text().split("\n")[1] == "0.0,0.0,0.0,0.0"
+
+    def test_overflowing_lambda_is_quiet_until_a_step(self, tmp_path):
+        field, trace = str(tmp_path / "f.json"), tmp_path / "t.csv"
+        write_grid(field, single_entry(2, 0, 0, 1.0, FOURIER_REAL))
+        argv = ["evolve", "--field", field, "--a", "1.0", "--lambda", "linear:1e200",
+                "--out", str(tmp_path / "o.json"), "--trace", str(trace)]
+        # the constant and the rates overflow to inf and nan; the t = 0 record uses neither
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--t", "0"]) == 0
+        assert trace.read_text().split("\n")[1] == "0.0,1.0,1.0,1.0"
+        # from n = 2 on, inf - inf leaves nan rates; the first step meets them and is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run(argv + ["--t", "0.01"]) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
     def test_blowup_partway_writes_nothing(self, tmp_path, rng, capsys):

@@ -9,6 +9,7 @@ import io
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +20,7 @@ from numpy.testing import assert_allclose
 
 from qtorus import (
     FOURIER_REAL,
+    GENERAL,
     CoeffGrid,
     ZeroTable,
     ZetaParams,
@@ -29,6 +31,7 @@ from qtorus import (
     broadband_average_2d_counts,
     broadband_average_2d_per_zero,
     c_d,
+    d_transform_2d,
     fourier_real_deviation,
     load_zero_table,
     phase_average,
@@ -42,6 +45,8 @@ from qtorus.errors import DomainError, EmptyRangeError, FormatError
 from conftest import DATA
 from helpers import (
     random_fourier_real,
+    random_general,
+    random_hermitian,
     sequential_per_zero_average,
     sequential_phase_average,
 )
@@ -81,6 +86,9 @@ class TestZeroTable:
     def test_parse_reports_line_numbers(self):
         with pytest.raises(FormatError, match="line 3"):
             load_zero_table(io.StringIO("# ok\n14.1\nnot-a-number\n"))
+        # the whole file is parsed before any value is checked
+        with pytest.raises(FormatError, match="line 3: not a decimal ordinate"):
+            load_zero_table(io.StringIO("14.1\n-3.0\nabc\n"))
 
     def test_parse_rejects_disorder(self):
         with pytest.raises(FormatError, match="increasing"):
@@ -102,6 +110,22 @@ class TestZeroTable:
     def test_constructor_rejects_non_finite(self, ordinates):
         with pytest.raises(FormatError, match="finite"):
             ZeroTable(np.array(ordinates))
+
+    @pytest.mark.parametrize("ordinates,message", [
+        ([14.1, 21.0, 21.0], "ordinate 3 is 21.0; ordinates must be strictly increasing"),
+        ([-3.0], "ordinate 1 is -3.0; ordinates must be positive"),
+        ([5.0, 4.0, -1.0], "ordinate 2 is 4.0; ordinates must be strictly increasing"),
+        ([1.0, np.nan, 3.0], "ordinate 2 is nan; ordinates must be finite"),
+        ([1.0, 2.0, np.inf], "ordinate 3 is inf; ordinates must be finite"),
+        ([0.0, 1.0], "ordinate 1 is 0.0; ordinates must be positive"),
+    ])
+    def test_refusal_names_first_bad_ordinate(self, ordinates, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            ZeroTable(np.array(ordinates))
+        # the loader only parses, so the refusal counts ordinates, not file lines
+        text = "# header\n\n" + "\n".join(repr(x) for x in ordinates) + "\n"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_zero_table(io.StringIO(text))
 
 
 class TestPhaseAverage:
@@ -377,6 +401,22 @@ class TestPlaneAverage:
             z = broadband_average_2d(f, sigma, zeros100, zeros100.t_covering(count))
             errs.append(averaging_errors(z, f)[0])
         assert errs[1] < errs[0]
+
+
+@pytest.mark.parametrize("make,tag", [(random_fourier_real, FOURIER_REAL),
+                                      (random_hermitian, GENERAL), (random_general, GENERAL)])
+@pytest.mark.parametrize("route", ["d_transform_2d", "counts", "per_zero"])
+def test_window_images_keep_only_the_fourier_real_tag(zeros100, rng, route, make, tag):
+    f = make(3, rng)
+    images = {
+        "d_transform_2d": lambda: [d_transform_2d(ZetaParams(3.0, 14.1).sequence(3), f)],
+        "counts": lambda: broadband_average_2d_counts(f, 3.0, zeros100, [5, 40]),
+        "per_zero": lambda: [broadband_average_2d_per_zero(f, 3.0, zeros100, 60.0)],
+    }[route]()
+    for z in images:
+        assert z.tag == tag
+        if tag == FOURIER_REAL:
+            assert fourier_real_deviation(z) <= 1e-13 * z.scale()
 
 
 class TestPerZeroBatching:
