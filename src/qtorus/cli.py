@@ -273,10 +273,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except QTorusError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QTorusError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -327,8 +327,9 @@ def evolve_steps(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
         return
 
     base_dt = cfg.t_end / n_steps  # uniform steps <= dt that land exactly on t_end
-    e_full = np.exp(base_dt * gen.rate)
-    e_half = np.exp((base_dt / 2.0) * gen.rate)
+    with np.errstate(over="ignore", invalid="ignore"):  # nan rates fail the first step's check
+        e_full = np.exp(base_dt * gen.rate)
+        e_half = np.exp((base_dt / 2.0) * gen.rate)
 
     for step in range(1, n_steps + 1):
         if gen.exact:

@@ -9,7 +9,9 @@ reader accepts any JSON whitespace and number spelling and rejects
 anything that is not a finite JSON number.
 
 PGM: both ASCII (P2) and binary (P5), maxval up to 65535; pixel v maps
-to f = v / maxval in [0, 1].
+to f = v / maxval in [0, 1].  The header fields (width, height, maxval)
+are separated by whitespace and by '#' comments that run to the end of
+the line.
 
 Outputs are written to a temp file in the target directory and renamed
 into place (`atomic_writer`, which also streams), so interrupted runs
@@ -188,26 +190,10 @@ class RunManifest:
                            (json.dumps(payload, sort_keys=True, default=str) + "\n").encode())
 
 
-def _read_pgm_tokens(blob: bytes, count: int, offset: int):
-    """Header tokens: whitespace-separated, '#' starts a comment to EOL."""
-    tokens = []
-    i = offset
-    while len(tokens) < count and i < len(blob):
-        c = blob[i:i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            j = blob.find(b"\n", i)
-            i = len(blob) if j < 0 else j + 1
-        else:
-            j = i
-            while j < len(blob) and not blob[j:j + 1].isspace() and blob[j:j + 1] != b"#":
-                j += 1
-            tokens.append(blob[i:j])
-            i = j
-    if len(tokens) < count:
-        raise FormatError("truncated PGM header")
-    return tokens, i
+# One header field after any whitespace and '#' comments.  A comment ends at its
+# newline or at the end of the file: unanchored, a failed match would backtrack
+# into the comment and read a field out of it.
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)")
 
 
 def read_pgm(path):
@@ -217,7 +203,13 @@ def read_pgm(path):
     if blob[:2] not in (b"P2", b"P5"):
         raise FormatError("not a PGM file (magic %r)" % blob[:2])
     binary = blob[:2] == b"P5"
-    tokens, pos = _read_pgm_tokens(blob, 3, 2)
+    tokens, pos = [], 2
+    for _ in range(3):
+        field = _PGM_FIELD.match(blob, pos)
+        if field is None:
+            raise FormatError("truncated PGM header")
+        tokens.append(field.group(1))
+        pos = field.end()
     if not all(t.isdigit() for t in tokens):  # bytes.isdigit is ASCII; int() takes "1_0"
         raise FormatError("malformed PGM header fields %r" % tokens)
     width, height, maxval = (int(t) for t in tokens)
@@ -263,20 +255,10 @@ def write_pgm(path, values: np.ndarray, maxval: int = 255, binary: bool = False)
 
 def center_fit(img: np.ndarray, side: int) -> np.ndarray:
     """Center-crop or zero-pad a 2D array to side x side."""
-    out = img
-    for axis in (0, 1):
-        size = out.shape[axis]
-        if size > side:
-            start = (size - side) // 2
-            sl = [slice(None), slice(None)]
-            sl[axis] = slice(start, start + side)
-            out = out[tuple(sl)]
-        elif size < side:
-            before = (side - size) // 2
-            pad = [(0, 0), (0, 0)]
-            pad[axis] = (before, side - size - before)
-            out = np.pad(out, pad)
-    return out
+    top, left = (max(size - side, 0) // 2 for size in img.shape)
+    out = img[top:top + side, left:left + side]
+    return np.pad(out, [((side - size) // 2, side - size - (side - size) // 2)
+                        for size in out.shape])
 
 
 def ingest_pgm(path, n: int) -> CoeffGrid:

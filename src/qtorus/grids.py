@@ -99,22 +99,18 @@ def hermitian_deviation(grid: CoeffGrid) -> float:
     return float(np.max(np.abs(w - np.conj(w.T))))
 
 
-def require_fourier_real(grid: CoeffGrid):
-    dev = fourier_real_deviation(grid)
+def _require_symmetry(grid: CoeffGrid, dev: float, name: str, error):
     if not dev <= SYMMETRY_RTOL * grid.scale():  # a NaN deviation fails too
-        raise SymmetryError(
-            "grid is not fourier-real: deviation %.3e exceeds %.1e * scale %.3e"
-            % (dev, SYMMETRY_RTOL, grid.scale())
-        )
+        raise error("grid is not %s: deviation %.3e exceeds %.1e * scale %.3e"
+                    % (name, dev, SYMMETRY_RTOL, grid.scale()))
+
+
+def require_fourier_real(grid: CoeffGrid):
+    _require_symmetry(grid, fourier_real_deviation(grid), FOURIER_REAL, SymmetryError)
 
 
 def require_hermitian(grid: CoeffGrid):
-    dev = hermitian_deviation(grid)
-    if not dev <= SYMMETRY_RTOL * grid.scale():  # a NaN deviation fails too
-        raise HermiticityError(
-            "grid is not hermitian: deviation %.3e exceeds %.1e * scale %.3e"
-            % (dev, SYMMETRY_RTOL, grid.scale())
-        )
+    _require_symmetry(grid, hermitian_deviation(grid), HERMITIAN, HermiticityError)
 
 
 @dataclass(eq=False)

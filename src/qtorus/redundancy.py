@@ -28,6 +28,7 @@ conj(M(x)) and M(0) = 1 exactly.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,29 +94,22 @@ def load_zero_table(source) -> ZeroTable:
 
     Lines are read one at a time and only parsed; ZeroTable checks the values.
     """
-    if hasattr(source, "read"):
-        lines = source
-        close = False
-    else:
-        lines = open(source, "r", encoding="utf-8")
-        close = True
+    opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8")
+    vals = []
     try:
-        vals = []
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                if not line.isascii() or "_" in line:  # float() takes "1_4.5" and "٢١" too
-                    raise ValueError(line)
-                vals.append(float(line))
-            except ValueError:
-                raise FormatError("line %d: not a decimal ordinate: %r" % (lineno, line))
+        with opened as lines:
+            for lineno, raw in enumerate(lines, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    if not line.isascii() or "_" in line:  # float() takes "1_4.5" and "٢١" too
+                        raise ValueError(line)
+                    vals.append(float(line))
+                except ValueError:
+                    raise FormatError("line %d: not a decimal ordinate: %r" % (lineno, line))
     except UnicodeDecodeError as exc:
         raise FormatError("zero table is not UTF-8 text: %s" % exc)
-    finally:
-        if close:
-            lines.close()
     return ZeroTable(np.array(vals))
 
 

@@ -28,8 +28,6 @@ from .grids import (
     HERMITIAN,
     CoeffGrid,
     SampleGrid,
-    index_range,
-    kl_mesh,
     require_fourier_real,
     require_hermitian,
 )
@@ -38,21 +36,21 @@ from .errors import DimensionError
 SQRT2 = np.sqrt(2.0)
 
 
+def _upper(n: int) -> np.ndarray:
+    """Mask of the entries above the diagonal, k < l."""
+    idx = np.arange(2 * n + 1)
+    return idx[:, None] < idx
+
+
 def s_map(z: CoeffGrid) -> CoeffGrid:
     """Rearrange a fourier-real grid into a Hermitian matrix."""
     require_fourier_real(z)
     n = z.n
     zd = z.data
-    k, l = kl_mesh(n)
-    w = np.where(k < l, zd, np.conj(zd.T))
-    diag = np.diagonal(zd).copy()
-    idx = index_range(n)
-    dvals = np.empty(2 * n + 1, dtype=np.complex128)
-    dvals[idx < 0] = SQRT2 * diag[idx < 0].imag
-    dvals[idx > 0] = SQRT2 * diag[idx > 0].real
-    dvals[n] = diag[n].real
-    rng = np.arange(2 * n + 1)
-    w[rng, rng] = dvals
+    w = np.where(_upper(n), zd, np.conj(zd.T))
+    d = np.diagonal(zd)
+    np.fill_diagonal(w, np.concatenate((SQRT2 * d[:n].imag, d[n:n + 1].real,
+                                        SQRT2 * d[n + 1:].real)))
     return CoeffGrid(n, w, HERMITIAN)
 
 
@@ -70,19 +68,11 @@ def s_inv(w: CoeffGrid) -> CoeffGrid:
     require_hermitian(w)
     n = w.n
     wd = w.data
-    k, l = kl_mesh(n)
-    z = np.where(k < l, wd, np.conj(wd[::-1, ::-1]))
-    diag = np.diagonal(wd).real.copy()  # hermitian: diagonal is real
-    rdiag = diag[::-1]  # value at the negated index
-    idx = index_range(n)
-    dvals = np.empty(2 * n + 1, dtype=np.complex128)
-    neg = idx < 0
-    pos = idx > 0
-    dvals[neg] = (rdiag[neg] + 1j * diag[neg]) / SQRT2
-    dvals[pos] = (diag[pos] - 1j * rdiag[pos]) / SQRT2
-    dvals[n] = diag[n]
-    rng = np.arange(2 * n + 1)
-    z[rng, rng] = dvals
+    z = np.where(_upper(n), wd, np.conj(wd[::-1, ::-1]))
+    d = np.diagonal(wd).real  # hermitian: diagonal is real
+    r = d[::-1]  # value at the negated index
+    np.fill_diagonal(z, np.concatenate(((r[:n] + 1j * d[:n]) / SQRT2, d[n:n + 1],
+                                        (d[n + 1:] - 1j * r[n + 1:]) / SQRT2)))
     return CoeffGrid(n, z, FOURIER_REAL)
 
 

@@ -368,3 +368,13 @@ def test_zeta_sequence_values():
 def test_sequences_too_short_rejected():
     with pytest.raises(DimensionError):
         ArithmeticSeq(np.array([1.0]))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: apply_D(ZetaParams(3.0, 0.0).sequence(4), np.zeros(4)), DimensionError,
+     "must be odd"),
+    (lambda: dirichlet_inverse(np.ones(1)), DomainError, "at least the coefficient at 1"),
+], ids=["apply-even-length", "inverse-of-length-1"])
+def test_malformed_operands_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

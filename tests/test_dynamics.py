@@ -307,6 +307,33 @@ class TestDiagonalLindblad:
 
 
 class TestGeneralDissipator:
+    @pytest.mark.parametrize("make", [
+        lambda rng: LindbladSet(lam=np.ones(4)),
+        lambda rng: LindbladSet(c=random_hermitian(2, rng), ls=[random_general(3, rng)]),
+    ], ids=["even-lambda", "mixed-band-limits"])
+    def test_bad_sizes_rejected(self, rng, make):
+        with pytest.raises(DimensionError):
+            make(rng)
+
+    @pytest.mark.parametrize("picture, sign", [("heisenberg", 1), ("schrodinger", -1)])
+    @pytest.mark.parametrize("with_lambda", [False, True])
+    def test_without_c_or_l_the_rhs_is_the_entrywise_rate(self, rng, picture, sign,
+                                                          with_lambda):
+        n = 3
+        data = random_general(n, rng).data.copy()
+        data[:, 2] = -0.0  # -0.0 products that the zero remainder turns into +0.0
+        a = CoeffGrid(n, data)
+        h = HarmonicSpec(a=1.5, b=0.25)
+        lset = LindbladSet(lam=linear_lambda(0.7, n)) if with_lambda else None
+        rate = (sign * 1j) * h.gaps(n)
+        if with_lambda:
+            phi = lset.phi_matrix()
+            rate = rate + (phi if sign > 0 else np.conj(phi))
+        assert np.signbit((rate * data).view(np.float64)[:, 4:6]).any()
+        got = lindblad_rhs(a, h, lset, picture=picture).data
+        assert got.tobytes() == (rate * data + 0.0).tobytes()
+        assert not np.signbit(got.view(np.float64)[:, 4:6]).any()
+
     def test_identity_is_fixed(self, rng):
         n = 4
         eye = CoeffGrid(n, np.eye(2 * n + 1, dtype=complex))

@@ -715,7 +715,7 @@ class TestCliEvolve:
         assert trace.read_text().split("\n")[1] == "0.0,1.0,1.0,1.0"
         # from n = 2 on, inf - inf leaves nan rates; the first step meets them and is refused
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             assert run(argv + ["--t", "0.01"]) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf

@@ -40,7 +40,7 @@ from qtorus import (
 )
 from qtorus import dirichlet, redundancy
 from qtorus.cli import run
-from qtorus.errors import DomainError, EmptyRangeError, FormatError
+from qtorus.errors import DimensionError, DomainError, EmptyRangeError, FormatError
 
 from conftest import DATA
 from helpers import (
@@ -272,6 +272,11 @@ class TestAxisAverage:
         with pytest.raises(DomainError):
             broadband_average_1d(np.zeros(5, dtype=complex), 1.0, zeros100, 100.0)
 
+    @pytest.mark.parametrize("shape", [(4,), (3, 3)], ids=["even-length", "2-d"])
+    def test_rejects_a_vector_not_of_odd_length(self, zeros100, shape):
+        with pytest.raises(DimensionError, match="odd length"):
+            broadband_average_1d(np.zeros(shape, dtype=complex), 3.0, zeros100, 100.0)
+
 
 class TestNonFiniteSigma:
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
@@ -473,3 +478,26 @@ def test_sweep_script_prints_one_row_per_cell():
     assert [(r[0], float(r[1]), int(r[2])) for r in rows] == [
         ("random4", s, c) for s in (2.0, 3.0) for c in (1, 10, 100)]
     assert all(math.isfinite(float(v)) for r in rows for v in r[3:])
+
+
+def test_zero_table_script_writes_validates_and_resumes(tmp_path):
+    pytest.importorskip("mpmath")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = tmp_path / "zeros.txt"
+
+    def generate(*flags):
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "generate_zero_table.py"),
+             "--out", str(out), *flags], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert "validated first 5 entries, 0 failures" in generate("--count", "5", "--validate", "5")
+    first = out.read_text()
+    generate("--count", "7")
+    assert out.read_text().startswith(first)  # the 5 entries stay; 2 are appended
+    table = load_zero_table(out)
+    assert table.count == 7
+    shipped = load_zero_table(DATA / "zeta_zeros_100.txt")
+    assert table.ordinates[:5].tobytes() == shipped.ordinates[:5].tobytes()
+    assert np.all(np.diff(table.ordinates) > 0)

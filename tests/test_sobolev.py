@@ -50,6 +50,14 @@ def test_squares_out_of_range_still_give_the_norm(value, alpha):
     assert_allclose(norm(g, SobolevWeight(alpha)), expected, rtol=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value, expected", [(np.inf, np.inf), (complex(1.0, np.nan), np.nan)])
+def test_non_finite_entries_give_a_non_finite_norm(value, expected):
+    # the sum is not finite, so the rescaled sum is tried and handed back unchanged
+    g = single_entry(2, 1, -1, value)
+    assert_allclose(norm(g, SobolevWeight(1.0)), expected)
+
+
 def test_ordinary_norms_keep_the_plain_sum_bits(rng):
     for alpha in (0.0, 0.5, 1.0, 2.0):
         for scale in (1e-150, 1e-3, 1.0, 1e150):

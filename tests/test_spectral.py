@@ -116,6 +116,18 @@ def test_s_inv_rejects_non_hermitian(rng):
         s_inv(bad)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: CoeffGrid(-1, np.zeros((1, 1))), "band limit must be non-negative"),
+    (lambda: CoeffGrid(1, np.zeros((3, 3)), "symmetric"), "unknown grid tag"),
+    (lambda: CoeffGrid(1, np.zeros((3, 4))), r"needs shape \(3, 3\)"),
+    (lambda: CoeffGrid(1, np.zeros((3, 3))).entry(2, 0), "outside band limit 1"),
+    (lambda: SampleGrid(3, np.zeros((3, 2))), r"needs shape \(3, 3\)"),
+], ids=["negative-n", "unknown-tag", "coeff-shape", "entry-outside-band", "sample-shape"])
+def test_grid_containers_refuse_bad_shapes(make, match):
+    with pytest.raises(DimensionError, match=match):
+        make()
+
+
 class TestIsometry:
     """Weighted l2 content is preserved for every radial weight."""
 
