@@ -2,17 +2,48 @@
 
 Writes one positive decimal ordinate per line, strictly increasing,
 with '#' comment lines, matching the format read by qtorus.load_zero_table.
-Resumable: re-running with the same --out appends after the last line written.
+Resumable: re-running with the same --out appends after the last line written
+and rewrites the header's count.  A resume with a --dps other than the one
+the header records is refused with exit code 2, so one table never mixes
+working precisions.
 
 Requires mpmath (not a runtime dependency of the package itself).
 """
 
 import argparse
 import os
+import re
 import sys
 import time
 
 import mpmath as mp
+
+COUNT_LINE = ("# imaginary parts of the first %d nontrivial zeros "
+              "of the Riemann zeta function\n")
+DPS_LINE = "# computed with mpmath.zetazero, %d decimal digits working precision\n"
+COUNT_RE = re.compile(re.escape(COUNT_LINE).replace("%d", "[0-9]+"))
+DPS_RE = re.compile(re.escape(DPS_LINE).replace("%d", "([0-9]+)"))
+
+
+def recorded_dps(path):
+    """The working precision the header records, or None without such a line."""
+    with open(path) as fh:
+        for line in fh:
+            match = DPS_RE.fullmatch(line)
+            if match:
+                return int(match.group(1))
+    return None
+
+
+def rewrite_count(path, count):
+    """Replace the header's count line, through a temporary file and a rename."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    lines = [COUNT_LINE % count if COUNT_RE.fullmatch(line) else line for line in lines]
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.writelines(lines)
+    os.replace(tmp, path)
 
 
 def existing_count(path):
@@ -40,16 +71,20 @@ def main():
 
     mp.mp.dps = args.dps
     start = existing_count(args.out) + 1
+    if start > 1:
+        dps = recorded_dps(args.out)
+        if dps is not None and dps != args.dps:
+            sys.stderr.write("%s was computed at --dps %d; resuming at --dps %d would "
+                             "mix precisions\n" % (args.out, dps, args.dps))
+            sys.exit(2)
     if start > args.count:
         print("table already has %d entries" % (start - 1))
     else:
         mode = "a" if start > 1 else "w"
         with open(args.out, mode) as fh:
             if mode == "w":
-                fh.write("# imaginary parts of the first %d nontrivial zeros "
-                         "of the Riemann zeta function\n" % args.count)
-                fh.write("# computed with mpmath.zetazero, %d decimal digits "
-                         "working precision\n" % args.dps)
+                fh.write(COUNT_LINE % args.count)
+                fh.write(DPS_LINE % args.dps)
             t0 = time.time()
             for n in range(start, args.count + 1):
                 tau = mp.zetazero(n).imag
@@ -60,6 +95,8 @@ def main():
                     rate = (n - start + 1) / (time.time() - t0)
                     sys.stderr.write("  %d/%d (%.1f zeros/s)\n"
                                      % (n, args.count, rate))
+        if mode == "a":
+            rewrite_count(args.out, args.count)
         print("wrote %s" % args.out)
 
     if args.validate:

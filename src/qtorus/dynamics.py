@@ -38,10 +38,23 @@ length.  `evolve_rk4` collects its records into TrajectoryPoint grids.
 
 `lindblad_rhs` and `evolve_steps` both build R and N once, as one
 `_Generator`.  The L_j are stacked, so the first term of N is two matrix
-products for any number of operators.  N returns zeros without C and L_j;
-the generator's `exact` flag then sends `evolve_steps` down the exact
-path.  A rate or an M that overflows is left to the per-step finiteness
-check, without a warning at construction.
+products for any number of operators, and N on any grid is four.  On a
+Hermitian A each L_j term is Hermitian and (M A)^+ = A M^+, so
+
+    N(A) = Y + Y^+,   Y = M A + 1/2 sum_j L_j^+ A L_j
+
+(L_j and L_j^+ swapped in the Schroedinger picture).  That is three
+products: M stacked over the L_j^+ times A, then the stacked halved L_j.
+The output is Hermitian bitwise.  `evolve_steps` takes this body when
+a0's data equals its conjugate transpose exactly (as `q_transform` output
+does).  With a real lambda every stage input then stays Hermitian
+bitwise, since exp(h R)^T equals conj(exp(h R)) entry for entry; a complex
+lambda can leave phi[l,k] and conj(phi[k,l]) a rounding apart, and the
+records drift from Hermitian by round-off.  Other grids and `lindblad_rhs`
+take the four-product body.  N returns zeros without C and L_j; the
+generator's `exact` flag then sends `evolve_steps` down the exact path.
+A rate or an M that overflows is left to the per-step finiteness check,
+without a warning at construction.
 """
 from __future__ import annotations
 
@@ -221,8 +234,10 @@ class _Generator:
     """The generator A -> R .* A + N(A) of one run, on raw data.
 
     Checks the operator set's band limit against n and the picture name, and
-    holds the largest phase gap, R, N and whether N vanishes; a call of N
-    costs two products with M and two with the stacked L_j.
+    holds the largest phase gap, R, N and whether N vanishes.  `remainder`
+    takes any grid and costs two products with M and two with the stacked
+    L_j; `hermitian_remainder` takes a Hermitian grid and costs one product
+    with M stacked over the left_j and one with the stacked right_j.
     """
 
     def __init__(self, h: HarmonicSpec, lset: Optional[LindbladSet], n: int, picture: str):
@@ -254,6 +269,9 @@ class _Generator:
         self.exact = self.m is None  # no C, no L_j: N vanishes and exp(h R) steps exactly
         if not self.exact:
             self.m_h = np.conj(self.m.T)
+            # the Hermitian body's factors: M over the left_j, and the right_j halved
+            self.m_left = self.m if self.left is None else np.concatenate([self.m, self.left])
+            self.half_right = None if self.right is None else 0.5 * self.right
 
     def remainder(self, ad: np.ndarray) -> np.ndarray:
         """N on raw data; zeros on an exact run."""
@@ -269,6 +287,21 @@ class _Generator:
             z = (self.left @ ad).reshape(-1, side, side).transpose(1, 0, 2)
             out += z.reshape(side, -1) @ self.right
         return out
+
+    def hermitian_remainder(self, ad: np.ndarray) -> np.ndarray:
+        """N on Hermitian raw data as Y + Y^+, Y = M A + 1/2 sum_j left_j A right_j.
+
+        For Hermitian A, (M A)^+ = A M^+ and each left_j A right_j is
+        Hermitian, so Y + Y^+ is N; the output is Hermitian bitwise.  Not for
+        an exact run.
+        """
+        side = ad.shape[0]
+        p = self.m_left @ ad  # M A on top of the left_j A
+        y = p[:side]
+        if self.half_right is not None:
+            z = p[side:].reshape(-1, side, side).transpose(1, 0, 2)
+            y += z.reshape(side, -1) @ self.half_right
+        return y + np.conj(y.T)
 
 
 def lindblad_rhs(a: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet] = None,
@@ -319,6 +352,9 @@ def evolve_steps(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
         raise DomainError("t_end=%g over dt=%g is %.3g steps, more than the %d allowed"
                           % (cfg.t_end, dt, n_steps, MAX_STEPS))
 
+    # the flow keeps a Hermitian a0 Hermitian; checked on the data, not the tag
+    remainder = (gen.hermitian_remainder if np.array_equal(a0.data, np.conj(a0.data.T))
+                 else gen.remainder)
     wgt = SobolevWeight(cfg.alpha).weights(n)
     a = np.array(a0.data)
     a.setflags(write=False)
@@ -336,10 +372,10 @@ def evolve_steps(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
             a = e_full * a
         else:
             ea = e_full * a
-            k1 = gen.remainder(a)
-            k2 = gen.remainder(e_half * (a + (base_dt / 2.0) * k1))
-            k3 = gen.remainder(e_half * a + (base_dt / 2.0) * k2)
-            k4 = gen.remainder(ea + base_dt * (e_half * k3))
+            k1 = remainder(a)
+            k2 = remainder(e_half * (a + (base_dt / 2.0) * k1))
+            k3 = remainder(e_half * a + (base_dt / 2.0) * k2)
+            k4 = remainder(ea + base_dt * (e_half * k3))
             a = ea + (base_dt / 6.0) * (e_full * k1 + 2.0 * (e_half * (k2 + k3)) + k4)
         t = step * base_dt
         if not np.all(np.isfinite(a)):

@@ -394,6 +394,20 @@ class TestGeneralDissipator:
                                + np.max(np.abs(lset.phi_matrix())))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("picture,sign", [("heisenberg", 1.0), ("schrodinger", -1.0)])
+    @pytest.mark.parametrize("n_ls", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 3, 8])
+    def test_hermitian_body_matches_term_by_term_reference(self, rng, n, n_ls, picture, sign):
+        a = random_hermitian(n, rng)
+        lset = LindbladSet(c=random_hermitian(n, rng, scale=0.7),
+                           ls=[random_general(n, rng, scale=0.4) for _ in range(n_ls)])
+        got = _Generator(HarmonicSpec(a=1.3), lset, n, picture).hermitian_remainder(a.data)
+        want = reference_remainder_rhs(a.data, lset, sign)
+        fro = np.linalg.norm
+        scale = fro(a.data) * (2 * fro(lset.c.data) + 2 * sum(fro(l.data) ** 2 for l in lset.ls))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert np.array_equal(got, np.conj(got.T))
+
     def test_phi_matrix_built_once_per_run(self, rng, monkeypatch):
         calls = []
         phi_matrix = LindbladSet.phi_matrix
@@ -415,12 +429,45 @@ class TestGeneralDissipator:
             raise AssertionError("remainder called on a lambda-only run")
 
         monkeypatch.setattr(_Generator, "remainder", refuse)
+        monkeypatch.setattr(_Generator, "hermitian_remainder", refuse)
         n = 3
         lset = LindbladSet(lam=linear_lambda(0.5, n))
         for picture in ("heisenberg", "schrodinger"):
-            pts = evolve_rk4(random_hermitian(n, rng), HarmonicSpec(a=1.0), lset,
-                             EvolveConfig(0.01, dt=1e-3), picture)
-            assert len(pts) == 11
+            for a0 in (random_hermitian(n, rng), random_general(n, rng)):
+                pts = evolve_rk4(a0, HarmonicSpec(a=1.0), lset,
+                                 EvolveConfig(0.01, dt=1e-3), picture)
+                assert len(pts) == 11
+
+    @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    def test_stepper_picks_the_body_from_the_data(self, rng, monkeypatch, n, picture):
+        calls = []
+        for name in ("remainder", "hermitian_remainder"):
+            def counted(self, ad, body=getattr(_Generator, name), name=name):
+                calls.append(name)
+                return body(self, ad)
+
+            monkeypatch.setattr(_Generator, name, counted)
+        lset = LindbladSet(c=random_hermitian(n, rng, scale=0.4),
+                           ls=[random_general(n, rng, scale=0.3),
+                               random_general(n, rng, scale=0.2)],
+                           lam=linear_lambda(0.5, n))
+        h, cfg = HarmonicSpec(a=1.3, b=0.2), EvolveConfig(0.01, dt=1e-3)
+        herm = random_hermitian(n, rng)
+        # bitwise Hermitian data takes the Hermitian body whatever the tag, and
+        # every record stays bitwise Hermitian
+        for a0 in (herm, CoeffGrid(n, herm.data)):
+            calls.clear()
+            pts = evolve_rk4(a0, h, lset, cfg, picture)
+            assert calls == ["hermitian_remainder"] * 40
+            assert all(np.array_equal(p.grid.data, np.conj(p.grid.data.T)) for p in pts)
+        # a general grid, or a Hermitian-tagged one off by an ulp, takes the general body
+        nudged = herm.data.copy()
+        nudged[0, -1] = np.nextafter(nudged[0, -1].real, np.inf) + 1j * nudged[0, -1].imag
+        for a0 in (random_general(n, rng), CoeffGrid(n, nudged, herm.tag)):
+            calls.clear()
+            evolve_rk4(a0, h, lset, cfg, picture)
+            assert calls == ["remainder"] * 40
 
     def test_sets_compare_by_identity(self):
         one = LindbladSet(lam=linear_lambda(0.5, 2))

@@ -35,6 +35,7 @@ from qtorus import (
     linear_lambda,
     load_zero_table,
     norm,
+    q_inverse,
     q_transform,
     read_grid,
     read_pgm,
@@ -45,6 +46,7 @@ from qtorus import (
     write_grid,
     write_pgm,
 )
+from qtorus import cli
 from qtorus.cli import run
 from qtorus.errors import FormatError, HermiticityError, SymmetryError
 from qtorus.gridio import atomic_write_bytes
@@ -53,6 +55,7 @@ from conftest import DATA
 from helpers import (
     random_fourier_real,
     random_general,
+    random_hermitian,
     reference_grid_to_json,
     symmetrize_fourier_real,
 )
@@ -588,6 +591,26 @@ class TestCliEvolve:
         for r in rows:
             assert r[1] <= r[2] * (1 + 1e-12)
             assert r[1] <= r[3] * (1 + 1e-12)
+
+    def test_dropped_imaginary_field_is_exactly_zero(self, tmp_path, field_file, rng,
+                                                    monkeypatch):
+        n = read_grid(field_file).n
+        compact, lind = str(tmp_path / "c.json"), str(tmp_path / "l.json")
+        write_grid(compact, random_hermitian(n, rng, scale=0.4))
+        write_grid(lind, random_general(n, rng, scale=0.3))
+        dropped = []
+
+        def keep_imaginary(c):
+            real, imag = q_inverse(c)
+            dropped.append(imag.data)
+            return real, imag
+
+        monkeypatch.setattr(cli, "q_inverse", keep_imaginary)
+        assert run(["evolve", "--field", field_file, "--a", "0.7", "--lambda", "linear:0.5",
+                    "--compact", compact, "--lindblad", lind, "--t", "0.05",
+                    "--out", str(tmp_path / "ev.json"), "--trace", str(tmp_path / "tr.csv")]) == 0
+        assert len(dropped) == 1
+        assert np.array_equal(dropped[0], np.zeros_like(dropped[0]))
 
     def test_evolved_field_stays_real(self, tmp_path, field_file):
         out = str(tmp_path / "ev.json")

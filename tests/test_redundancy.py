@@ -495,9 +495,34 @@ def test_zero_table_script_writes_validates_and_resumes(tmp_path):
     assert "validated first 5 entries, 0 failures" in generate("--count", "5", "--validate", "5")
     first = out.read_text()
     generate("--count", "7")
-    assert out.read_text().startswith(first)  # the 5 entries stay; 2 are appended
+    # the 5 entries stay and 2 are appended; only the header's count changes
+    assert out.read_text().replace("first 7 ", "first 5 ", 1).startswith(first)
     table = load_zero_table(out)
     assert table.count == 7
     shipped = load_zero_table(DATA / "zeta_zeros_100.txt")
     assert table.ordinates[:5].tobytes() == shipped.ordinates[:5].tobytes()
     assert np.all(np.diff(table.ordinates) > 0)
+
+
+def test_zero_table_resume_rewrites_the_count_and_keeps_the_precision(tmp_path):
+    pytest.importorskip("mpmath")
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "generate_zero_table.py"
+    out = tmp_path / "zeros.txt"
+
+    def generate(*flags):
+        return subprocess.run([sys.executable, str(script), "--out", str(out), *flags],
+                              capture_output=True, text=True, timeout=120)
+
+    assert generate("--count", "3").returncode == 0
+    assert generate("--count", "5").returncode == 0
+    header = out.read_text().splitlines()[:2]
+    assert header == [
+        "# imaginary parts of the first 5 nontrivial zeros of the Riemann zeta function",
+        "# computed with mpmath.zetazero, 20 decimal digits working precision"]
+    assert load_zero_table(out).count == 5
+    written = out.read_bytes()
+    proc = generate("--count", "7", "--dps", "30")
+    assert proc.returncode == 2
+    assert "--dps 20" in proc.stderr and "--dps 30" in proc.stderr
+    assert out.read_bytes() == written
+    assert os.listdir(tmp_path) == ["zeros.txt"]

@@ -83,8 +83,16 @@ def test_s_map_matches_entrywise_rules(n, seed):
 @given(n=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_s_map_output_hermitian(n, seed):
-    z = random_fourier_real(n, np.random.default_rng(seed))
-    assert hermitian_deviation(s_map(z)) < 1e-13
+    # bitwise, since `evolve_steps` takes its Hermitian body only on exactly
+    # Hermitian data, and `qtorus evolve` steps q_transform output
+    rng = np.random.default_rng(seed)
+    z = random_fourier_real(n, rng)
+    # a point symmetry off by round-off still passes the fourier-real check
+    noisy = CoeffGrid(n, z.data * (1.0 + 1e-15 * rng.standard_normal(z.data.shape)),
+                      FOURIER_REAL)
+    for f in (z, noisy):
+        w = q_transform(f).data
+        assert np.array_equal(w, np.conj(w.T))
 
 
 @given(n=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
