@@ -55,18 +55,21 @@ def _divisor_lists(lmax: int):
 
 @lru_cache(maxsize=16)
 def _window_terms(n: int):
-    """Every entry of the window operator at band limit n: (row, col, d, sgn, mu).
+    """Every entry of the window operator at band limit n: (row, col, d, sgn, mu, flat).
 
     Term j is the divisor d of k = row[j] - n, at column k / d = col[j] - n;
-    sgn[j] is the sign of k (the negative cone takes conj(a_d)) and
-    mu[j] = mu(d).  Terms run over k = -N..N, then ascending d; k = 0 has
-    the single term (0, 0) with d = 1.  Each entry is hit once.
+    sgn[j] is the sign of k (the negative cone takes conj(a_d)),
+    mu[j] = mu(d) and flat[j] = row[j] * (2n+1) + col[j] is the entry's
+    position in the flattened matrix.  Terms run over k = -N..N, then
+    ascending d; k = 0 has the single term (0, 0) with d = 1.  Each entry
+    is hit once.
     """
     divs = _divisor_lists(n)
     pairs = [(k, d) for k in range(-n, n + 1) for d in (divs[abs(k)] if k else [1])]
     k, d = np.array(pairs, dtype=np.int64).T.copy()
-    terms = (k + n, k // d + n, d, np.sign(k),
-             np.array([moebius(j) for j in d.tolist()], dtype=np.int8))
+    row, col = k + n, k // d + n
+    terms = (row, col, d, np.sign(k),
+             np.array([moebius(j) for j in d.tolist()], dtype=np.int8), row * (2 * n + 1) + col)
     for a in terms:
         a.setflags(write=False)
     return terms
@@ -207,13 +210,14 @@ def d_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
         raise DimensionError(
             "sequence only reaches %d but band limit is %d" % (lmax, n)
         )
-    row, col, d, _, _ = _window_terms(n)
+    _, _, d, _, _, flat = _window_terms(n)
     neg, pos = slice(0, d.size // 2), slice(d.size // 2 + 1, None)  # k = 0 sits between
-    mat = np.zeros(coeffs.shape[:-1] + (2 * n + 1,) * 2, dtype=np.complex128)
-    mat[..., row[pos], col[pos]] = coeffs[..., d[pos]]
-    mat[..., row[neg], col[neg]] = np.conj(coeffs[..., d[neg]])
-    mat[..., n, n] = 1.0
-    return mat
+    m = 2 * n + 1
+    mat = np.zeros(coeffs.shape[:-1] + (m * m,), dtype=np.complex128)
+    mat[..., flat[pos]] = coeffs[..., d[pos]]
+    mat[..., flat[neg]] = np.conj(coeffs[..., d[neg]])
+    mat[..., n * m + n] = 1.0
+    return mat.reshape(coeffs.shape[:-1] + (m, m))
 
 
 def d_transform_2d(seq: ArithmeticSeq, fhat: CoeffGrid) -> CoeffGrid:

@@ -47,10 +47,9 @@ Hermitian A each L_j term is Hermitian and (M A)^+ = A M^+, so
 products: M stacked over the L_j^+ times A, then the stacked halved L_j.
 The output is Hermitian bitwise.  `evolve_steps` takes this body when
 a0's data equals its conjugate transpose exactly (as `q_transform` output
-does).  With a real lambda every stage input then stays Hermitian
-bitwise, since exp(h R)^T equals conj(exp(h R)) entry for entry; a complex
-lambda can leave phi[l,k] and conj(phi[k,l]) a rounding apart, and the
-records drift from Hermitian by round-off.  Other grids and `lindblad_rhs`
+does).  Every stage input then stays Hermitian bitwise: phi is Hermitian
+bitwise (a complex lambda's phi mirrors its upper triangle), so exp(h R)^T
+equals conj(exp(h R)) entry for entry.  Other grids and `lindblad_rhs`
 take the four-product body.  N returns zeros without C and L_j; the
 generator's `exact` flag then sends `evolve_steps` down the exact path.
 A rate or an M that overflows is left to the per-step finiteness check,
@@ -165,6 +164,13 @@ class LindbladSet:
         lam = self.lam
         a2 = np.abs(lam) ** 2
         phi = np.conj(lam)[:, None] * lam[None, :] - 0.5 * (a2[:, None] + a2[None, :])
+        if lam.imag.any():
+            # complex products round conj(lam_k) lam_l and conj(lam_l) lam_k
+            # apart; mirror the upper triangle so phi is Hermitian bitwise.  A
+            # real lam is already symmetric, and mirroring would only flip the
+            # signs of its zero imaginary parts
+            low = np.tril_indices(lam.size, -1)
+            phi[low] = np.conj(phi.T[low])
         np.fill_diagonal(phi, 0.0)  # exactly zero in exact arithmetic; keep it so
         return phi
 

@@ -23,6 +23,14 @@ first c ordinates therefore depends on c alone, not on which other
 counts or arguments share the pass, and one pass over the table serves
 every count.  Only distinct arguments x > 0 are evaluated: M(-x) =
 conj(M(x)) and M(0) = 1 exactly.
+
+The direct route's arguments are all logs of rationals num/den, and
+d -> d^-i tau is completely multiplicative (the Euler product of zeta),
+so it takes sin and cos only of the prime logs: every other integer's
+phase is a smaller integer's phase times a prime phase (_EulerTree), and
+a ratio's phase is num's phase times the conjugate of den's.
+phase_average, c_d and broadband_average_1d take arbitrary real x and
+keep sin and cos; so does the per-zero route, which stays the oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +51,7 @@ from .summation import KahanAccumulator
 
 BLOCK = 256  # ordinates per pairwise block of a phase average
 SUB_BATCH = 8  # ordinates per stacked matrix product of the per-zero route
+PAIR_CHUNK = 16  # ratio rows per product of the Euler route
 
 
 @dataclass(eq=False)
@@ -210,25 +220,143 @@ def broadband_average_1d(fhat: np.ndarray, sigma: float, zeros: ZeroTable,
     if fhat.ndim != 1 or fhat.size % 2 != 1:
         raise DimensionError("coefficient vector must have odd length 2N+1")
     taus = zeros.upto(t)
-    pos, src, dd, sgn, mu = _inverse_terms((fhat.size - 1) // 2)
+    pos, src, dd, sgn, mu, _ = _inverse_terms((fhat.size - 1) // 2)
     m = _phase_means(taus, sgn * np.log(dd), [taus.size])[0]  # M(0) = 1 at d = 1
     terms = m * (mu * dd.astype(np.float64) ** (-float(sigma))) * fhat[src]
     return _sum_by_index(pos, terms, fhat.size)
+
+
+class _EulerTree(NamedTuple):
+    """Integer rows k^-i tau of the direct route, each a parent row times a prime row.
+
+    Row 0 is the integer 1 and rows 1..P the primes, whose logs are logp.
+    Every other row k is row parent = k / spf(k) times row prime = spf(k),
+    spf the smallest prime factor; rows ascend in Omega(k), the number of
+    prime factors with multiplicity, then in k, and levels holds the row
+    range of each Omega >= 2, so a level is filled after its parents.
+    Ratio row j is the reduced ratio ints[hi[j]] / ints[lo[j]], numerator
+    above denominator above 1.  A block's sums are those of the integer
+    rows, then of row hi[j] times the conjugate of row lo[j] for each j.
+    Signed ratio u = num[u] / den[u] of the plan is entry which[u] of
+    those sums, conjugated where sign[u] < 0; where sign[u] == 0
+    (num == den) its mean is exactly 1.
+    """
+
+    num: np.ndarray
+    den: np.ndarray
+    ints: np.ndarray
+    parent: np.ndarray
+    prime: np.ndarray
+    logp: np.ndarray
+    levels: tuple
+    hi: np.ndarray
+    lo: np.ndarray
+    which: np.ndarray
+    sign: np.ndarray
+
+
+def _euler_tree(num: np.ndarray, den: np.ndarray) -> _EulerTree:
+    """The Euler tree of the gcd-reduced ratios num/den, built with array ops."""
+    hi = np.maximum(num, den)
+    lo = np.minimum(num, den)
+    top = int(hi.max())
+    spf = np.arange(top + 1)
+    for p in range(2, math.isqrt(top) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p::p]
+            np.minimum(multiples, p, out=multiples)
+    need = np.zeros(top + 1, dtype=bool)
+    need[hi] = need[lo] = need[1] = True
+    while True:  # close the set under k -> k / spf(k)
+        ints = np.flatnonzero(need)
+        parents = ints // spf[ints]
+        if need[parents].all():
+            break
+        need[parents] = True
+    omega = np.zeros(ints.size, dtype=np.int64)
+    rest = ints.copy()
+    while (rest > 1).any():
+        omega += rest > 1
+        rest //= spf[rest]
+    order = np.lexsort((ints, omega))
+    ints, omega = ints[order], omega[order]
+    row = np.zeros(top + 1, dtype=np.intp)
+    row[ints] = np.arange(ints.size)
+    bounds = np.searchsorted(omega, np.arange(2, omega.max() + 2)).tolist()
+    pairs = lo > 1
+    packed, inv = np.unique(hi[pairs] * (top + 1) + lo[pairs], return_inverse=True)
+    which = row[hi]  # lo == 1: the integer row of num or den, row 0 when both are 1
+    which[pairs] = ints.size + inv
+    tree = _EulerTree(
+        num=num, den=den, ints=ints,
+        parent=row[ints // spf[ints]], prime=row[spf[ints]],
+        logp=np.log(ints[omega == 1].astype(np.float64)),
+        levels=tuple(zip(bounds[:-1], bounds[1:])),
+        hi=row[packed // (top + 1)], lo=row[packed % (top + 1)],
+        which=which, sign=np.sign(num - den).astype(np.int8),
+    )
+    for a in tree:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return tree
+
+
+def _euler_means(tree: _EulerTree, taus: np.ndarray, counts) -> list:
+    """M(log(num/den)) over the first c ordinates for each signed ratio of
+    the tree, for each c in counts; summed in _block_folds' blocks.
+
+    Per block, sin and cos are taken of the prime logs only; each level
+    of integer rows is one gather of parent rows times the gathered prime
+    rows, and the ratio rows are summed PAIR_CHUNK at a time, all by
+    pairwise np.sum along the contiguous tau axis.  The integer rows live
+    in one buffer for the whole call.
+    """
+    rows = np.empty((tree.ints.size, BLOCK), dtype=np.complex128)
+    rows[0] = 1.0
+    primes = slice(1, tree.logp.size + 1)
+    size = tree.ints.size + tree.hi.size
+
+    def block_sum(start, stop):
+        phase = rows[:, :stop - start]
+        arg = np.multiply.outer(tree.logp, taus[start:stop])
+        phase[primes].real = np.cos(arg)
+        phase[primes].imag = -np.sin(arg, out=arg)
+        for a, b in tree.levels:
+            np.multiply(phase[tree.parent[a:b]], phase[tree.prime[a:b]], out=phase[a:b])
+        out = np.empty(size, dtype=np.complex128)
+        out[:tree.ints.size] = np.sum(phase, axis=1)
+        for j in range(0, tree.hi.size, PAIR_CHUNK):
+            pair = phase[tree.hi[j:j + PAIR_CHUNK]]
+            den = phase[tree.lo[j:j + PAIR_CHUNK]]
+            pair *= np.conjugate(den, out=den)
+            at = tree.ints.size + j
+            out[at:at + pair.shape[0]] = np.sum(pair, axis=1)
+        return out
+
+    sums = _block_folds(counts, (size,), block_sum)
+    means = []
+    for c in counts:
+        m = sums[c][tree.which] / c
+        m = np.where(tree.sign < 0, np.conj(m), m)
+        m[tree.sign == 0] = 1.0
+        means.append(m)
+    return means
 
 
 @lru_cache(maxsize=16)
 def _direct_plan(n: int):
     """Divisor-pair terms of the direct route at band limit n.
 
-    Returns (out, src, key, mu, dr, xs).  Term j adds
-    mu[j] * dr[j]^-sigma * M(xs[key[j]]) * fhat.flat[src[j]] to the flat
-    output entry out[j]; mu = mu(d) mu(r), dr = d r, and xs holds
-    log(num) - log(den) of each distinct gcd-reduced ratio
-    num/den = d^sgn(k) r^sgn(l).  Terms are outer products of the one-axis
-    expansion of B, so they run over k, d, l, r in that nesting order and
-    each output sums ascending in d, then r.
+    Returns (out, src, key, mu, dr, tree).  Term j adds
+    mu[j] * dr[j]^-sigma * M(log(num/den)) * fhat.flat[src[j]] to the flat
+    output entry out[j], where num/den = d^sgn(k) r^sgn(l), gcd-reduced, is
+    signed ratio key[j] of the Euler tree; mu = mu(d) mu(r) and dr = d r.
+    Phases come from the tree's prime phases, not from sin and cos of each
+    log(num/den).  Terms are outer products of the one-axis expansion of
+    B, so they run over k, d, l, r in that nesting order and each output
+    sums ascending in d, then r.
     """
-    pos, src, dd, sgn, mus = _inverse_terms(n)
+    pos, src, dd, sgn, mus, _ = _inverse_terms(n)
     up = np.where(sgn > 0, dd, 1)
     down = np.where(sgn < 0, dd, 1)
 
@@ -242,19 +370,16 @@ def _direct_plan(n: int):
     base = int(den.max()) + 1
     packed, key = np.unique(num * base + den, return_inverse=True)
     del num, den
-    xs = np.array([math.log(p) - math.log(q) for p, q in
-                   zip((packed // base).tolist(), (packed % base).tolist())])
     plan = (
         np.add.outer(pos * m, pos).ravel().astype(np.int32),
         np.add.outer(src * m, src).ravel().astype(np.int32),
         key.astype(np.int32),
         np.multiply.outer(mus, mus).ravel(),
         np.multiply.outer(dd, dd).ravel().astype(np.int32),
-        xs,
     )
     for a in plan:
         a.setflags(write=False)
-    return plan
+    return plan + (_euler_tree(packed // base, packed % base),)
 
 
 def broadband_average_2d_counts(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
@@ -274,11 +399,11 @@ def broadband_average_2d_counts(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
             raise EmptyRangeError(
                 "table holds %d ordinates, cannot average over %d" % (zeros.count, c))
     n = fhat.n
-    out, src, key, mu, dr, xs = _direct_plan(n)
+    out, src, key, mu, dr, tree = _direct_plan(n)
     coef = mu * dr.astype(np.float64) ** (-float(sigma))
     f = fhat.data.ravel()[src]
     grids = []
-    for m_c in _phase_means(zeros.ordinates, xs, counts):
+    for m_c in _euler_means(tree, zeros.ordinates, counts):
         terms = m_c[key]
         terms *= coef
         terms *= f

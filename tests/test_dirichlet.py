@@ -212,9 +212,10 @@ class TestWindowOperator:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 12, 60])
     def test_pattern_hits_each_entry_once(self, n):
-        row, col, d, sgn, mu = _window_terms(n)
+        row, col, d, sgn, mu, flat = _window_terms(n)
         cells = list(zip(row.tolist(), col.tolist()))
         assert len(set(cells)) == len(cells)
+        assert np.array_equal(flat, np.ravel_multi_index((row, col), (2 * n + 1,) * 2))
         k = row - n
         assert np.array_equal(sgn, np.sign(k))
         assert np.array_equal(k, d * (col - n))  # entry (k, k/d)

@@ -469,6 +469,28 @@ class TestGeneralDissipator:
             evolve_rk4(a0, h, lset, cfg, picture)
             assert calls == ["remainder"] * 40
 
+    @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    def test_complex_lambda_keeps_hermitian_runs_exact(self, rng, n, picture):
+        lset = LindbladSet(c=random_hermitian(n, rng, scale=0.4),
+                           ls=[random_general(n, rng, scale=0.3),
+                               random_general(n, rng, scale=0.2)],
+                           lam=linear_lambda(0.5 - 0.2j, n))
+        phi = lset.phi_matrix()
+        assert np.array_equal(phi, np.conj(phi.T))
+        pts = evolve_rk4(random_hermitian(n, rng), HarmonicSpec(a=1.3, b=0.2), lset,
+                         EvolveConfig(0.01, dt=1e-3), picture)
+        assert len(pts) == 11
+        assert all(np.array_equal(p.grid.data, np.conj(p.grid.data.T)) for p in pts)
+
+    @pytest.mark.parametrize("c", [1.0, -0.3])
+    def test_real_lambda_phi_is_the_plain_product(self, c):
+        lam = linear_lambda(c, 6)
+        a2 = np.abs(lam) ** 2
+        want = np.conj(lam)[:, None] * lam[None, :] - 0.5 * (a2[:, None] + a2[None, :])
+        np.fill_diagonal(want, 0.0)
+        assert LindbladSet(lam=lam).phi_matrix().tobytes() == want.tobytes()
+
     def test_sets_compare_by_identity(self):
         one = LindbladSet(lam=linear_lambda(0.5, 2))
         other = LindbladSet(lam=linear_lambda(0.5, 2))

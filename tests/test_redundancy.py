@@ -212,6 +212,81 @@ class TestBlockAveraging:
             broadband_average_2d(f, 3.0, zeros100, 10.0)
 
 
+def _signed_logs(tree):
+    """log(num/den) of every signed ratio of an Euler tree, as the sin/cos route takes it."""
+    return np.array([math.log(p) - math.log(q)
+                     for p, q in zip(tree.num.tolist(), tree.den.tolist())])
+
+
+class TestEulerRoute:
+    """The direct route's phases from prime phases against sin and cos of each log."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 32])
+    def test_means_match_sin_cos_route(self, zeros10k, n):
+        tree = redundancy._direct_plan(n)[5]
+        counts = [10, 100, 1000, 10000]
+        euler = redundancy._euler_means(tree, zeros10k.ordinates, counts)
+        plain = redundancy._phase_means(zeros10k.ordinates, _signed_logs(tree), counts)
+        for e, p in zip(euler, plain):
+            assert np.max(np.abs(e - p)) <= 1e-13
+            assert np.array_equal(e[tree.sign == 0], np.ones(1))
+
+    def test_block_against_mpmath(self, zeros10k):
+        mpmath = pytest.importorskip("mpmath")
+        tree = redundancy._direct_plan(16)[5]
+        taus = zeros10k.ordinates[38 * 256:39 * 256]  # the last full block, tau ~ 9.7e3
+        assert 9.6e3 < taus[0] < taus[-1] < 9.9e3
+        picks = np.linspace(0, tree.num.size - 1, 20).astype(int)
+        # one block's mean times 256 is its sum exactly
+        euler = redundancy._euler_means(tree, taus, [256])[0][picks] * 256
+        plain = redundancy._phase_means(taus, _signed_logs(tree)[picks], [256])[0] * 256
+        with mpmath.workdps(40):
+            for j, u in enumerate(picks.tolist()):
+                x = mpmath.log(int(tree.num[u])) - mpmath.log(int(tree.den[u]))
+                exact = complex(mpmath.fsum(mpmath.expj(-mpmath.mpf(float(t)) * x)
+                                            for t in taus))
+                assert abs(euler[j] - exact) <= 2e-10
+                assert abs(plain[j] - exact) <= 2e-10
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 16, 32, 64])
+    def test_tree_structure(self, n):
+        tree = redundancy._direct_plan(n)[5]
+        ints, primes = tree.ints, tree.logp.size
+        assert ints[0] == 1
+        want = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
+        assert ints[1:primes + 1].tolist() == want
+        assert np.array_equal(tree.logp, np.log(ints[1:primes + 1].astype(float)))
+        assert np.array_equal(tree.parent[:primes + 1], np.zeros(primes + 1, dtype=int))
+        assert np.array_equal(tree.prime[:primes + 1], np.arange(primes + 1))
+        rows = np.arange(primes + 1, ints.size)
+        assert np.array_equal(ints[tree.parent[rows]] * ints[tree.prime[rows]], ints[rows])
+        spf = [next(p for p in want if k % p == 0) for k in ints[rows].tolist()]
+        assert ints[tree.prime[rows]].tolist() == spf
+        # levels cover the composite rows in order, each after its parents
+        assert [r for a, b in tree.levels for r in range(a, b)] == rows.tolist()
+        for a, b in tree.levels:
+            assert tree.parent[a:b].max() < a
+        # ratio rows are reduced, num > den > 1, and each signed ratio maps back
+        hi, lo = ints[tree.hi], ints[tree.lo]
+        assert np.all(hi > lo) and np.all(lo > 1) and np.all(np.gcd(hi, lo) == 1)
+        assert np.array_equal(np.sign(tree.num - tree.den), tree.sign)
+        top, bottom = np.maximum(tree.num, tree.den), np.minimum(tree.num, tree.den)
+        single = tree.which < ints.size
+        assert np.array_equal(ints[tree.which[single]], top[single])
+        assert np.all(bottom[single] == 1)
+        pair = tree.which[~single] - ints.size
+        assert np.array_equal(hi[pair], top[~single])
+        assert np.array_equal(lo[pair], bottom[~single])
+
+    @pytest.mark.parametrize("count", [100, 256, 257, 1000])
+    def test_prefix_independent_of_other_counts(self, zeros10k, count):
+        tree = redundancy._direct_plan(8)[5]
+        taus = zeros10k.ordinates
+        shared = redundancy._euler_means(tree, taus, [10, 100, count, 10000])
+        assert np.array_equal(redundancy._euler_means(tree, taus, [count])[0], shared[2])
+        assert np.array_equal(redundancy._euler_means(tree, taus[:count], [count])[0], shared[2])
+
+
 class TestCoefficientDecay:
     def test_single_zero_value(self):
         zeros = ZeroTable(np.array([14.134725]))
