@@ -35,7 +35,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .grids import TAGS, CoeffGrid, SampleGrid
 from .spectral import analyze
 
@@ -240,8 +240,11 @@ def read_pgm(path):
 
 
 def write_pgm(path, values: np.ndarray, maxval: int = 255, binary: bool = False):
-    """Quantize values in [0,1] to a PGM file (row-major, P2 or P5)."""
+    """Quantize values in [0,1] to a PGM file (row-major, P2 or P5); non-finite
+    values are refused before anything is written."""
     arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise DomainError("PGM values must be finite")
     pix = np.clip(np.rint(arr * maxval), 0, maxval).astype(np.uint16)
     h, w = pix.shape
     header = "%s\n%d %d\n%d\n" % ("P5" if binary else "P2", w, h, maxval)
@@ -263,6 +266,8 @@ def center_fit(img: np.ndarray, side: int) -> np.ndarray:
 
 def ingest_pgm(path, n: int) -> CoeffGrid:
     """PGM to Fourier coefficients at band limit n (crop/pad to 2n+1)."""
+    if n < 0:
+        raise DomainError("band limit must be >= 0, got %d" % n)
     img, _ = read_pgm(path)
     if img.shape[0] != img.shape[1]:
         warnings.warn(

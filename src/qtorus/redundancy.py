@@ -15,22 +15,24 @@ them to 1e-10.  Both read the divisor layout of the window operator from
 dirichlet._window_terms; the terms with mu(d) != 0 are those of B.  Both
 tag their grids through dirichlet._window_image, as d_transform_2d does.
 
-Both routes sum in fixed blocks of BLOCK ordinates (phases by pairwise
-np.sum within a block, per-zero grids SUB_BATCH ordinates per stacked
-matrix product), and _block_folds Neumaier-folds the block sums in
-ascending order, the partial block below a count last.  A sum over the
-first c ordinates therefore depends on c alone, not on which other
-counts or arguments share the pass, and one pass over the table serves
-every count.  Only distinct arguments x > 0 are evaluated: M(-x) =
-conj(M(x)) and M(0) = 1 exactly.
+Both routes sum in fixed blocks of BLOCK ordinates, and _block_folds
+Neumaier-folds the block sums in ascending order, the partial block
+below a count last.  A sum over the first c ordinates therefore depends
+on c alone, not on which other counts or arguments share the pass, and
+one pass over the table serves every count.
 
-The direct route's arguments are all logs of rationals num/den, and
-d -> d^-i tau is completely multiplicative (the Euler product of zeta),
-so it takes sin and cos only of the prime logs: every other integer's
-phase is a smaller integer's phase times a prime phase (_EulerTree), and
-a ratio's phase is num's phase times the conjugate of den's.
 phase_average, c_d and broadband_average_1d take arbitrary real x and
-keep sin and cos; so does the per-zero route, which stays the oracle.
+sum cos and sin by pairwise np.sum within a block; only distinct x > 0
+are evaluated: M(-x) = conj(M(x)) and M(0) = 1 exactly.  The per-zero
+route forms SUB_BATCH ordinates per stacked matrix product.
+
+The direct route needs only M(+-log d +- log r) for squarefree d, r <= n:
+the averages of b_d b_r and of b_d conj(b_r), b_d = d^-i tau.  d -> b_d
+is completely multiplicative (the Euler product of zeta), so per block
+it takes sin and cos of the prime logs only, forms every other row b_d
+as a smaller row times a prime row (_phase_rows), and sums all the
+products at once as the Gram matrices S = P P^T and O = P P^H of the
+rows P (_gram_means).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,9 +50,8 @@ from .grids import CoeffGrid
 from .spectral import s_map
 from .summation import KahanAccumulator
 
-BLOCK = 256  # ordinates per pairwise block of a phase average
+BLOCK = 256  # ordinates per block sum of a phase average
 SUB_BATCH = 8  # ordinates per stacked matrix product of the per-zero route
-PAIR_CHUNK = 16  # ratio rows per product of the Euler route
 
 
 @dataclass(eq=False)
@@ -81,7 +81,9 @@ class ZeroTable:
         return int(self.ordinates.size)
 
     def count_below(self, t: float) -> int:
-        """N(T): how many ordinates are <= T."""
+        """N(T): how many ordinates are <= T, for a finite T."""
+        if not math.isfinite(t):
+            raise DomainError("T must be finite, got %r" % t)
         return int(np.searchsorted(self.ordinates, t, side="right"))
 
     def upto(self, t: float) -> np.ndarray:
@@ -226,120 +228,62 @@ def broadband_average_1d(fhat: np.ndarray, sigma: float, zeros: ZeroTable,
     return _sum_by_index(pos, terms, fhat.size)
 
 
-class _EulerTree(NamedTuple):
-    """Integer rows k^-i tau of the direct route, each a parent row times a prime row.
+def _phase_rows(dd: np.ndarray):
+    """The phase rows b_d = d^-i tau of the direct route: (ints, parent, prime, levels).
 
-    Row 0 is the integer 1 and rows 1..P the primes, whose logs are logp.
-    Every other row k is row parent = k / spf(k) times row prime = spf(k),
-    spf the smallest prime factor; rows ascend in Omega(k), the number of
-    prime factors with multiplicity, then in k, and levels holds the row
-    range of each Omega >= 2, so a level is filled after its parents.
-    Ratio row j is the reduced ratio ints[hi[j]] / ints[lo[j]], numerator
-    above denominator above 1.  A block's sums are those of the integer
-    rows, then of row hi[j] times the conjugate of row lo[j] for each j.
-    Signed ratio u = num[u] / den[u] of the plan is entry which[u] of
-    those sums, conjugated where sign[u] < 0; where sign[u] == 0
-    (num == den) its mean is exactly 1.
+    ints are the distinct d of dd, the squarefree d <= n.  Row 0 is d = 1
+    and rows 1..P the primes.  Every other row d is row parent = d / p
+    times row prime = p, p the smallest prime factor of d; the set of
+    squarefree d <= n holds both.  Rows ascend in the number of prime
+    factors, then in d, and levels holds the row range of each count >= 2,
+    so a level is filled after its parents.
     """
-
-    num: np.ndarray
-    den: np.ndarray
-    ints: np.ndarray
-    parent: np.ndarray
-    prime: np.ndarray
-    logp: np.ndarray
-    levels: tuple
-    hi: np.ndarray
-    lo: np.ndarray
-    which: np.ndarray
-    sign: np.ndarray
-
-
-def _euler_tree(num: np.ndarray, den: np.ndarray) -> _EulerTree:
-    """The Euler tree of the gcd-reduced ratios num/den, built with array ops."""
-    hi = np.maximum(num, den)
-    lo = np.minimum(num, den)
-    top = int(hi.max())
-    spf = np.arange(top + 1)
-    for p in range(2, math.isqrt(top) + 1):
-        if spf[p] == p:
-            multiples = spf[p * p::p]
-            np.minimum(multiples, p, out=multiples)
-    need = np.zeros(top + 1, dtype=bool)
-    need[hi] = need[lo] = need[1] = True
-    while True:  # close the set under k -> k / spf(k)
-        ints = np.flatnonzero(need)
-        parents = ints // spf[ints]
-        if need[parents].all():
-            break
-        need[parents] = True
-    omega = np.zeros(ints.size, dtype=np.int64)
-    rest = ints.copy()
-    while (rest > 1).any():
-        omega += rest > 1
-        rest //= spf[rest]
-    order = np.lexsort((ints, omega))
-    ints, omega = ints[order], omega[order]
-    row = np.zeros(top + 1, dtype=np.intp)
-    row[ints] = np.arange(ints.size)
-    bounds = np.searchsorted(omega, np.arange(2, omega.max() + 2)).tolist()
-    pairs = lo > 1
-    packed, inv = np.unique(hi[pairs] * (top + 1) + lo[pairs], return_inverse=True)
-    which = row[hi]  # lo == 1: the integer row of num or den, row 0 when both are 1
-    which[pairs] = ints.size + inv
-    tree = _EulerTree(
-        num=num, den=den, ints=ints,
-        parent=row[ints // spf[ints]], prime=row[spf[ints]],
-        logp=np.log(ints[omega == 1].astype(np.float64)),
-        levels=tuple(zip(bounds[:-1], bounds[1:])),
-        hi=row[packed // (top + 1)], lo=row[packed % (top + 1)],
-        which=which, sign=np.sign(num - den).astype(np.int8),
-    )
-    for a in tree:
-        if isinstance(a, np.ndarray):
-            a.setflags(write=False)
-    return tree
+    ds = np.flatnonzero(np.bincount(dd)).tolist()  # np.unique(dd) would import numpy.ma
+    spf, omega = {1: 1}, {1: 0}
+    for d in ds[1:]:
+        spf[d] = next(p for p in ds[1:] if d % p == 0)  # the smallest divisor > 1 is prime
+        omega[d] = omega[d // spf[d]] + 1
+    ints = sorted(ds, key=lambda d: (omega[d], d))
+    row = {d: i for i, d in enumerate(ints)}
+    omegas = np.array([omega[d] for d in ints])
+    bounds = np.searchsorted(omegas, np.arange(2, omegas.max() + 2)).tolist()
+    rows = (np.array(ints), np.array([row[d // spf[d]] for d in ints]),
+            np.array([row[spf[d]] for d in ints]), tuple(zip(bounds[:-1], bounds[1:])))
+    for a in rows[:3]:
+        a.setflags(write=False)
+    return rows
 
 
-def _euler_means(tree: _EulerTree, taus: np.ndarray, counts) -> list:
-    """M(log(num/den)) over the first c ordinates for each signed ratio of
-    the tree, for each c in counts; summed in _block_folds' blocks.
+def _gram_means(rows, taus: np.ndarray, counts) -> list:
+    """S = avg b_d b_r and O = avg b_d conj(b_r) over the first c ordinates
+    for every pair of phase rows, as the flat stack (S, O, conj O, conj S),
+    for each c in counts; summed in _block_folds' blocks.
 
-    Per block, sin and cos are taken of the prime logs only; each level
-    of integer rows is one gather of parent rows times the gathered prime
-    rows, and the ratio rows are summed PAIR_CHUNK at a time, all by
-    pairwise np.sum along the contiguous tau axis.  The integer rows live
-    in one buffer for the whole call.
+    Per block, sin and cos are taken of the prime logs only, each level
+    of rows is one gather of parent rows times the gathered prime rows,
+    and the block sums of S and O are one matrix product of the rows P
+    with P^T and P^H.  The rows live in one buffer for the whole call.
     """
-    rows = np.empty((tree.ints.size, BLOCK), dtype=np.complex128)
-    rows[0] = 1.0
-    primes = slice(1, tree.logp.size + 1)
-    size = tree.ints.size + tree.hi.size
+    ints, parent, prime, levels = rows
+    primes = slice(1, levels[0][0] if levels else ints.size)
+    logp = np.log(ints[primes].astype(np.float64))
+    buf = np.empty((ints.size, BLOCK), dtype=np.complex128)
+    buf[0] = 1.0
 
     def block_sum(start, stop):
-        phase = rows[:, :stop - start]
-        arg = np.multiply.outer(tree.logp, taus[start:stop])
+        phase = buf[:, :stop - start]
+        arg = np.multiply.outer(logp, taus[start:stop])
         phase[primes].real = np.cos(arg)
         phase[primes].imag = -np.sin(arg, out=arg)
-        for a, b in tree.levels:
-            np.multiply(phase[tree.parent[a:b]], phase[tree.prime[a:b]], out=phase[a:b])
-        out = np.empty(size, dtype=np.complex128)
-        out[:tree.ints.size] = np.sum(phase, axis=1)
-        for j in range(0, tree.hi.size, PAIR_CHUNK):
-            pair = phase[tree.hi[j:j + PAIR_CHUNK]]
-            den = phase[tree.lo[j:j + PAIR_CHUNK]]
-            pair *= np.conjugate(den, out=den)
-            at = tree.ints.size + j
-            out[at:at + pair.shape[0]] = np.sum(pair, axis=1)
-        return out
+        for a, b in levels:
+            np.multiply(phase[parent[a:b]], phase[prime[a:b]], out=phase[a:b])
+        return phase @ np.stack([phase.T, phase.T.conj()])
 
-    sums = _block_folds(counts, (size,), block_sum)
+    sums = _block_folds(counts, (2, ints.size, ints.size), block_sum)
     means = []
     for c in counts:
-        m = sums[c][tree.which] / c
-        m = np.where(tree.sign < 0, np.conj(m), m)
-        m[tree.sign == 0] = 1.0
-        means.append(m)
+        s, o = sums[c] / c
+        means.append(np.concatenate([s, o, o.conj(), s.conj()], axis=None))
     return means
 
 
@@ -347,39 +291,33 @@ def _euler_means(tree: _EulerTree, taus: np.ndarray, counts) -> list:
 def _direct_plan(n: int):
     """Divisor-pair terms of the direct route at band limit n.
 
-    Returns (out, src, key, mu, dr, tree).  Term j adds
-    mu[j] * dr[j]^-sigma * M(log(num/den)) * fhat.flat[src[j]] to the flat
-    output entry out[j], where num/den = d^sgn(k) r^sgn(l), gcd-reduced, is
-    signed ratio key[j] of the Euler tree; mu = mu(d) mu(r) and dr = d r.
-    Phases come from the tree's prime phases, not from sin and cos of each
-    log(num/den).  Terms are outer products of the one-axis expansion of
-    B, so they run over k, d, l, r in that nesting order and each output
-    sums ascending in d, then r.
+    Returns (out, src, gram, mu, dr, rows).  Term j adds
+    mu[j] * dr[j]^-sigma * G[gram[j]] * fhat.flat[src[j]] to the flat
+    output entry out[j], where G is a stack of _gram_means over the phase
+    rows: for divisor d of k and r of l it is entry (d, r) of the matrix
+    2 [k < 0] + [l < 0] of (S, O, conj O, conj S), so k, l >= 0 read S and
+    k >= 0 > l reads O; mu = mu(d) mu(r) and dr = d r.  Terms are
+    outer products of the one-axis expansion of B, so they run over k, d,
+    l, r in that nesting order and each output sums ascending in d, then r.
     """
     pos, src, dd, sgn, mus, _ = _inverse_terms(n)
-    up = np.where(sgn > 0, dd, 1)
-    down = np.where(sgn < 0, dd, 1)
-
+    rows = _phase_rows(dd)
+    w = rows[0].size
+    index = np.zeros(int(dd.max()) + 1, dtype=np.int32)
+    index[rows[0]] = np.arange(w)
+    rank = index[dd]
+    neg = (sgn < 0).astype(np.int32)
     m = 2 * n + 1
-    num = np.multiply.outer(up, up).ravel()
-    den = np.multiply.outer(down, down).ravel()
-    g = np.gcd(num, den)
-    num //= g
-    den //= g
-    del g
-    base = int(den.max()) + 1
-    packed, key = np.unique(num * base + den, return_inverse=True)
-    del num, den
     plan = (
         np.add.outer(pos * m, pos).ravel().astype(np.int32),
         np.add.outer(src * m, src).ravel().astype(np.int32),
-        key.astype(np.int32),
+        np.add.outer(2 * w * w * neg + w * rank, w * w * neg + rank).ravel(),
         np.multiply.outer(mus, mus).ravel(),
         np.multiply.outer(dd, dd).ravel().astype(np.int32),
     )
     for a in plan:
         a.setflags(write=False)
-    return plan + (_euler_tree(packed // base, packed % base),)
+    return plan + (rows,)
 
 
 def broadband_average_2d_counts(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
@@ -390,8 +328,8 @@ def broadband_average_2d_counts(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
         mu(d) mu(r) (d r)^-sigma * M(sgn(k) log d + sgn(l) log r) * fhat[k/d, l/r]
     where M is the zero-averaged phase.  All counts share one pass over
     the ordinates; the grid at c is the same whichever other counts are
-    requested.  The (0,0) entry is exact: only d = r = 1 reaches it and
-    M(0) = 1.
+    requested.  The (0,0) entry is exact: only d = r = 1 reaches it, and
+    the row of d = 1 is exactly 1, so its mean is M(0) = 1.
     """
     _require_sigma(sigma)
     for c in counts:
@@ -399,12 +337,12 @@ def broadband_average_2d_counts(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
             raise EmptyRangeError(
                 "table holds %d ordinates, cannot average over %d" % (zeros.count, c))
     n = fhat.n
-    out, src, key, mu, dr, tree = _direct_plan(n)
+    out, src, gram, mu, dr, rows = _direct_plan(n)
     coef = mu * dr.astype(np.float64) ** (-float(sigma))
     f = fhat.data.ravel()[src]
     grids = []
-    for m_c in _euler_means(tree, zeros.ordinates, counts):
-        terms = m_c[key]
+    for g_c in _gram_means(rows, zeros.ordinates, counts):
+        terms = g_c[gram]
         terms *= coef
         terms *= f
         flat = _sum_by_index(out, terms, fhat.data.size)

@@ -1,5 +1,6 @@
 """Source hygiene: every imported name is used in the module that imports it,
-and every private module-level name in the package is used somewhere in it.
+and every private module-level name and every module-level UPPER_CASE constant
+in the package is used somewhere in it.
 
 The checks are stdlib `ast` scans, since no linter is part of the toolchain.
 The package `__init__.py` is left out of the import check: its imports are the
@@ -50,7 +51,8 @@ def test_scan_flags_an_unused_import():
 
 
 def private_definitions(tree):
-    """Module-level functions, classes and constants named _x (dunders excepted)."""
+    """Module-level functions, classes and constants named _x (dunders excepted),
+    and module-level constants named in UPPER_CASE."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -58,11 +60,12 @@ def private_definitions(tree):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return [name for name in names
+            if (name.startswith("_") and not name.startswith("__")) or name.isupper()]
 
 
 def unreferenced_privates(sources: dict):
-    """(module, name) of each private definition that no module reads."""
+    """(module, name) of each private definition or constant that no module reads."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     read = set()
     for tree in trees.values():
@@ -84,5 +87,8 @@ def test_package_private_names_are_all_used():
 def test_scan_flags_an_unreferenced_private():
     sources = {"a.py": "_A = 1\n_B: int = 2\n__all__ = []\n\ndef _f():\n    return _A\n\n"
                        "class _C:\n    pass\n\ndef g():\n    return m._C\n",
-               "b.py": "from a import _B\n\ndef _h(_f):\n    _f = 3\n"}
-    assert unreferenced_privates(sources) == [("a.py", "_B"), ("a.py", "_f"), ("b.py", "_h")]
+               "b.py": "from a import _B\n\ndef _h(_f):\n    _f = 3\n",
+               "c.py": "BLOCK = 256\nCHUNK = 16  # orphaned\nTAG: str = 'x'\nlower = 1\n\n"
+                       "def f(x=BLOCK):\n    return b.TAG\n"}
+    assert unreferenced_privates(sources) == [("a.py", "_B"), ("a.py", "_f"), ("b.py", "_h"),
+                                              ("c.py", "CHUNK")]

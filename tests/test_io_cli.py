@@ -48,7 +48,7 @@ from qtorus import (
 )
 from qtorus import cli
 from qtorus.cli import run
-from qtorus.errors import FormatError, HermiticityError, SymmetryError
+from qtorus.errors import DomainError, FormatError, HermiticityError, SymmetryError
 from qtorus.gridio import atomic_write_bytes
 
 from conftest import DATA
@@ -233,6 +233,16 @@ class TestPgm:
         write_pgm(pb, vals, maxval=255, binary=True)
         assert np.array_equal(read_pgm(pa)[0], read_pgm(pb)[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_non_finite_values_refused(self, tmp_path, bad, binary):
+        vals = np.full((3, 3), 0.5)
+        vals[1, 2] = bad
+        path = tmp_path / "img.pgm"
+        with pytest.raises(DomainError, match="finite"):
+            write_pgm(path, vals, maxval=255, binary=binary)
+        assert os.listdir(tmp_path) == []
+
     def test_sixteen_bit_binary(self, tmp_path, rng):
         vals = rng.uniform(0, 1, (4, 4))
         path = tmp_path / "deep.pgm"
@@ -385,6 +395,16 @@ class TestIngest:
         z = ingest_pgm(path, 3)
         # 9 bright pixels out of 49: mean is exactly 9/49
         assert_allclose(z.entry(0, 0), 9.0 / 49.0, atol=1e-14)
+
+
+    def test_negative_band_limit_refused(self, tmp_path):
+        path = tmp_path / "w.pgm"
+        write_pgm(path, np.ones((3, 3)), maxval=255)
+        with pytest.raises(DomainError, match="band limit"):
+            ingest_pgm(path, -1)
+        out = tmp_path / "z.json"
+        assert run(["ingest-pgm", "--in", str(path), "--n", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestAtomicWrites:

@@ -212,79 +212,106 @@ class TestBlockAveraging:
             broadband_average_2d(f, 3.0, zeros100, 10.0)
 
 
-def _signed_logs(tree):
-    """log(num/den) of every signed ratio of an Euler tree, as the sin/cos route takes it."""
-    return np.array([math.log(p) - math.log(q)
-                     for p, q in zip(tree.num.tolist(), tree.den.tolist())])
+def _gram_logs(ints):
+    """log d + log r, then log d - log r, over every pair of phase rows d, r:
+    the arguments of S and O as the sin/cos route takes them."""
+    logs = np.log(ints.astype(np.float64))
+    return np.concatenate([np.add.outer(logs, logs).ravel(),
+                           np.subtract.outer(logs, logs).ravel()])
+
+
+def _squarefree(n):
+    return [d for d in range(1, n + 1) if all(d % (p * p) for p in range(2, d + 1))]
 
 
 class TestEulerRoute:
-    """The direct route's phases from prime phases against sin and cos of each log."""
+    """The direct route's Gram means from prime phases against sin and cos of each log."""
 
     @pytest.mark.parametrize("n", [2, 3, 8, 16, 32])
     def test_means_match_sin_cos_route(self, zeros10k, n):
-        tree = redundancy._direct_plan(n)[5]
+        # both routes err by ~tau * (rounding of the log) per term; against
+        # mpmath over 10k ordinates the Gram means were within 5.7e-14 and
+        # the sin/cos means within 2.4e-13 at n <= 64, so 5e-13 bounds the gap
+        rows = redundancy._direct_plan(n)[5]
+        w = rows[0].size
         counts = [10, 100, 1000, 10000]
-        euler = redundancy._euler_means(tree, zeros10k.ordinates, counts)
-        plain = redundancy._phase_means(zeros10k.ordinates, _signed_logs(tree), counts)
-        for e, p in zip(euler, plain):
-            assert np.max(np.abs(e - p)) <= 1e-13
-            assert np.array_equal(e[tree.sign == 0], np.ones(1))
+        gram = redundancy._gram_means(rows, zeros10k.ordinates, counts)
+        plain = redundancy._phase_means(zeros10k.ordinates, _gram_logs(rows[0]), counts)
+        for g, p in zip(gram, plain):
+            s, o, conj_o, conj_s = g.reshape(4, w * w)
+            assert np.max(np.abs(np.concatenate([s, o]) - p)) <= 5e-13
+            assert np.array_equal(conj_s, np.conj(s)) and np.array_equal(conj_o, np.conj(o))
+            assert s[0] == 1  # d = r = 1: the (0,0) entry's phase is exact
 
     def test_block_against_mpmath(self, zeros10k):
         mpmath = pytest.importorskip("mpmath")
-        tree = redundancy._direct_plan(16)[5]
+        rows = redundancy._direct_plan(16)[5]
+        ints, w = rows[0].tolist(), rows[0].size
         taus = zeros10k.ordinates[38 * 256:39 * 256]  # the last full block, tau ~ 9.7e3
         assert 9.6e3 < taus[0] < taus[-1] < 9.9e3
-        picks = np.linspace(0, tree.num.size - 1, 20).astype(int)
         # one block's mean times 256 is its sum exactly
-        euler = redundancy._euler_means(tree, taus, [256])[0][picks] * 256
-        plain = redundancy._phase_means(taus, _signed_logs(tree)[picks], [256])[0] * 256
+        s, o, _, _ = redundancy._gram_means(rows, taus, [256])[0].reshape(4, w, w) * 256
+        plain = redundancy._phase_means(taus, _gram_logs(rows[0]), [256])[0].reshape(2, w, w) * 256
         with mpmath.workdps(40):
-            for j, u in enumerate(picks.tolist()):
-                x = mpmath.log(int(tree.num[u])) - mpmath.log(int(tree.den[u]))
-                exact = complex(mpmath.fsum(mpmath.expj(-mpmath.mpf(float(t)) * x)
-                                            for t in taus))
-                assert abs(euler[j] - exact) <= 2e-10
-                assert abs(plain[j] - exact) <= 2e-10
+            ts = [mpmath.mpf(float(t)) for t in taus]
+            for i in range(w):
+                for j in range(i, w):
+                    for q, gram, sign in ((0, s, 1), (1, o, -1)):
+                        x = mpmath.log(ints[i]) + sign * mpmath.log(ints[j])
+                        exact = complex(mpmath.fsum(mpmath.expj(-t * x) for t in ts))
+                        assert abs(gram[i, j] - exact) <= 2e-10
+                        assert abs(plain[q, i, j] - exact) <= 2e-10
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 16, 32, 64])
     def test_tree_structure(self, n):
-        tree = redundancy._direct_plan(n)[5]
-        ints, primes = tree.ints, tree.logp.size
-        assert ints[0] == 1
-        want = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
-        assert ints[1:primes + 1].tolist() == want
-        assert np.array_equal(tree.logp, np.log(ints[1:primes + 1].astype(float)))
-        assert np.array_equal(tree.parent[:primes + 1], np.zeros(primes + 1, dtype=int))
-        assert np.array_equal(tree.prime[:primes + 1], np.arange(primes + 1))
-        rows = np.arange(primes + 1, ints.size)
-        assert np.array_equal(ints[tree.parent[rows]] * ints[tree.prime[rows]], ints[rows])
-        spf = [next(p for p in want if k % p == 0) for k in ints[rows].tolist()]
-        assert ints[tree.prime[rows]].tolist() == spf
+        _, _, gram, _, dr, (ints, parent, prime, levels) = redundancy._direct_plan(n)
+        _, _, dd, sgn, _, _ = redundancy._inverse_terms(n)
+        # the rows are the distinct d of the plan: the squarefree d <= n
+        assert sorted(ints.tolist()) == sorted(set(dd.tolist())) == _squarefree(max(n, 1))
+        primes = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
+        assert ints[0] == 1 and ints[1:len(primes) + 1].tolist() == primes
+        head = np.arange(len(primes) + 1)
+        assert np.array_equal(parent[head], np.zeros_like(head))
+        assert np.array_equal(prime[head], head)
+        composite = np.arange(len(primes) + 1, ints.size)
+        assert np.array_equal(ints[parent[composite]] * ints[prime[composite]], ints[composite])
+        spf = [next(p for p in primes if d % p == 0) for d in ints[composite].tolist()]
+        assert ints[prime[composite]].tolist() == spf
         # levels cover the composite rows in order, each after its parents
-        assert [r for a, b in tree.levels for r in range(a, b)] == rows.tolist()
-        for a, b in tree.levels:
-            assert tree.parent[a:b].max() < a
-        # ratio rows are reduced, num > den > 1, and each signed ratio maps back
-        hi, lo = ints[tree.hi], ints[tree.lo]
-        assert np.all(hi > lo) and np.all(lo > 1) and np.all(np.gcd(hi, lo) == 1)
-        assert np.array_equal(np.sign(tree.num - tree.den), tree.sign)
-        top, bottom = np.maximum(tree.num, tree.den), np.minimum(tree.num, tree.den)
-        single = tree.which < ints.size
-        assert np.array_equal(ints[tree.which[single]], top[single])
-        assert np.all(bottom[single] == 1)
-        pair = tree.which[~single] - ints.size
-        assert np.array_equal(hi[pair], top[~single])
-        assert np.array_equal(lo[pair], bottom[~single])
+        assert [r for a, b in levels for r in range(a, b)] == composite.tolist()
+        for a, b in levels:
+            assert parent[a:b].max() < a
+        # term j reads entry (d, r) of S, O, conj O or conj S by the signs of k and l
+        w = ints.size
+        assert gram.dtype == np.int32
+        quadrant, rest = np.divmod(gram, w * w)
+        neg = sgn < 0
+        assert np.array_equal(quadrant, np.add.outer(2 * neg, neg).ravel())
+        assert np.array_equal(ints[rest // w], np.repeat(dd, dd.size))
+        assert np.array_equal(ints[rest % w], np.tile(dd, dd.size))
+        assert np.array_equal(dr, np.multiply.outer(dd, dd).ravel())
 
     @pytest.mark.parametrize("count", [100, 256, 257, 1000])
     def test_prefix_independent_of_other_counts(self, zeros10k, count):
-        tree = redundancy._direct_plan(8)[5]
+        rows = redundancy._direct_plan(8)[5]
         taus = zeros10k.ordinates
-        shared = redundancy._euler_means(tree, taus, [10, 100, count, 10000])
-        assert np.array_equal(redundancy._euler_means(tree, taus, [count])[0], shared[2])
-        assert np.array_equal(redundancy._euler_means(tree, taus[:count], [count])[0], shared[2])
+        shared = redundancy._gram_means(rows, taus, [10, 100, count, 10000])
+        assert np.array_equal(redundancy._gram_means(rows, taus, [count])[0], shared[2])
+        assert np.array_equal(redundancy._gram_means(rows, taus[:count], [count])[0], shared[2])
+
+
+class TestNonFiniteT:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_every_window_refuses(self, zeros100, rng, t):
+        f = random_fourier_real(2, rng)
+        calls = [lambda: zeros100.count_below(t), lambda: zeros100.upto(t),
+                 lambda: c_d(2, 3.0, zeros100, t),
+                 lambda: broadband_average_1d(f.data[:, 2].copy(), 3.0, zeros100, t),
+                 lambda: broadband_average_2d(f, 3.0, zeros100, t),
+                 lambda: broadband_average_2d_per_zero(f, 3.0, zeros100, t)]
+        for call in calls:
+            with pytest.raises(DomainError, match="finite"):
+                call()
 
 
 class TestCoefficientDecay:
@@ -472,6 +499,22 @@ class TestPlaneAverage:
                             repr(t)], env=env, check=True, timeout=120)
             assert np.array_equal(np.load(tmp_path / "direct.npy"), direct)
             assert np.array_equal(np.load(tmp_path / "per_zero.npy"), per_zero)
+
+    def test_direct_route_leaves_numpy_ma_unimported(self, rng, tmp_path):
+        # a plain np.unique imports numpy.ma (about 1 MB) on first use; a fresh
+        # `qtorus redundancy` run builds its plan and averages without it
+        field = tmp_path / "f.json"
+        write_grid(field, random_fourier_real(16, rng))
+        child = ("import sys\nfrom qtorus.cli import run\n"
+                 "assert run(sys.argv[1:]) == 0\n"
+                 "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        subprocess.run([sys.executable, "-c", child, "redundancy", "--field", str(field),
+                        "--sigma", "3", "--zeros", str(DATA / "zeta_zeros_100.txt"),
+                        "--counts", "10,100", "--out", str(tmp_path / "r.csv")],
+                       env=env, check=True, timeout=120)
 
     def test_error_shrinks_with_more_zeros(self, zeros100, rng):
         f = random_fourier_real(6, rng)
