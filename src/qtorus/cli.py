@@ -44,9 +44,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _number(kind):
+    """An argparse type: kind(text) for kind int or float, refusing the
+    non-ASCII digits and '_' separators that int() and float() accept but
+    the file readers refuse."""
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return kind(text)
+    parse.__name__ = kind.__name__  # argparse names the type in its refusal
+    return parse
+
+
+_int, _float = _number(int), _number(float)
+
+
 def _alpha_list(text: str):
     try:
-        alphas = [float(tok) for tok in text.split(",") if tok != ""]
+        alphas = [_float(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise argparse.ArgumentTypeError("bad alpha list %r" % text)
     if not alphas:
@@ -56,7 +71,7 @@ def _alpha_list(text: str):
 
 def _count_list(text: str):
     try:
-        counts = [int(tok) for tok in text.split(",") if tok != ""]
+        counts = [_int(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise argparse.ArgumentTypeError("bad count list %r" % text)
     if not counts or any(c < 1 for c in counts):
@@ -67,7 +82,7 @@ def _count_list(text: str):
 def _lambda_spec(text: str):
     if text.startswith("linear:"):
         try:
-            return ("linear", float(text[len("linear:"):]))
+            return ("linear", _float(text[len("linear:"):]))
         except ValueError:
             pass
     raise argparse.ArgumentTypeError("expected linear:<c>, got %r" % text)
@@ -96,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ingest-pgm", help="PGM image to Fourier coefficients")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_int, required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(handler=cmd_ingest_pgm)
 
@@ -108,22 +123,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evolve", help="evolve a field's observable under the master equation")
     sp.add_argument("--field", required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, default=0.0)
-    sp.add_argument("--floor", type=int)
+    sp.add_argument("--a", type=_float, required=True)
+    sp.add_argument("--b", type=_float, default=0.0)
+    sp.add_argument("--floor", type=_int)
     sp.add_argument("--compact")
     sp.add_argument("--lindblad", action="append", default=[])
     sp.add_argument("--lambda", dest="lam", type=_lambda_spec)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--alpha", type=float, default=0.0)
+    sp.add_argument("--t", type=_float, required=True)
+    sp.add_argument("--dt", type=_float)
+    sp.add_argument("--alpha", type=_float, default=0.0)
     sp.add_argument("--out", required=True)
     sp.add_argument("--trace", required=True)
     sp.set_defaults(handler=cmd_evolve)
 
     sp = sub.add_parser("redundancy", help="broadband averaging error sweep over a zero table")
     sp.add_argument("--field")
-    sp.add_argument("--sigma", type=float, default=3.0)
+    sp.add_argument("--sigma", type=_float, default=3.0)
     sp.add_argument("--zeros", required=True)
     sp.add_argument("--counts", type=_count_list, required=True)
     sp.add_argument("--out", required=True)

@@ -4,8 +4,9 @@ A smooth field re-encoded through the slowly-decaying bases D(sigma, tau)
 is recovered by averaging over many ordinates tau_n: the corrections ride
 on averages M(x) of exp(-i tau_n x) phases, which cancel as the table
 grows.  Ordinates are ingested from text tables, never computed here:
-load_zero_table only parses a table, line by line, and ZeroTable is the
-one check of ordinate values.
+load_zero_table only parses a table, in one cast of all its lines when
+it can and line by line to name a bad line, and ZeroTable is the one
+check of ordinate values.
 
 Two implementations of the 2D average are kept deliberately separate:
 broadband_average_2d applies averaged phase factors divisor pair by
@@ -31,14 +32,13 @@ the averages of b_d b_r and of b_d conj(b_r), b_d = d^-i tau.  d -> b_d
 is completely multiplicative (the Euler product of zeta), so per block
 it takes sin and cos of the prime logs only, forms every other row b_d
 as a smaller row times a prime row (_phase_rows), and sums all the
-products at once as the Gram matrices S = P P^T and O = P P^H of the
+products at once as the Gram matrices [S, O] = P [P^T, P^H] of the
 rows P (_gram_means).
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,27 +101,67 @@ class ZeroTable:
         return float(self.ordinates[count - 1])
 
 
+_CAST_BYTES = 1 << 15  # table bytes per numpy cast: bounds the line objects alive at once
+
+
+def _ascii_ordinates(data: bytes) -> np.ndarray:
+    """The data lines of an ASCII table as float64, each parsed as float()
+    parses it; ValueError if one is not a number.  The table is cast
+    _CAST_BYTES at a time, cut after a \\n so that no line is split.
+
+    bytes.strip() strips less than str.strip() (not \\x1c-\\x1f), and what
+    it leaves makes float() refuse the line, so such a table falls back to
+    the per-line parse.
+    """
+    parts, start = [np.empty(0)], 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _CAST_BYTES) + 1 or len(data)
+        lines = map(bytes.strip, data[start:stop].splitlines())
+        parts.append(np.array([s for s in lines if s and s[0] != 0x23], dtype=np.float64))  # '#'
+        start = stop
+    return np.concatenate(parts)
+
+
 def load_zero_table(source) -> ZeroTable:
     """Parse an ordinate table: one decimal per line, '#' comments.
 
-    Lines are read one at a time and only parsed; ZeroTable checks the values.
+    source is a path or an open text or binary handle.  The table is read
+    whole, checked as UTF-8 once and split at \\n, \\r\\n and \\r.  If it is
+    ASCII without '_', its data lines go through numpy casts, which parse
+    each line as float() does; only when a cast fails, or the table holds
+    other characters, are the lines parsed one at a time, to name the
+    first bad one.  The loader only parses; ZeroTable checks the values.
     """
-    opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8")
-    vals = []
+    if hasattr(source, "read"):
+        data = source.read()
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
     try:
-        with opened as lines:
-            for lineno, raw in enumerate(lines, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    if not line.isascii() or "_" in line:  # float() takes "1_4.5" and "٢١" too
-                        raise ValueError(line)
-                    vals.append(float(line))
-                except ValueError:
-                    raise FormatError("line %d: not a decimal ordinate: %r" % (lineno, line))
-    except UnicodeDecodeError as exc:
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        elif not data.isascii():
+            data.decode("utf-8")
+    except UnicodeError as exc:
         raise FormatError("zero table is not UTF-8 text: %s" % exc)
+    if data.isascii() and b"_" not in data:  # float() takes "1_4.5" and "٢١" too
+        try:
+            vals = _ascii_ordinates(data)
+        except ValueError:
+            pass
+        else:
+            return ZeroTable(vals)
+    vals = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        line = raw.decode("utf-8").strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if not line.isascii() or "_" in line:
+                raise ValueError(line)
+            vals.append(float(line))
+        except ValueError:
+            raise FormatError("line %d: not a decimal ordinate: %r" % (lineno, line))
     return ZeroTable(np.array(vals))
 
 
@@ -261,13 +301,15 @@ def _gram_means(rows, taus: np.ndarray, counts) -> list:
 
     Per block, sin and cos are taken of the prime logs only, each level
     of rows is one gather of parent rows times the gathered prime rows,
-    and the block sums of S and O are one matrix product of the rows P
-    with P^T and P^H.  The rows live in one buffer for the whole call.
+    and the block sums of S and O side by side are one (w, 2w) matrix
+    product of the w rows P with [P^T, P^H].  The rows live in one buffer
+    for the whole call.
     """
     ints, parent, prime, levels = rows
-    primes = slice(1, levels[0][0] if levels else ints.size)
+    w = ints.size
+    primes = slice(1, levels[0][0] if levels else w)
     logp = np.log(ints[primes].astype(np.float64))
-    buf = np.empty((ints.size, BLOCK), dtype=np.complex128)
+    buf = np.empty((w, BLOCK), dtype=np.complex128)
     buf[0] = 1.0
 
     def block_sum(start, stop):
@@ -277,12 +319,13 @@ def _gram_means(rows, taus: np.ndarray, counts) -> list:
         phase[primes].imag = -np.sin(arg, out=arg)
         for a, b in levels:
             np.multiply(phase[parent[a:b]], phase[prime[a:b]], out=phase[a:b])
-        return phase @ np.stack([phase.T, phase.T.conj()])
+        return phase @ np.concatenate([phase.T, phase.T.conj()], axis=1)
 
-    sums = _block_folds(counts, (2, ints.size, ints.size), block_sum)
+    sums = _block_folds(counts, (w, 2 * w), block_sum)
     means = []
     for c in counts:
-        s, o = sums[c] / c
+        mean = sums[c] / c
+        s, o = mean[:, :w], mean[:, w:]
         means.append(np.concatenate([s, o, o.conj(), s.conj()], axis=None))
     return means
 

@@ -5,11 +5,13 @@ loops, explicit exponentials, explicit divisor sums) and shares no code
 paths with the package beyond the CoeffGrid container and the
 KahanAccumulator fold.  The exceptions are sequential_per_zero_average,
 which keeps the per-ordinate form of the oracle averaging route on the
-package's single-sequence transform and recursive Dirichlet inverse, and
-reference_remainder_rhs, which takes phi from LindbladSet.phi_matrix.
+package's single-sequence transform and recursive Dirichlet inverse,
+reference_remainder_rhs, which takes phi from LindbladSet.phi_matrix, and
+reference_load_zero_table, which hands its values to ZeroTable.
 """
 
 import json
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -18,7 +20,9 @@ from qtorus import (
     GENERAL,
     HERMITIAN,
     CoeffGrid,
+    FormatError,
     KahanAccumulator,
+    ZeroTable,
     ZetaParams,
     d_transform_2d,
 )
@@ -89,6 +93,45 @@ def naive_divisor_transform_2d(avals, fhat):
     for i in range(m):
         rows[i, :] = naive_divisor_transform_1d(avals, cols[i, :])
     return CoeffGrid(n, rows, GENERAL)
+
+
+def reference_load_zero_table(source):
+    """The per-line zero-table loader: a path is read in text mode (UTF-8,
+    universal newlines), a handle is iterated as it is; each line is
+    stripped, blank and '#' lines are skipped and every other line goes
+    through float(), after refusing non-ASCII characters and '_'."""
+    opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8")
+    vals = []
+    try:
+        with opened as lines:
+            for lineno, raw in enumerate(lines, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    if not line.isascii() or "_" in line:
+                        raise ValueError(line)
+                    vals.append(float(line))
+                except ValueError:
+                    raise FormatError("line %d: not a decimal ordinate: %r" % (lineno, line))
+    except UnicodeDecodeError as exc:
+        raise FormatError("zero table is not UTF-8 text: %s" % exc)
+    return ZeroTable(np.array(vals))
+
+
+def two_part_fold(shape, terms):
+    """(total, comp) of a Neumaier fold of complex terms in the given order,
+    the real and the imaginary parts folded as two separate real arrays."""
+    total = np.zeros(shape, dtype=np.complex128)
+    comp = np.zeros(shape, dtype=np.complex128)
+    for term in terms:
+        term = np.asarray(term, dtype=np.complex128)
+        for part in ("real", "imag"):
+            s, c, x = getattr(total, part), getattr(comp, part), getattr(term, part)
+            t = s + x
+            c += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
+            s[...] = t
+    return total, comp
 
 
 def sequential_phase_average(taus, xs):

@@ -1,6 +1,7 @@
 """Grid JSON, PGM ingest, atomic writes, and the command-line surface."""
 
 import gc
+import io
 import json
 import os
 import re
@@ -46,7 +47,7 @@ from qtorus import (
     write_grid,
     write_pgm,
 )
-from qtorus import cli
+from qtorus import cli, redundancy
 from qtorus.cli import run
 from qtorus.errors import DomainError, FormatError, HermiticityError, SymmetryError
 from qtorus.gridio import atomic_write_bytes
@@ -57,6 +58,7 @@ from helpers import (
     random_general,
     random_hermitian,
     reference_grid_to_json,
+    reference_load_zero_table,
     symmetrize_fourier_real,
 )
 
@@ -914,6 +916,30 @@ class TestCliRedundancy:
             assert os.path.exists(out) == (code == 0)
             assert not [p for p in os.listdir(work) if p.endswith(".tmp")]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_zero_tables_match_per_line_loader(self, data):
+        blob = _mutated_zero_table(data)
+        with pytest.MonkeyPatch.context() as mp:
+            # small casts cut the table after every line or few lines
+            mp.setattr(redundancy, "_CAST_BYTES", data.draw(st.sampled_from([1, 12, 1 << 15])))
+            with tempfile.TemporaryDirectory() as work:
+                table = os.path.join(work, "z.txt")
+                with open(table, "wb") as fh:
+                    fh.write(blob)
+                got, want = _load_outcome(table), _load_outcome(table, reference_load_zero_table)
+            try:
+                text = blob.decode("utf-8")
+            except UnicodeDecodeError:
+                # the per-line loader decodes as it goes and may name a bad line first
+                assert got.startswith("zero table is not UTF-8 text") and isinstance(want, str)
+                return
+            assert got == want
+            assert _load_outcome(io.BytesIO(blob)) == want
+            # a handle is split at \n, \r\n and \r, as a path is read in text mode
+            assert _load_outcome(io.StringIO(text)) == _load_outcome(
+                io.StringIO(text, newline=None), reference_load_zero_table)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_fuzzed_flags_never_escape(self, data):
@@ -977,6 +1003,41 @@ class TestCliPlumbing:
                 fh.write(text)
             assert run(["norms", "--in", path, "--alphas", "0,1"]) in (0, 1, 2)
             assert run(["smap", "--in", path, "--out", os.path.join(work, "w.json")]) in (0, 1, 2)
+
+    @pytest.mark.parametrize("command,flag,good,bad", [
+        ("redundancy", "--counts", "10", "1_0"),
+        ("redundancy", "--counts", "10", "\u0661\u0660"),
+        ("redundancy", "--counts", "1,10", "1,1\u0660"),
+        ("redundancy", "--sigma", "30", "3_0"),
+        ("redundancy", "--sigma", "3", "\u0663"),
+        ("evolve", "--lambda", "linear:10", "linear:1_0"),
+        ("evolve", "--lambda", "linear:1", "linear:\u0661"),
+        ("evolve", "--a", "10", "1_0"),
+        ("evolve", "--b", "0.5", "\u00a00.5"),
+        ("evolve", "--t", "0.01", "0.0\u0661"),
+        ("evolve", "--dt", "0.005", "0.00_5"),
+        ("evolve", "--alpha", "1", "\u0661"),
+        ("norms", "--alphas", "1,10", "1,1_0"),
+        ("ingest-pgm", "--n", "3", "\u0663"),
+    ])
+    def test_number_spellings_the_readers_refuse(self, tmp_path, rng, command, flag, good, bad):
+        # int() and float() take '_' separators and any Unicode digits
+        field, pgm = str(tmp_path / "f.json"), str(tmp_path / "p.pgm")
+        write_grid(field, random_fourier_real(2, rng))
+        write_pgm(pgm, rng.uniform(0, 1, (8, 8)), maxval=255)
+        flags = {
+            "redundancy": {"--field": field, "--zeros": str(DATA / "zeta_zeros_100.txt"),
+                           "--counts": "10"},
+            "evolve": {"--field": field, "--a": "1", "--t": "0.01",
+                       "--trace": str(tmp_path / "t.csv")},
+            "norms": {"--in": field, "--alphas": "1"},
+            "ingest-pgm": {"--in": pgm, "--n": "3"},
+        }[command]
+        out = tmp_path / "o.out"
+        for value, code in ((bad, 1), (good, 0)):
+            argv = dict(flags, **{flag: value, "--out": str(out)})
+            assert run([command] + [t for kv in argv.items() for t in kv]) == code
+            assert out.exists() == (code == 0)
 
     def test_asymmetric_grid_rejected(self, tmp_path, rng):
         path = str(tmp_path / "gen.json")
@@ -1044,7 +1105,10 @@ def _mutated_pgm(data) -> bytes:
 
 
 _ZERO_TOKENS = [b"nan", b"inf", b"-14.1", b"0", b"1e400", b"5e-324", b"1e308", b"1_0",
-                b"0x10", b"abc", b"", b"# note", b"\xff", b"\x00"]
+                b"0x10", b"abc", b"", b"# note", b"\xff", b"\x00",
+                b"3_0.5", "\u0663\u0660.5".encode(), b"30.5\r31.5", b"30.5\r", b"\x0c30.5\x0c",
+                b"30.5\x0c31.5", "\u00a030.5\u00a0".encode(), b"\x1c30.5\x1f", b"  # 1_0 here",
+                "# \u03b6 zeros \u0662\u0661".encode()]
 
 
 def _mutated_zero_table(data) -> bytes:
@@ -1064,6 +1128,14 @@ def _mutated_zero_table(data) -> bytes:
             j = data.draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], lines[i]
     return _splice(data, b"\n".join(lines) + b"\n")
+
+
+def _load_outcome(source, load=load_zero_table):
+    """The ordinates' bytes, or the text of the FormatError that refused them."""
+    try:
+        return load(source).ordinates.tobytes()
+    except FormatError as exc:
+        return str(exc)
 
 
 def _redundancy_run(work: str, flags) -> int:

@@ -22,6 +22,7 @@ from qtorus import (
     FOURIER_REAL,
     GENERAL,
     CoeffGrid,
+    KahanAccumulator,
     ZeroTable,
     ZetaParams,
     apply_D_inv,
@@ -47,8 +48,10 @@ from helpers import (
     random_fourier_real,
     random_general,
     random_hermitian,
+    reference_load_zero_table,
     sequential_per_zero_average,
     sequential_phase_average,
+    two_part_fold,
 )
 
 # arguments of the phase averages the 2D route needs: log d and log(p/q)
@@ -90,6 +93,25 @@ class TestZeroTable:
         with pytest.raises(FormatError, match="line 3: not a decimal ordinate"):
             load_zero_table(io.StringIO("14.1\n-3.0\nabc\n"))
 
+    def test_binary_handle(self):
+        table = load_zero_table(io.BytesIO(b"# header\r\n14.1\n\n  21.0\r25.0\n"))
+        assert table.ordinates.tolist() == [14.1, 21.0, 25.0]
+        with pytest.raises(FormatError, match="line 3: not a decimal ordinate: 'abc'"):
+            load_zero_table(io.BytesIO(b"14.1\n21.0\nabc\n"))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_zero_table(io.BytesIO(b"14.1\n\xff\n"))
+
+    def test_text_handle_splits_at_lone_carriage_return(self):
+        # the table is split as a path is read in text mode, whatever the handle's newline
+        assert load_zero_table(io.StringIO("14.1\r21.0\n")).ordinates.tolist() == [14.1, 21.0]
+        with pytest.raises(FormatError, match="line 2: not a decimal ordinate: 'x'"):
+            load_zero_table(io.StringIO("14.1\rx\n21.0\n"))
+
+    @pytest.mark.parametrize("name", ["zeta_zeros_100.txt", "zeta_zeros_10k.txt"])
+    def test_shipped_tables_match_per_line_loader(self, name):
+        want = reference_load_zero_table(DATA / name).ordinates
+        assert load_zero_table(DATA / name).ordinates.tobytes() == want.tobytes()
+
     def test_parse_rejects_disorder(self):
         with pytest.raises(FormatError, match="increasing"):
             load_zero_table(io.StringIO("14.1\n21.0\n21.0\n"))
@@ -126,6 +148,49 @@ class TestZeroTable:
         text = "# header\n\n" + "\n".join(repr(x) for x in ordinates) + "\n"
         with pytest.raises(FormatError, match=re.escape(message)):
             load_zero_table(io.StringIO(text))
+
+
+def _fold_terms(rng, count, shape):
+    """Complex terms with signed zeros, exact cancellations and parts of
+    magnitude 1e-300, 1 and 1e300 side by side."""
+    terms = []
+    for _ in range(count):
+        scale = 10.0 ** rng.choice([-300, 0, 300], size=shape + (2,))
+        parts = rng.standard_normal(shape + (2,)) * scale
+        parts[rng.random(shape + (2,)) < 0.2] = 0.0
+        parts[rng.random(shape + (2,)) < 0.2] = -0.0
+        term = np.empty(shape, dtype=np.complex128)
+        term.real, term.imag = parts[..., 0], parts[..., 1]
+        terms.append(term)
+        if rng.random() < 0.3:
+            terms.append(-terms[rng.integers(len(terms))])
+    return terms
+
+
+class TestCompensatedFold:
+    """KahanAccumulator folds re and im as one float view; the two-part fold is its oracle."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5), (2, 4, 4)])
+    def test_matches_two_part_fold_bitwise(self, seed, shape):
+        terms = _fold_terms(np.random.default_rng(seed), 40, shape)
+        acc = KahanAccumulator(shape)
+        for term in terms:
+            acc.add(term)
+        total, comp = two_part_fold(shape, terms)
+        assert acc.total.tobytes() == total.tobytes()
+        assert acc.comp.tobytes() == comp.tobytes()
+        assert acc.value().tobytes() == (total + comp).tobytes()
+
+    def test_strided_and_broadcast_terms(self, rng):
+        wide = _fold_terms(rng, 6, (4, 6))
+        terms = [w[:, ::2] for w in wide] + [complex(-0.0, 1e300), np.float64(-1e-300)]
+        acc = KahanAccumulator((4, 3))
+        for term in terms:
+            acc.add(term)
+        total, comp = two_part_fold((4, 3), terms)
+        assert acc.total.tobytes() == total.tobytes()
+        assert acc.comp.tobytes() == comp.tobytes()
 
 
 class TestPhaseAverage:
