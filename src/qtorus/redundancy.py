@@ -4,9 +4,9 @@ A smooth field re-encoded through the slowly-decaying bases D(sigma, tau)
 is recovered by averaging over many ordinates tau_n: the corrections ride
 on averages M(x) of exp(-i tau_n x) phases, which cancel as the table
 grows.  Ordinates are ingested from text tables, never computed here:
-load_zero_table only parses a table, in one cast of all its lines when
-it can and line by line to name a bad line, and ZeroTable is the one
-check of ordinate values.
+load_zero_table only parses a table, by numpy casts of many lines at a
+time when it can and line by line to name a bad line, and ZeroTable is
+the one check of ordinate values.
 
 Two implementations of the 2D average are kept deliberately separate:
 broadband_average_2d applies averaged phase factors divisor pair by
