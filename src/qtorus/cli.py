@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 usage error, 2 data or validation error.
 Every file output is written atomically and gets a .manifest.json
 sidecar echoing inputs and parameters.
+
+_COMMANDS is the one description of the subcommands.  run builds the
+parser of the command named first in argv alone, a fifth of the cost of
+building every subcommand; help, a missing command and an unknown one
+take the parser of every command.  Both print the same text.
 """
 
 from __future__ import annotations
@@ -86,71 +91,6 @@ def _lambda_spec(text: str):
         except ValueError:
             pass
     raise argparse.ArgumentTypeError("expected linear:<c>, got %r" % text)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qtorus")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("smap", help="rearrange a fourier-real grid into a Hermitian one")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(handler=cmd_smap)
-
-    sp = sub.add_parser("qtransform", help="Q-transform of a field (plus optional imaginary part)")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--imag")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(handler=cmd_qtransform)
-
-    sp = sub.add_parser("qinverse", help="split a matrix grid back into two fields")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out-real", dest="out_real", required=True)
-    sp.add_argument("--out-imag", dest="out_imag", required=True)
-    sp.set_defaults(handler=cmd_qinverse)
-
-    sp = sub.add_parser("ingest-pgm", help="PGM image to Fourier coefficients")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--n", type=_int, required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(handler=cmd_ingest_pgm)
-
-    sp = sub.add_parser("norms", help="Sobolev norms of a grid for a list of alphas")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--alphas", type=_alpha_list, required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(handler=cmd_norms)
-
-    sp = sub.add_parser("evolve", help="evolve a field's observable under the master equation")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--a", type=_float, required=True)
-    sp.add_argument("--b", type=_float, default=0.0)
-    sp.add_argument("--floor", type=_int)
-    sp.add_argument("--compact")
-    sp.add_argument("--lindblad", action="append", default=[])
-    sp.add_argument("--lambda", dest="lam", type=_lambda_spec)
-    sp.add_argument("--t", type=_float, required=True)
-    sp.add_argument("--dt", type=_float)
-    sp.add_argument("--alpha", type=_float, default=0.0)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--trace", required=True)
-    sp.set_defaults(handler=cmd_evolve)
-
-    sp = sub.add_parser("redundancy", help="broadband averaging error sweep over a zero table")
-    sp.add_argument("--field")
-    sp.add_argument("--sigma", type=_float, default=3.0)
-    sp.add_argument("--zeros", required=True)
-    sp.add_argument("--counts", type=_count_list, required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(handler=cmd_redundancy)
-
-    sp = sub.add_parser("commutator", help="field commutator of two fourier-real grids")
-    sp.add_argument("--f", dest="f", required=True)
-    sp.add_argument("--g", dest="g", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(handler=cmd_commutator)
-
-    return p
 
 
 def cmd_smap(args) -> int:
@@ -277,8 +217,70 @@ def cmd_commutator(args) -> int:
     return 0
 
 
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+_IN, _OUT = _arg("--in", dest="infile", required=True), _arg("--out", required=True)
+
+# name: (help, handler, arguments), the one description of every subcommand
+_COMMANDS = {
+    "smap": ("rearrange a fourier-real grid into a Hermitian one", cmd_smap, (_IN, _OUT)),
+    "qtransform": ("Q-transform of a field (plus optional imaginary part)", cmd_qtransform, (
+        _arg("--field", required=True), _arg("--imag"), _OUT)),
+    "qinverse": ("split a matrix grid back into two fields", cmd_qinverse, (
+        _IN, _arg("--out-real", dest="out_real", required=True),
+        _arg("--out-imag", dest="out_imag", required=True))),
+    "ingest-pgm": ("PGM image to Fourier coefficients", cmd_ingest_pgm, (
+        _IN, _arg("--n", type=_int, required=True), _OUT)),
+    "norms": ("Sobolev norms of a grid for a list of alphas", cmd_norms, (
+        _IN, _arg("--alphas", type=_alpha_list, required=True), _arg("--out"))),
+    "evolve": ("evolve a field's observable under the master equation", cmd_evolve, (
+        _arg("--field", required=True),
+        _arg("--a", type=_float, required=True),
+        _arg("--b", type=_float, default=0.0),
+        _arg("--floor", type=_int),
+        _arg("--compact"),
+        _arg("--lindblad", action="append", default=[]),
+        _arg("--lambda", dest="lam", type=_lambda_spec),
+        _arg("--t", type=_float, required=True),
+        _arg("--dt", type=_float),
+        _arg("--alpha", type=_float, default=0.0),
+        _OUT,
+        _arg("--trace", required=True))),
+    "redundancy": ("broadband averaging error sweep over a zero table", cmd_redundancy, (
+        _arg("--field"),
+        _arg("--sigma", type=_float, default=3.0),
+        _arg("--zeros", required=True),
+        _arg("--counts", type=_count_list, required=True),
+        _OUT)),
+    "commutator": ("field commutator of two fourier-real grids", cmd_commutator, (
+        _arg("--f", dest="f", required=True), _arg("--g", dest="g", required=True), _OUT)),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The qtorus parser with every subcommand, or with only the named one.
+    The one-command parser's usage line still lists every command, as the
+    full parser's does, for the refusal of an argument after the command."""
+    p = argparse.ArgumentParser(prog="qtorus")
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, handler, args) in _COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            for flags, kw in args:
+                sp.add_argument(*flags, **kw)
+            sp.set_defaults(handler=handler)
+    return p
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs only its own subparser; help, no command or an
+    # unknown one takes the full parser, whose texts list every command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -177,14 +177,14 @@ class RunManifest:
     params: dict
 
     def __post_init__(self):
-        self.started = time.time()
+        self.started = time.monotonic()  # a wall-clock step cannot make duration_s negative
 
     def write_for(self, out_path):
         payload = {
             "inputs": [str(p) for p in self.inputs],
             "params": self.params,
             "tool_version": __version__,
-            "duration_s": time.time() - self.started,
+            "duration_s": time.monotonic() - self.started,
         }
         atomic_write_bytes(str(out_path) + ".manifest.json",
                            (json.dumps(payload, sort_keys=True, default=str) + "\n").encode())

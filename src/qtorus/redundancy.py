@@ -4,7 +4,7 @@ A smooth field re-encoded through the slowly-decaying bases D(sigma, tau)
 is recovered by averaging over many ordinates tau_n: the corrections ride
 on averages M(x) of exp(-i tau_n x) phases, which cancel as the table
 grows.  Ordinates are ingested from text tables, never computed here:
-load_zero_table only parses a table, by numpy casts of many lines at a
+load_zero_table only parses a table, by orjson reads of many lines at a
 time when it can and line by line to name a bad line, and ZeroTable is
 the one check of ordinate values.
 
@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import orjson
 
 from .dirichlet import _require_sigma, _window_image, _window_terms, d_matrix, moebius_inverse_rows
 from .errors import DimensionError, DomainError, EmptyRangeError, FormatError
@@ -101,37 +102,47 @@ class ZeroTable:
         return float(self.ordinates[count - 1])
 
 
-_CAST_BYTES = 1 << 15  # table bytes per numpy cast: bounds the line objects alive at once
+_CAST_BYTES = 1 << 13  # table bytes per orjson parse: bounds the objects alive at once
+_NUMBER_BYTES = b"0123456789.eE+-"  # the bytes a data line may hold to reach orjson
 
 
 def _ascii_ordinates(data: bytes) -> np.ndarray:
-    """The data lines of an ASCII table as float64, each parsed as float()
-    parses it; ValueError if one is not a number.  The table is cast
-    _CAST_BYTES at a time, cut after a \\n so that no line is split.
+    """The data lines of an ASCII table as float64, each read as float()
+    reads it; ValueError if one might not be.  The table is parsed
+    _CAST_BYTES at a time, cut after a \\n so that no line is split: the
+    stripped lines that are neither blank nor '#' are joined by commas and
+    read as one JSON array by orjson.
 
-    bytes.strip() strips less than str.strip() (not \\x1c-\\x1f), and what
-    it leaves makes float() refuse the line, so such a table falls back to
-    the per-line parse.
+    Only lines of digits, '.', 'e', 'E', '+' and '-' reach orjson, so each
+    is one JSON number or a refusal ("+1", ".5", "1.", "01", "1e999").  A
+    JSON number reads as float() reads it, but for "-0", which orjson reads
+    as the int 0: a zero ordinate is refused here, so that the per-line
+    parse keeps its sign for ZeroTable's refusal.  bytes.strip() strips
+    less than str.strip() (not \\x1c-\\x1f); what it leaves is not a number
+    character, so such a table also falls back to the per-line parse.
     """
     parts, start = [np.empty(0)], 0
     while start < len(data):
         stop = data.find(b"\n", start + _CAST_BYTES) + 1 or len(data)
-        lines = map(bytes.strip, data[start:stop].splitlines())
-        parts.append(np.array([s for s in lines if s and s[0] != 0x23], dtype=np.float64))  # '#'
-        start = stop
+        piece, start = data[start:stop], stop
+        lines = list(filter(None, map(bytes.strip, piece.splitlines())))
+        if b"#" in piece:
+            lines = [s for s in lines if s[0] != 0x23]  # '#'
+        if not lines:
+            continue
+        joined = b",".join(lines)
+        if joined.translate(None, _NUMBER_BYTES) != b"," * (len(lines) - 1):
+            raise ValueError("not a list of JSON numbers")
+        del lines  # before orjson's list of floats exists: it keeps the peak low
+        part = np.array(orjson.loads(b"[%b]" % joined), dtype=np.float64)
+        if not part.all():
+            raise ValueError("zero ordinate")
+        parts.append(part)
     return np.concatenate(parts)
 
 
-def load_zero_table(source) -> ZeroTable:
-    """Parse an ordinate table: one decimal per line, '#' comments.
-
-    source is a path or an open text or binary handle.  The table is read
-    whole, checked as UTF-8 once and split at \\n, \\r\\n and \\r.  If it is
-    ASCII without '_', its data lines go through numpy casts, which parse
-    each line as float() does; only when a cast fails, or the table holds
-    other characters, are the lines parsed one at a time, to name the
-    first bad one.  The loader only parses; ZeroTable checks the values.
-    """
+def _read_table(source) -> bytes:
+    """The whole table as bytes, checked as UTF-8."""
     if hasattr(source, "read"):
         data = source.read()
     else:
@@ -139,18 +150,23 @@ def load_zero_table(source) -> ZeroTable:
             data = fh.read()
     try:
         if isinstance(data, str):
-            data = data.encode("utf-8")
-        elif not data.isascii():
+            return data.encode("utf-8")
+        if not data.isascii():
             data.decode("utf-8")
     except UnicodeError as exc:
         raise FormatError("zero table is not UTF-8 text: %s" % exc)
+    return data
+
+
+def _table_ordinates(data: bytes) -> np.ndarray:
+    """The ordinates of a table's data lines, by orjson when the table is
+    ASCII without '_' and every line is a JSON number; otherwise line by
+    line, naming the first line that is not a decimal ordinate."""
     if data.isascii() and b"_" not in data:  # float() takes "1_4.5" and "٢١" too
         try:
-            vals = _ascii_ordinates(data)
+            return _ascii_ordinates(data)
         except ValueError:
             pass
-        else:
-            return ZeroTable(vals)
     vals = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.decode("utf-8").strip()
@@ -162,7 +178,23 @@ def load_zero_table(source) -> ZeroTable:
             vals.append(float(line))
         except ValueError:
             raise FormatError("line %d: not a decimal ordinate: %r" % (lineno, line))
-    return ZeroTable(np.array(vals))
+    return np.array(vals)
+
+
+def load_zero_table(source) -> ZeroTable:
+    """Parse an ordinate table: one decimal per line, '#' comments.
+
+    source is a path or an open text or binary handle.  The table is read
+    whole, checked as UTF-8 once and split at \\n, \\r\\n and \\r.  If it is
+    ASCII without '_', its data lines are parsed by orjson, a piece of the
+    table at a time, as JSON arrays of numbers, which read each line as
+    float() does; only when a piece holds a line that is not a JSON number
+    (or is zero), or the table holds other characters, are the lines
+    parsed one at a time, to name the first bad one.  The loader only
+    parses; ZeroTable checks the values.  The table's bytes are released
+    before ZeroTable copies the values.
+    """
+    return ZeroTable(_table_ordinates(_read_table(source)))
 
 
 def _block_sum(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:

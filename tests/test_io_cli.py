@@ -5,7 +5,10 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 
@@ -463,6 +466,15 @@ class TestCliTransforms:
         assert m["params"]["command"] == "smap"
         assert m["tool_version"] == "0.1.0"
         assert m["duration_s"] >= 0.0
+
+    def test_manifest_duration_ignores_wall_clock_steps(self, tmp_path, field_file,
+                                                        monkeypatch):
+        wall = iter(range(10 ** 9, 0, -3600))  # every read is an hour earlier
+        monkeypatch.setattr(time, "time", lambda: float(next(wall)))
+        out = str(tmp_path / "w.json")
+        assert run(["smap", "--in", field_file, "--out", out]) == 0
+        with open(out + ".manifest.json") as fh:
+            assert 0.0 <= json.load(fh)["duration_s"] < 60.0
 
     def test_outputs_are_deterministic(self, tmp_path, field_file):
         o1 = str(tmp_path / "w1.json")
@@ -940,6 +952,49 @@ class TestCliRedundancy:
             assert _load_outcome(io.StringIO(text)) == _load_outcome(
                 io.StringIO(text, newline=None), reference_load_zero_table)
 
+    @pytest.mark.parametrize("cast_bytes", [1, 12, 1 << 15])
+    @pytest.mark.parametrize("table", [
+        b"-0\n14.1\n",  # orjson reads -0 as the int 0; the refusal keeps the sign
+        b"14.1\n-0\n",
+        b"+1\n14.1\n",
+        b".5\n14.1\n",
+        b"1.\n14.1\n",
+        b"01\n14.1\n",
+        b"14.1\n1e999\n",
+        b"1e-400\n14.1\n",
+        b"14.1\n123456789012345678901234567890\n",
+        b"14.1\n9223372036854776833\n",  # 2**63 + 1025, an int to orjson: rounds up
+        b"true\n",
+        b"14.1\n1,2\n",
+        b"[1]\n",
+        b"14.1 # c\n21.0\n",
+        b"\x0b14.1\x0c\n\x0c21.0\x0b\n",
+        b"14.1\r21.0\n",
+        b"# header\r14.1\r\r21.0\r",
+    ])
+    def test_number_spellings_match_per_line_loader(self, tmp_path, monkeypatch, table,
+                                                    cast_bytes):
+        monkeypatch.setattr(redundancy, "_CAST_BYTES", cast_bytes)
+        path = tmp_path / "z.txt"
+        path.write_bytes(table)
+        want = _load_outcome(path, reference_load_zero_table)
+        assert _load_outcome(path) == want
+        assert _load_outcome(io.BytesIO(table)) == want
+
+    def test_shipped_table_peak_memory(self):
+        path = DATA / "zeta_zeros_10k.txt"
+        load_zero_table(path)  # first-call imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load_zero_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 200 KB of text, 80 KB of ordinates; the text is released before
+        # ZeroTable copies the ordinates (holding it through the copy peaks at 394 KB)
+        assert peak <= 385_000, peak
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_fuzzed_flags_never_escape(self, data):
@@ -1038,6 +1093,59 @@ class TestCliPlumbing:
             argv = dict(flags, **{flag: value, "--out": str(out)})
             assert run([command] + [t for kv in argv.items() for t in kv]) == code
             assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--help"],
+        ["-h", "evolve"],
+        ["frobnicate"],
+        ["frobnicate", "--in", "x"],
+        ["--bogus", "smap"],
+        ["smap", "--in", "x", "--out", "y", "--bogus"],
+        ["smap", "--in", "x", "--out", "y", "extra"],
+        ["smap", "--in"],
+        ["qinverse", "--in", "x", "--out-real", "y"],
+        ["ingest-pgm", "--in", "x", "--n", "x3", "--out", "y"],
+        ["norms", "--in", "x", "--alphas", ","],
+        ["evolve", "--field", "f", "--a", "1_0", "--t", "1", "--out", "o", "--trace", "t"],
+        ["evolve", "--field", "f", "--a", "1", "--t", "1", "--out", "o", "--trace", "t",
+         "--lambda", "quadratic:1"],
+        ["redundancy", "--zeros", "z", "--counts", "0", "--out", "o"],
+        ["redundancy", "--zeros", "z", "--counts", "1", "--out", "o", "--frob", "1"],
+        ["commutator", "--f", "a", "--out", "o"],
+    ] + [[name, "--help"] for name in cli._COMMANDS] + [[name] for name in cli._COMMANDS])
+    def test_text_matches_full_parser(self, capsys, monkeypatch, argv):
+        # run builds only the named command's subparser; what it prints and
+        # returns must be what the parser with every command gives
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        want = (0 if exc.value.code == 0 else 1,) + tuple(capsys.readouterr())
+        assert (run(argv),) + tuple(capsys.readouterr()) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--field", "f", "--a", "1", "--t", "1", "--out", "o", "--trace", "t",
+         "--lindblad", "l1", "--lindblad", "l2", "--lambda", "linear:0.5", "--floor", "2"],
+        ["redundancy", "--zeros", "z", "--counts", "3,1", "--out", "o", "--sigma", "2"],
+        ["norms", "--in", "x", "--alphas", "0,1.5"],
+        ["qinverse", "--in", "x", "--out-real", "y", "--out-imag", "z"],
+    ])
+    def test_one_command_parser_reads_as_full_parser(self, argv):
+        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(
+            cli.build_parser().parse_args(argv))
+
+    def test_module_entry_point_help(self, monkeypatch, capsys):
+        # `python -m qtorus.cli` reads its argv from sys.argv
+        monkeypatch.setenv("COLUMNS", "100")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        for name in cli._COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "qtorus.cli", name, "--help"],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args([name, "--help"])
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
     def test_asymmetric_grid_rejected(self, tmp_path, rng):
         path = str(tmp_path / "gen.json")
