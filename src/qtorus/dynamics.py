@@ -377,12 +377,13 @@ def evolve_steps(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
         if gen.exact:
             a = e_full * a
         else:
-            ea = e_full * a
-            k1 = remainder(a)
-            k2 = remainder(e_half * (a + (base_dt / 2.0) * k1))
-            k3 = remainder(e_half * a + (base_dt / 2.0) * k2)
-            k4 = remainder(ea + base_dt * (e_half * k3))
-            a = ea + (base_dt / 6.0) * (e_full * k1 + 2.0 * (e_half * (k2 + k3)) + k4)
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite a fails the check
+                ea = e_full * a
+                k1 = remainder(a)
+                k2 = remainder(e_half * (a + (base_dt / 2.0) * k1))
+                k3 = remainder(e_half * a + (base_dt / 2.0) * k2)
+                k4 = remainder(ea + base_dt * (e_half * k3))
+                a = ea + (base_dt / 6.0) * (e_full * k1 + 2.0 * (e_half * (k2 + k3)) + k4)
         t = step * base_dt
         if not np.all(np.isfinite(a)):
             raise IntegrationError(

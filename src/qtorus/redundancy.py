@@ -33,7 +33,9 @@ is completely multiplicative (the Euler product of zeta), so per block
 it takes sin and cos of the prime logs only, forms every other row b_d
 as a smaller row times a prime row (_phase_rows), and sums all the
 products at once as the Gram matrices [S, O] = P [P^T, P^H] of the
-rows P (_gram_means).
+rows P (_gram_means).  A 2D term pairs two one-axis terms (_direct_plan),
+so zbar = U (G * F) U^T: G gathers the Gram block, F the weighted field,
+and U sums each index's terms, a chunk of output rows at a time.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .summation import KahanAccumulator
 
 BLOCK = 256  # ordinates per block sum of a phase average
 SUB_BATCH = 8  # ordinates per stacked matrix product of the per-zero route
+_CHUNK_ENTRIES = 1 << 18  # 2D terms per chunk of output rows of the direct route
 
 
 @dataclass(eq=False)
@@ -327,8 +330,8 @@ def _phase_rows(dd: np.ndarray):
 
 
 def _gram_means(rows, taus: np.ndarray, counts) -> list:
-    """S = avg b_d b_r and O = avg b_d conj(b_r) over the first c ordinates
-    for every pair of phase rows, as the flat stack (S, O, conj O, conj S),
+    """The Gram block G = [[S, O], [conj O, conj S]] of the phase rows,
+    S = avg b_d b_r and O = avg b_d conj(b_r) over the first c ordinates,
     for each c in counts; summed in _block_folds' blocks.
 
     Per block, sin and cos are taken of the prime logs only, each level
@@ -354,42 +357,30 @@ def _gram_means(rows, taus: np.ndarray, counts) -> list:
         return phase @ np.concatenate([phase.T, phase.T.conj()], axis=1)
 
     sums = _block_folds(counts, (w, 2 * w), block_sum)
-    means = []
-    for c in counts:
-        mean = sums[c] / c
-        s, o = mean[:, :w], mean[:, w:]
-        means.append(np.concatenate([s, o, o.conj(), s.conj()], axis=None))
-    return means
+    means = [sums[c] / c for c in counts]  # [S, O]; its conj rolled by w is [conj O, conj S]
+    return [np.concatenate([m, np.roll(m.conj(), w, axis=1)]) for m in means]
 
 
 @lru_cache(maxsize=16)
 def _direct_plan(n: int):
-    """Divisor-pair terms of the direct route at band limit n.
+    """One axis of the direct route at band limit n: (bounds, src, mu, d, g, rows).
 
-    Returns (out, src, gram, mu, dr, rows).  Term j adds
-    mu[j] * dr[j]^-sigma * G[gram[j]] * fhat.flat[src[j]] to the flat
-    output entry out[j], where G is a stack of _gram_means over the phase
-    rows: for divisor d of k and r of l it is entry (d, r) of the matrix
-    2 [k < 0] + [l < 0] of (S, O, conj O, conj S), so k, l >= 0 read S and
-    k >= 0 > l reads O; mu = mu(d) mu(r) and dr = d r.  Terms are
-    outer products of the one-axis expansion of B, so they run over k, d,
-    l, r in that nesting order and each output sums ascending in d, then r.
+    Term j is the divisor d[j] of an index k, mu[j] = mu(d), src[j] is
+    the index of k / d and g[j] = w [k < 0] + row(d) its row in the
+    (2w, 2w) Gram block G over the w phase rows.  The terms of index i
+    run from bounds[i] to bounds[i + 1], ascending in d.  Term pairs make
+    the 2D route zbar = U (G[g][:, g] * F) U^T, F[j, i] = c[j] c[i]
+    fhat[src[j], src[i]] with c = mu d^-sigma, where U sums an index's
+    terms by np.add.reduceat: over r (the terms of l), then over d.
+    Every k has its d = 1 term, so no range is empty; for an empty range
+    reduceat would return its first entry, not 0.
     """
-    pos, src, dd, sgn, mus, _ = _inverse_terms(n)
+    pos, src, dd, sgn, mu, _ = _inverse_terms(n)
     rows = _phase_rows(dd)
-    w = rows[0].size
-    index = np.zeros(int(dd.max()) + 1, dtype=np.int32)
-    index[rows[0]] = np.arange(w)
-    rank = index[dd]
-    neg = (sgn < 0).astype(np.int32)
-    m = 2 * n + 1
-    plan = (
-        np.add.outer(pos * m, pos).ravel().astype(np.int32),
-        np.add.outer(src * m, src).ravel().astype(np.int32),
-        np.add.outer(2 * w * w * neg + w * rank, w * w * neg + rank).ravel(),
-        np.multiply.outer(mus, mus).ravel(),
-        np.multiply.outer(dd, dd).ravel().astype(np.int32),
-    )
+    row_of = np.zeros(int(dd.max()) + 1, dtype=np.intp)
+    row_of[rows[0]] = np.arange(rows[0].size)
+    plan = (np.searchsorted(pos, np.arange(2 * n + 2)), src, mu, dd,
+            rows[0].size * (sgn < 0) + row_of[dd])
     for a in plan:
         a.setflags(write=False)
     return plan + (rows,)
@@ -403,26 +394,35 @@ def broadband_average_2d_counts(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
         mu(d) mu(r) (d r)^-sigma * M(sgn(k) log d + sgn(l) log r) * fhat[k/d, l/r]
     where M is the zero-averaged phase.  All counts share one pass over
     the ordinates; the grid at c is the same whichever other counts are
-    requested.  The (0,0) entry is exact: only d = r = 1 reaches it, and
-    the row of d = 1 is exactly 1, so its mean is M(0) = 1.
+    requested, and however the output rows are chunked.  The (0,0) entry
+    is exact: only d = r = 1 reaches it, and the row of d = 1 is exactly
+    1, so its mean is M(0) = 1.
     """
     _require_sigma(sigma)
     for c in counts:
         if not 1 <= c <= zeros.count:
             raise EmptyRangeError(
                 "table holds %d ordinates, cannot average over %d" % (zeros.count, c))
-    n = fhat.n
-    out, src, gram, mu, dr, rows = _direct_plan(n)
-    coef = mu * dr.astype(np.float64) ** (-float(sigma))
-    f = fhat.data.ravel()[src]
-    grids = []
-    for g_c in _gram_means(rows, zeros.ordinates, counts):
-        terms = g_c[gram]
-        terms *= coef
-        terms *= f
-        flat = _sum_by_index(out, terms, fhat.data.size)
-        grids.append(_window_image(fhat, flat.reshape(fhat.data.shape)))
-    return grids
+    bounds, src, mu, d, g, rows = _direct_plan(fhat.n)
+    coef = mu * d.astype(np.float64) ** (-float(sigma))
+    grams = _gram_means(rows, zeros.ordinates, counts)
+    zbars = [np.empty(fhat.data.shape, dtype=np.complex128) for _ in counts]
+    a = 0
+    while a < bounds.size - 1:  # output rows [a, b): within _CHUNK_ENTRIES terms, or one row
+        b = max(a + 1, int(np.searchsorted(bounds, bounds[a] + _CHUNK_ENTRIES // src.size,
+                                           "right")) - 1)
+        terms = slice(bounds[a], bounds[b])
+        f = np.take(fhat.data[src[terms]], src, axis=1)  # C order, unlike [...][:, src]
+        f *= np.multiply.outer(coef[terms], coef)
+        gf = np.empty_like(f)
+        for gram, zbar in zip(grams, zbars):
+            np.take(gram[g[terms]], g, axis=1, out=gf, mode="clip")  # "raise" would buffer
+            gf *= f
+            zbar[a:b] = np.add.reduceat(np.add.reduceat(gf, bounds[:-1], axis=1),
+                                        bounds[a:b] - bounds[a], axis=0)
+        del f, gf  # before the next chunk's arrays exist
+        a = b
+    return [_window_image(fhat, zbar) for zbar in zbars]
 
 
 def broadband_average_2d(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,

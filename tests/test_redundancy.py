@@ -5,6 +5,7 @@ check; trend assertions against the large table live in the acceptance
 module.
 """
 
+import gc
 import io
 import math
 import os
@@ -12,6 +13,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -303,10 +305,12 @@ class TestEulerRoute:
         gram = redundancy._gram_means(rows, zeros10k.ordinates, counts)
         plain = redundancy._phase_means(zeros10k.ordinates, _gram_logs(rows[0]), counts)
         for g, p in zip(gram, plain):
-            s, o, conj_o, conj_s = g.reshape(4, w * w)
-            assert np.max(np.abs(np.concatenate([s, o]) - p)) <= 5e-13
-            assert np.array_equal(conj_s, np.conj(s)) and np.array_equal(conj_o, np.conj(o))
-            assert s[0] == 1  # d = r = 1: the (0,0) entry's phase is exact
+            assert g.shape == (2 * w, 2 * w)
+            s, o = g[:w, :w], g[:w, w:]
+            assert np.max(np.abs(np.concatenate([s.ravel(), o.ravel()]) - p)) <= 5e-13
+            # the block is [[S, O], [conj O, conj S]], its bottom half bitwise
+            assert np.array_equal(g[w:, :w], np.conj(o)) and np.array_equal(g[w:, w:], np.conj(s))
+            assert g[0, 0] == 1  # d = r = 1: the (0,0) entry's phase is exact
 
     def test_block_against_mpmath(self, zeros10k):
         mpmath = pytest.importorskip("mpmath")
@@ -315,7 +319,8 @@ class TestEulerRoute:
         taus = zeros10k.ordinates[38 * 256:39 * 256]  # the last full block, tau ~ 9.7e3
         assert 9.6e3 < taus[0] < taus[-1] < 9.9e3
         # one block's mean times 256 is its sum exactly
-        s, o, _, _ = redundancy._gram_means(rows, taus, [256])[0].reshape(4, w, w) * 256
+        g = redundancy._gram_means(rows, taus, [256])[0] * 256
+        s, o = g[:w, :w], g[:w, w:]
         plain = redundancy._phase_means(taus, _gram_logs(rows[0]), [256])[0].reshape(2, w, w) * 256
         with mpmath.workdps(40):
             ts = [mpmath.mpf(float(t)) for t in taus]
@@ -329,8 +334,8 @@ class TestEulerRoute:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 16, 32, 64])
     def test_tree_structure(self, n):
-        _, _, gram, _, dr, (ints, parent, prime, levels) = redundancy._direct_plan(n)
-        _, _, dd, sgn, _, _ = redundancy._inverse_terms(n)
+        bounds, src, mu, d, g, (ints, parent, prime, levels) = redundancy._direct_plan(n)
+        pos, src_t, dd, sgn, mu_t, _ = redundancy._inverse_terms(n)
         # the rows are the distinct d of the plan: the squarefree d <= n
         assert sorted(ints.tolist()) == sorted(set(dd.tolist())) == _squarefree(max(n, 1))
         primes = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
@@ -346,15 +351,16 @@ class TestEulerRoute:
         assert [r for a, b in levels for r in range(a, b)] == composite.tolist()
         for a, b in levels:
             assert parent[a:b].max() < a
-        # term j reads entry (d, r) of S, O, conj O or conj S by the signs of k and l
+        # one axis of terms: index i's terms are bounds[i]:bounds[i + 1], none empty
+        assert np.array_equal(src, src_t) and np.array_equal(mu, mu_t) and np.array_equal(d, dd)
+        assert bounds.size == 2 * n + 2 and bounds[0] == 0 and bounds[-1] == d.size
+        assert np.array_equal(np.repeat(np.arange(2 * n + 1), np.diff(bounds)), pos)
+        assert np.all(d[bounds[:-1]] == 1)
+        # term j reads Gram row row(d), offset by w when k < 0
         w = ints.size
-        assert gram.dtype == np.int32
-        quadrant, rest = np.divmod(gram, w * w)
-        neg = sgn < 0
-        assert np.array_equal(quadrant, np.add.outer(2 * neg, neg).ravel())
-        assert np.array_equal(ints[rest // w], np.repeat(dd, dd.size))
-        assert np.array_equal(ints[rest % w], np.tile(dd, dd.size))
-        assert np.array_equal(dr, np.multiply.outer(dd, dd).ravel())
+        assert np.array_equal(g // w, (sgn < 0).astype(g.dtype))
+        assert np.array_equal(ints[g % w], dd)
+        assert all(a.size == d.size for a in (src, mu, g))
 
     @pytest.mark.parametrize("count", [100, 256, 257, 1000])
     def test_prefix_independent_of_other_counts(self, zeros10k, count):
@@ -363,6 +369,39 @@ class TestEulerRoute:
         shared = redundancy._gram_means(rows, taus, [10, 100, count, 10000])
         assert np.array_equal(redundancy._gram_means(rows, taus, [count])[0], shared[2])
         assert np.array_equal(redundancy._gram_means(rows, taus[:count], [count])[0], shared[2])
+
+
+class TestChunkedDirectRoute:
+    """The direct route forms its output a chunk of rows at a time."""
+
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_chunking_leaves_grids_bitwise(self, zeros10k, monkeypatch, n):
+        # one output row per chunk, a few rows per chunk, and one chunk (n <= 64)
+        f = random_fourier_real(n, np.random.default_rng(n))
+        counts = [10, 257, 1000]
+        grids = []
+        for budget in (1, 1000, redundancy._CHUNK_ENTRIES):
+            monkeypatch.setattr(redundancy, "_CHUNK_ENTRIES", budget)
+            grids.append([z.data.tobytes() for z in
+                          broadband_average_2d_counts(f, 3.0, zeros10k, counts)])
+        assert grids[0] == grids[1] == grids[2]
+
+    def test_peak_memory_at_128(self, zeros10k):
+        f = random_fourier_real(128, np.random.default_rng(3))
+        redundancy._direct_plan.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            broadband_average_2d_counts(f, 3.0, zeros10k, [10, 100, 1000, 10000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the peak holds the four 1 MB output grids and one chunk's F and
+        # gathered G, 4.2 MB each at 2^18 terms: 15.7 MB with numpy 2.4
+        assert peak <= 20_000_000, peak
+        plan = redundancy._direct_plan(128)
+        held = sum(a.nbytes for a in plan[:5] + plan[5][:3])
+        assert held <= 100_000, held  # arrays of length T = 955 (T^2 = 912k)
 
 
 class TestNonFiniteT:
