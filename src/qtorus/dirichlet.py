@@ -78,7 +78,9 @@ def _window_terms(n: int):
 def _window_image(fhat: CoeffGrid, data: np.ndarray) -> CoeffGrid:
     """The grid B fhat B^T of window operators B.  Their negative cone takes
     conj(a_d) (the sgn column above), so a fourier-real fhat gives a
-    fourier-real image; no other symmetry survives, so any other is general."""
+    fourier-real image; no other symmetry survives, so any other is general.
+    data is the caller's fresh result, handed over read-only: the grid keeps it."""
+    data.setflags(write=False)
     return CoeffGrid(fhat.n, data, FOURIER_REAL if fhat.tag == FOURIER_REAL else GENERAL)
 
 

@@ -8,6 +8,12 @@ operator matrices (tag "hermitian" when w[l,k] = conj(w[k,l])).
 
 Tags are advisory: operations validate the actual symmetry at their
 boundary instead of trusting the tag.
+
+A grid's data is read-only.  A CoeffGrid copies the array it is given
+unless nothing else can write to it: an array that np.asarray made from
+the input, or a C-contiguous, read-only complex128 array that owns its
+memory, is kept as it is, so a routine that hands over a fresh result
+read-only pays no copy.
 """
 
 from __future__ import annotations
@@ -50,7 +56,13 @@ class CoeffGrid:
         if self.tag not in TAGS:
             raise DimensionError("unknown grid tag %r" % (self.tag,))
         side = 2 * self.n + 1
-        arr = np.array(self.data, dtype=np.complex128)
+        arr = np.asarray(self.data, dtype=np.complex128)
+        # keep an array that asarray made, or one no one can write through: the
+        # caller's complex128 array that is C-contiguous, read-only and its own
+        # memory; copy any other, writable arrays and views included
+        if (arr is self.data or arr.base is not None) and not (
+                arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr)
         if arr.shape != (side, side):
             raise DimensionError(
                 "grid with n=%d needs shape (%d, %d), got %r"

@@ -171,6 +171,15 @@ class TestStreamingCore:
             assert not data.flags.writeable
         assert np.array_equal(recs[0][2], a0.data)
 
+    def test_trajectory_grids_keep_the_records(self, rng):
+        # evolve_rk4 hands each read-only record to its grid, which keeps it
+        a0 = random_hermitian(2, rng)
+        lset = LindbladSet(ls=[random_general(2, rng, scale=0.3)])
+        recs = list(evolve_steps(a0, HarmonicSpec(a=1.0), lset, EvolveConfig(0.05, dt=1e-2)))
+        assert all(CoeffGrid(a0.n, data, a0.tag).data is data for _, _, data in recs)
+        pts = evolve_rk4(a0, HarmonicSpec(a=1.0), lset, EvolveConfig(0.05, dt=1e-2))
+        assert all(not p.grid.data.flags.writeable and p.grid.data.flags.owndata for p in pts)
+
 
 class TestFloor:
     def test_levels_flatten_below_floor(self):

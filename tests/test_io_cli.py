@@ -269,6 +269,14 @@ class TestPgm:
         assert img.shape == (1, 2)
         assert img[0, 1] == pytest.approx(250 / 255)
 
+    @pytest.mark.parametrize("blob", [b"P2\n1 1\n# 255", b"P5 1 1 #255"], ids=["P2", "P5"])
+    def test_header_comment_at_end_of_file_is_no_field(self, tmp_path, blob):
+        # the comment runs to the end of the file: no maxval is read out of it
+        path = tmp_path / "c.pgm"
+        atomic_write_bytes(path, blob)
+        with pytest.raises(FormatError, match="truncated PGM header"):
+            read_pgm(path)
+
     @pytest.mark.parametrize("blob", [
         b"P3\n1 1\n255\n0\n",
         b"P2\n1 1\n",

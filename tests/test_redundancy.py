@@ -403,6 +403,24 @@ class TestChunkedDirectRoute:
         held = sum(a.nbytes for a in plan[:5] + plan[5][:3])
         assert held <= 100_000, held  # arrays of length T = 955 (T^2 = 912k)
 
+    def test_grids_keep_the_route_arrays_at_128(self, zeros10k, monkeypatch):
+        # with one output row per chunk the four 1.06 MB output grids dominate:
+        # each grid keeps its route's array instead of a copy of it, so the peak
+        # is 6.1 MB with numpy 2.4 (10.0 MB when every grid copied its array)
+        f = random_fourier_real(128, np.random.default_rng(3))
+        monkeypatch.setattr(redundancy, "_CHUNK_ENTRIES", 1 << 12)
+        redundancy._direct_plan(128)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            grids = broadband_average_2d_counts(f, 3.0, zeros10k, [10, 100, 1000, 10000])
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7_000_000, peak
+        assert held <= 4_500_000, held  # the four grids, 4.24 MB
+        assert all(not z.data.flags.writeable and z.data.flags.owndata for z in grids)
+
 
 class TestNonFiniteT:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -649,14 +667,36 @@ def test_window_images_keep_only_the_fourier_real_tag(zeros100, rng, route, make
 class TestPerZeroBatching:
     """The batched per-zero route against the one-ordinate-at-a-time fold."""
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 7])
-    @pytest.mark.parametrize("count", [1, 7, 255, 256, 257, 600])
-    def test_matches_sequential_fold(self, zeros10k, n, count):
-        f = random_fourier_real(n, np.random.default_rng(1000 * n + count))
+    # every tag: the cone blocks rest on the structure of B alone, not on the
+    # field's symmetry; the fourier-real cases keep their ids "count-n"
+    @pytest.mark.parametrize("count,n,make", [
+        pytest.param(count, n, make, id="%d-%d%s" % (count, n, suffix))
+        for make, suffix in ((random_fourier_real, ""), (random_general, "-general"),
+                             (random_hermitian, "-hermitian"))
+        for n in (0, 1, 2, 7) for count in (1, 7, 255, 256, 257, 600)])
+    def test_matches_sequential_fold(self, zeros10k, n, count, make):
+        f = make(n, np.random.default_rng(1000 * n + count))
         t = zeros10k.t_covering(count)
         batched = broadband_average_2d_per_zero(f, 2.5, zeros10k, t)
         slow = sequential_per_zero_average(f, 2.5, zeros10k.ordinates[:count])
         assert np.max(np.abs(batched.data - slow)) <= 1e-13 * f.scale()
+
+    def test_peak_memory_at_32(self, zeros10k):
+        # the sub-batch buffers hold SUB_BATCH ordinates whatever the count:
+        # P and N (262 KB each at n = 32) and W (1.08 MB); 2.54 MB with numpy 2.4
+        # (the dense route of SUB_BATCH = 8 peaked at 1.99 MB); buffers of one
+        # 256-ordinate block would take W alone to 17 MB
+        f = random_general(32, np.random.default_rng(32))
+        t = zeros10k.t_covering(300)
+        broadband_average_2d_per_zero(f, 3.0, zeros10k, t)  # window terms cached
+        gc.collect()
+        tracemalloc.start()
+        try:
+            broadband_average_2d_per_zero(f, 3.0, zeros10k, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000, peak
 
 
 class TestErrorAccounting:

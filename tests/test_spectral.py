@@ -136,6 +136,46 @@ def test_grid_containers_refuse_bad_shapes(make, match):
         make()
 
 
+class TestGridOwnership:
+    """A grid copies an array unless nothing else can write to it."""
+
+    def test_writable_input_is_not_aliased(self):
+        a = np.zeros((3, 3), dtype=complex)
+        g = CoeffGrid(1, a)
+        assert not np.shares_memory(g.data, a)
+        a[0, 0] = 1.0
+        assert g.data[0, 0] == 0.0 and a.flags.writeable
+
+    def test_read_only_view_of_a_writable_base_is_copied(self):
+        base = np.zeros((3, 3), dtype=complex)
+        view = base.view()
+        view.setflags(write=False)
+        assert view.flags.c_contiguous  # copied for not owning its memory alone
+        g = CoeffGrid(1, view)
+        assert not np.shares_memory(g.data, base)
+        base[1, 1] = 2.0
+        assert g.data[1, 1] == 0.0
+
+    def test_read_only_owned_array_is_shared(self):
+        a = np.arange(9, dtype=complex).reshape(3, 3).copy()
+        a.setflags(write=False)
+        g = CoeffGrid(1, a)
+        assert np.shares_memory(g.data, a)
+        assert CoeffGrid(1, g.data).data is g.data
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.asfortranarray(np.ones((3, 3), dtype=complex)),
+        lambda: np.ones((3, 3), dtype=np.complex64),
+        lambda: np.ones((3, 3)),
+    ], ids=["fortran-order", "complex64", "float64"])
+    def test_other_read_only_arrays_are_not_aliased(self, make):
+        a = make()
+        a.setflags(write=False)
+        g = CoeffGrid(1, a)
+        assert not np.shares_memory(g.data, a) and not g.data.flags.writeable
+        assert g.data.dtype == np.complex128 and np.array_equal(g.data, a)
+
+
 class TestIsometry:
     """Weighted l2 content is preserved for every radial weight."""
 
