@@ -13,7 +13,7 @@ when its old text is missing, so a stale mutant is reported, never
 skipped, and when any named test passes, is skipped or errors instead of
 failing.  test_named_tests_pass_unmutated first runs every named test on
 an unmutated copy, so that a failure under a mutant is the mutant's doing.
-The whole run took 43 s on 2 vCPUs.
+The whole run took 44-49 s on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -55,6 +55,11 @@ MUTANTS = [
      "np.roll(m, w, axis=1)", DIRECT),
     ("P P^T in place of P P^H", RED, "np.concatenate([phase.T, phase.T.conj()], axis=1)",
      "np.concatenate([phase.T, phase.T], axis=1)", DIRECT),
+    # the 1D average on the direct route's plan
+    ("1D negative cone not conjugated", RED,
+     "    logs[:bounds[n]] *= -1  # the k < 0 terms come first; M(0) = 1 at d = 1\n", "",
+     ["tests/test_redundancy.py::TestAxisAverage::test_matches_per_zero_average",
+      "tests/test_redundancy.py::TestPlaneAverage::test_axis_row_reduces_to_1d"]),
     ("np.unique importing numpy.ma", RED, "np.flatnonzero(np.bincount(dd)).tolist()",
      "np.unique(dd).tolist()",
      ["tests/test_redundancy.py::TestPlaneAverage::test_direct_route_leaves_numpy_ma_unimported"]),
@@ -62,6 +67,12 @@ MUTANTS = [
     ("sigma refusal removed", DIR, "if not (math.isfinite(sigma) and sigma > 1):", "if False:",
      ["tests/test_redundancy.py::TestNonFiniteSigma::test_library_routes_reject[nan]",
       "tests/test_redundancy.py::TestNonFiniteSigma::test_library_routes_reject[inf]"]),
+    ("phase_average refusals removed", RED,
+     "    if taus.size == 0:\n        raise EmptyRangeError(\"a phase average needs at least one "
+     "ordinate\")\n    if not (np.isfinite(taus).all() and np.isfinite(xs).all()):\n"
+     "        raise DomainError(\"phase average of a non-finite ordinate or argument\")\n", "",
+     ["tests/test_redundancy.py::TestPhaseAverage::test_no_ordinates_refused[zero]",
+      "tests/test_redundancy.py::TestPhaseAverage::test_non_finite_input_refused[nan]"]),
     ("non-finite T refusal removed", RED, "if not math.isfinite(t):", "if False:",
      ["tests/test_redundancy.py::TestNonFiniteT::test_every_window_refuses[nan]"]),
     ("ordinate order refusal removed", RED, "ok[1:] &= arr[1:] > arr[:-1]", "pass",
@@ -82,6 +93,12 @@ MUTANTS = [
      ["tests/test_dynamics.py::TestIntegratorGuards::"
       "test_step_count_over_cap_refused_before_first_record"]),
     # hygiene and parsing
+    ("number-byte check dropped", RED,
+     "if joined.translate(None, _NUMBER_BYTES) != b\",\" * (len(lines) - 1):", "if False:",
+     ["tests/test_io_cli.py::TestCliRedundancy::test_number_spellings_match_per_line_loader"
+      "[true\\n-1]",
+      "tests/test_io_cli.py::TestCliRedundancy::test_number_spellings_match_per_line_loader"
+      "[14.1\\n1,2\\n-1]"]),
     ("unused constant re-added", RED,
      "BLOCK = 256  # ordinates per block sum of a phase average\n",
      "BLOCK = 256  # ordinates per block sum of a phase average\n_SPARE_BLOCK = 512\n",

@@ -6,13 +6,14 @@ The field bracket conjugates the matrix commutator by the Q-transform:
 
 i[A,B] is Hermitian whenever A, B are, so the result is again a real
 field (its grid passes the fourier-real check).  The bracket extends to
-complex fields u = f + ig by bilinearity.
+complex fields u = f + ig by bilinearity; Q is complex-linear, so that is
+one commutator of Q(u) = Qf + i Qg and Q(v), split back into two fields.
 """
 
 from __future__ import annotations
 
-from .grids import FOURIER_REAL, GENERAL, CoeffGrid, require_same_size
-from .spectral import s_inv, s_map
+from .grids import GENERAL, CoeffGrid, require_same_size
+from .spectral import q_inverse, q_transform, s_inv, s_map
 
 
 def op_commutator(a: CoeffGrid, b: CoeffGrid) -> CoeffGrid:
@@ -30,8 +31,5 @@ def field_commutator_complex(u, v):
 
     [u, v] = ([f,p] - [g,q]) + i([f,q] + [g,p])
     """
-    f, g = u
-    p, q = v
-    re = field_commutator(f, p).data - field_commutator(g, q).data
-    im = field_commutator(f, q).data + field_commutator(g, p).data
-    return (CoeffGrid(f.n, re, FOURIER_REAL), CoeffGrid(f.n, im, FOURIER_REAL))
+    k = 1j * op_commutator(q_transform(*u), q_transform(*v)).data
+    return q_inverse(CoeffGrid(u[0].n, k))

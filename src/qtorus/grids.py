@@ -139,9 +139,7 @@ class SampleGrid:
                 "sample grid with m=%d needs shape (%d, %d), got %r"
                 % (self.m, self.m, self.m, arr.shape)
             )
-        if not np.iscomplexobj(arr):
-            arr = arr.astype(np.float64)
-        arr = np.array(arr)
+        arr = np.array(arr, dtype=arr.dtype if np.iscomplexobj(arr) else np.float64)
         arr.setflags(write=False)
         self.values = arr
 

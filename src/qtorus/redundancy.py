@@ -22,9 +22,11 @@ below a count last.  A sum over the first c ordinates therefore depends
 on c alone, not on which other counts or arguments share the pass, and
 one pass over the table serves every count.
 
-phase_average, c_d and broadband_average_1d take arbitrary real x and
-sum cos and sin by pairwise np.sum within a block; only distinct x > 0
-are evaluated: M(-x) = conj(M(x)) and M(0) = 1 exactly.
+phase_average and c_d take arbitrary real x and sum cos and sin by
+pairwise np.sum within a block; only distinct x > 0 are evaluated:
+M(-x) = conj(M(x)) and M(0) = 1 exactly.  broadband_average_1d runs on
+one axis of the direct route's plan with M(-+log d) from phase_average:
+w sin and cos per ordinate, not the Gram block's (w, 2w) product.
 
 The per-zero route never forms B(tau) whole: B(tau) is block-diagonal over
 the cones, index 0 maps to itself and the negative-cone block N(tau) is
@@ -118,19 +120,20 @@ _NUMBER_BYTES = b"0123456789.eE+-"  # the bytes a data line may hold to reach or
 
 
 def _ascii_ordinates(data: bytes) -> np.ndarray:
-    """The data lines of an ASCII table as float64, each read as float()
-    reads it; ValueError if one might not be.  The table is parsed
-    _CAST_BYTES at a time, cut after a \\n so that no line is split: the
-    stripped lines that are neither blank nor '#' are joined by commas and
-    read as one JSON array by orjson.
+    """The data lines of a table as float64, each read as float() reads
+    it; ValueError if one might not be.  The table is parsed _CAST_BYTES
+    at a time, cut after a \\n so that no line is split: the stripped lines
+    that are neither blank nor '#' are joined by commas and read as one
+    JSON array by orjson.  A comment may hold any UTF-8: no byte of a
+    multi-byte character is \\n, \\r or '#'.
 
     Only lines of digits, '.', 'e', 'E', '+' and '-' reach orjson, so each
-    is one JSON number or a refusal ("+1", ".5", "1.", "01", "1e999").  A
-    JSON number reads as float() reads it, but for "-0", which orjson reads
-    as the int 0: a zero ordinate is refused here, so that the per-line
-    parse keeps its sign for ZeroTable's refusal.  bytes.strip() strips
-    less than str.strip() (not \\x1c-\\x1f); what it leaves is not a number
-    character, so such a table also falls back to the per-line parse.
+    is one JSON number or a refusal ("+1", ".5", "1.", "01", "1e999"); '_'
+    and non-ASCII bytes are refused.  A JSON number reads as float() reads
+    it, but for "-0", which orjson reads as the int 0: a zero ordinate is
+    refused here, so that the per-line parse keeps its sign for ZeroTable's
+    refusal.  bytes.strip() strips less than str.strip() (not \\x1c-\\x1f or
+    non-ASCII spaces); what it leaves is no number byte, so it falls back.
     """
     parts, start = [np.empty(0)], 0
     while start < len(data):
@@ -170,14 +173,14 @@ def _read_table(source) -> bytes:
 
 
 def _table_ordinates(data: bytes) -> np.ndarray:
-    """The ordinates of a table's data lines, by orjson when the table is
-    ASCII without '_' and every line is a JSON number; otherwise line by
-    line, naming the first line that is not a decimal ordinate."""
-    if data.isascii() and b"_" not in data:  # float() takes "1_4.5" and "٢١" too
-        try:
-            return _ascii_ordinates(data)
-        except ValueError:
-            pass
+    """The ordinates of a table's data lines, by orjson when every data line
+    is a JSON number; otherwise line by line, which takes only ASCII decimal
+    ordinates (float() takes "1_4.5" and "٢١" too) and names the first line
+    that is not one."""
+    try:
+        return _ascii_ordinates(data)
+    except ValueError:
+        pass
     vals = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.decode("utf-8").strip()
@@ -196,12 +199,11 @@ def load_zero_table(source) -> ZeroTable:
     """Parse an ordinate table: one decimal per line, '#' comments.
 
     source is a path or an open text or binary handle.  The table is read
-    whole, checked as UTF-8 once and split at \\n, \\r\\n and \\r.  If it is
-    ASCII without '_', its data lines are parsed by orjson, a piece of the
-    table at a time, as JSON arrays of numbers, which read each line as
-    float() does; only when a piece holds a line that is not a JSON number
-    (or is zero), or the table holds other characters, are the lines
-    parsed one at a time, to name the first bad one.  The loader only
+    whole, checked as UTF-8 once and split at \\n, \\r\\n and \\r.  Its data
+    lines are parsed by orjson, a piece of the table at a time, as JSON
+    arrays of numbers, which read each line as float() does; only when a
+    piece holds a data line that is not a JSON number (or is zero) are the
+    lines parsed one at a time, to name the first bad one.  The loader only
     parses; ZeroTable checks the values.  The table's bytes are released
     before ZeroTable copies the values.
     """
@@ -243,29 +245,26 @@ def _block_folds(counts, shape, block_sum) -> dict:
     return sums
 
 
-def _phase_means(taus: np.ndarray, xs, counts) -> list:
-    """M(x) over the first c ordinates, for each c in counts.
+def phase_average(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """M(x) = (1/n) sum over tau of exp(-i tau x), in fixed blocks, compensated.
 
     Only the distinct |x| > 0 are evaluated; M(-x) = conj(M(x)) and
-    M(0) = 1 exactly.
+    M(0) = 1 exactly.  No ordinates, or a non-finite ordinate or x, is refused.
     """
+    taus = np.asarray(taus, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
+    if taus.size == 0:
+        raise EmptyRangeError("a phase average needs at least one ordinate")
+    if not (np.isfinite(taus).all() and np.isfinite(xs).all()):
+        raise DomainError("phase average of a non-finite ordinate or argument")
     ax, inv = np.unique(np.abs(xs).ravel(), return_inverse=True)
     live = ax != 0
     xl = ax[live]
-    sums = _block_folds(counts, xl.shape, lambda start, stop: _block_sum(taus[start:stop], xl))
-    means = []
-    for c in counts:
-        m = np.ones(ax.shape, dtype=np.complex128)
-        m[live] = sums[c] / c
-        m = m[inv].reshape(xs.shape)
-        means.append(np.where(xs < 0, np.conj(m), m))
-    return means
-
-
-def phase_average(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """M(x) = (1/n) sum over tau of exp(-i tau x), in fixed blocks, compensated."""
-    return _phase_means(np.asarray(taus, dtype=np.float64), xs, [len(taus)])[0]
+    c = taus.size
+    m = np.ones(ax.shape, dtype=np.complex128)
+    m[live] = _block_folds([c], xl.shape, lambda a, b: _block_sum(taus[a:b], xl))[c] / c
+    m = m[inv].reshape(xs.shape)
+    return np.where(xs < 0, np.conj(m), m)
 
 
 def c_d(d: int, sigma: float, zeros: ZeroTable, t: float) -> float:
@@ -275,21 +274,6 @@ def c_d(d: int, sigma: float, zeros: ZeroTable, t: float) -> float:
     taus = zeros.upto(t)
     m = phase_average(taus, np.array([math.log(d)]))
     return float(d ** (-sigma) * abs(m[0]))
-
-
-def _inverse_terms(n: int):
-    """The window operator's terms with mu(d) != 0: the divisor expansion of B = D^-1."""
-    terms = _window_terms(n)
-    live = terms[4] != 0
-    return [a[live] for a in terms]
-
-
-def _sum_by_index(index: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
-    """Complex sums of terms grouped by index, each sum in term order."""
-    out = np.empty(size, dtype=np.complex128)
-    out.real = np.bincount(index, weights=terms.real, minlength=size)
-    out.imag = np.bincount(index, weights=terms.imag, minlength=size)
-    return out
 
 
 def broadband_average_1d(fhat: np.ndarray, sigma: float, zeros: ZeroTable,
@@ -305,10 +289,12 @@ def broadband_average_1d(fhat: np.ndarray, sigma: float, zeros: ZeroTable,
     if fhat.ndim != 1 or fhat.size % 2 != 1:
         raise DimensionError("coefficient vector must have odd length 2N+1")
     taus = zeros.upto(t)
-    pos, src, dd, sgn, mu, _ = _inverse_terms((fhat.size - 1) // 2)
-    m = _phase_means(taus, sgn * np.log(dd), [taus.size])[0]  # M(0) = 1 at d = 1
-    terms = m * (mu * dd.astype(np.float64) ** (-float(sigma))) * fhat[src]
-    return _sum_by_index(pos, terms, fhat.size)
+    n = (fhat.size - 1) // 2
+    bounds, src, mu, d = _direct_plan(n)[:4]
+    logs = np.log(d)
+    logs[:bounds[n]] *= -1  # the k < 0 terms come first; M(0) = 1 at d = 1
+    coef = mu * d.astype(np.float64) ** (-float(sigma))
+    return np.add.reduceat(phase_average(taus, logs) * coef * fhat[src], bounds[:-1])
 
 
 def _phase_rows(dd: np.ndarray):
@@ -373,17 +359,19 @@ def _gram_means(rows, taus: np.ndarray, counts) -> list:
 def _direct_plan(n: int):
     """One axis of the direct route at band limit n: (bounds, src, mu, d, g, rows).
 
-    Term j is the divisor d[j] of an index k, mu[j] = mu(d), src[j] is
-    the index of k / d and g[j] = w [k < 0] + row(d) its row in the
-    (2w, 2w) Gram block G over the w phase rows.  The terms of index i
-    run from bounds[i] to bounds[i + 1], ascending in d.  Term pairs make
-    the 2D route zbar = U (G[g][:, g] * F) U^T, F[j, i] = c[j] c[i]
+    Term j is a divisor d[j] of an index k with mu[j] = mu(d) != 0 (the
+    expansion of B = D^-1), src[j] is the index of k / d and g[j] =
+    w [k < 0] + row(d) its row in the (2w, 2w) Gram block G over the w
+    phase rows.  The terms of index i run from bounds[i] to bounds[i + 1],
+    ascending in d; the k < 0 terms come first.  Term pairs make the 2D
+    route zbar = U (G[g][:, g] * F) U^T, F[j, i] = c[j] c[i]
     fhat[src[j], src[i]] with c = mu d^-sigma, where U sums an index's
     terms by np.add.reduceat: over r (the terms of l), then over d.
     Every k has its d = 1 term, so no range is empty; for an empty range
     reduceat would return its first entry, not 0.
     """
-    pos, src, dd, sgn, mu, _ = _inverse_terms(n)
+    terms = _window_terms(n)
+    pos, src, dd, sgn, mu = (a[terms[4] != 0] for a in terms[:5])
     rows = _phase_rows(dd)
     row_of = np.zeros(int(dd.max()) + 1, dtype=np.intp)
     row_of[rows[0]] = np.arange(rows[0].size)

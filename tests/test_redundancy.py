@@ -109,6 +109,19 @@ class TestZeroTable:
         with pytest.raises(FormatError, match="line 2: not a decimal ordinate: 'x'"):
             load_zero_table(io.StringIO("14.1\rx\n21.0\n"))
 
+    def test_utf8_comments_reach_orjson(self, monkeypatch):
+        # only the data lines decide whether orjson parses the table
+        parse, calls = redundancy._ascii_ordinates, []
+
+        def spy(data):
+            calls.append(parse(data))
+            return calls[-1]
+
+        monkeypatch.setattr(redundancy, "_ascii_ordinates", spy)
+        table = load_zero_table(io.StringIO("# ζ zeros ٢١\n14.1\n  # 1_0 here\n21.0\n"))
+        assert table.ordinates.tolist() == [14.1, 21.0]
+        assert [c.tolist() for c in calls] == [[14.1, 21.0]]
+
     @pytest.mark.parametrize("name", ["zeta_zeros_100.txt", "zeta_zeros_10k.txt"])
     def test_shipped_tables_match_per_line_loader(self, name):
         want = reference_load_zero_table(DATA / name).ordinates
@@ -213,16 +226,32 @@ class TestPhaseAverage:
         m = phase_average(taus, np.array([x]))
         assert abs(m[0]) < 1e-15
 
+    @pytest.mark.parametrize("xs", [[0.0], [0.0, 0.7]], ids=["zero", "zero-and-nonzero"])
+    def test_no_ordinates_refused(self, xs):
+        # a mean over no ordinates would be 0 / 0
+        with pytest.raises(EmptyRangeError, match="at least one ordinate"):
+            phase_average(np.array([]), np.array(xs))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_refused(self, bad):
+        taus = np.array([14.1, 21.0, 25.0])
+        with pytest.raises(DomainError, match="non-finite"):
+            phase_average(taus, np.array([0.5, bad]))
+        with pytest.raises(DomainError, match="non-finite"):
+            phase_average(np.array([14.1, bad]), np.array([0.5]))
+
 
 class TestBlockAveraging:
     @pytest.mark.parametrize("count", [100, 256, 257, 1000])
     def test_prefix_independent_of_other_counts(self, zeros10k, count):
+        # _gram_means is the one caller of _block_folds with several counts:
+        # requested in any order, with repeats, each count's block is bitwise
+        # that of a pass over its own ordinates alone
+        rows = redundancy._direct_plan(16)[5]
         taus = zeros10k.ordinates
-        alone = phase_average(taus[:count], PHASE_ARGS)
-        shared = redundancy._phase_means(taus, PHASE_ARGS, [10, 100, count, 10000])
-        assert np.array_equal(alone, shared[2])
-        assert np.array_equal(
-            redundancy._phase_means(taus, PHASE_ARGS, [count])[0], shared[2])
+        shared = redundancy._gram_means(rows, taus, [10000, count, 10, count, 100])
+        alone = redundancy._gram_means(rows, taus[:count], [count])[0]
+        assert alone.tobytes() == shared[1].tobytes() == shared[3].tobytes()
 
     def test_zero_exact_and_negation_conjugates(self, zeros10k):
         taus = zeros10k.ordinates[:1000]
@@ -303,7 +332,7 @@ class TestEulerRoute:
         w = rows[0].size
         counts = [10, 100, 1000, 10000]
         gram = redundancy._gram_means(rows, zeros10k.ordinates, counts)
-        plain = redundancy._phase_means(zeros10k.ordinates, _gram_logs(rows[0]), counts)
+        plain = [phase_average(zeros10k.ordinates[:c], _gram_logs(rows[0])) for c in counts]
         for g, p in zip(gram, plain):
             assert g.shape == (2 * w, 2 * w)
             s, o = g[:w, :w], g[:w, w:]
@@ -321,7 +350,7 @@ class TestEulerRoute:
         # one block's mean times 256 is its sum exactly
         g = redundancy._gram_means(rows, taus, [256])[0] * 256
         s, o = g[:w, :w], g[:w, w:]
-        plain = redundancy._phase_means(taus, _gram_logs(rows[0]), [256])[0].reshape(2, w, w) * 256
+        plain = phase_average(taus, _gram_logs(rows[0])).reshape(2, w, w) * 256
         with mpmath.workdps(40):
             ts = [mpmath.mpf(float(t)) for t in taus]
             for i in range(w):
@@ -335,7 +364,8 @@ class TestEulerRoute:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 16, 32, 64])
     def test_tree_structure(self, n):
         bounds, src, mu, d, g, (ints, parent, prime, levels) = redundancy._direct_plan(n)
-        pos, src_t, dd, sgn, mu_t, _ = redundancy._inverse_terms(n)
+        terms = dirichlet._window_terms(n)
+        pos, src_t, dd, sgn, mu_t = (a[terms[4] != 0] for a in terms[:5])  # the terms of B
         # the rows are the distinct d of the plan: the squarefree d <= n
         assert sorted(ints.tolist()) == sorted(set(dd.tolist())) == _squarefree(max(n, 1))
         primes = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
