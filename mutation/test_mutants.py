@@ -13,7 +13,7 @@ when its old text is missing, so a stale mutant is reported, never
 skipped, and when any named test passes, is skipped or errors instead of
 failing.  test_named_tests_pass_unmutated first runs every named test on
 an unmutated copy, so that a failure under a mutant is the mutant's doing.
-The whole run took 44-49 s on 2 vCPUs.
+The whole run took about 60 s on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ PER_ZERO = ["tests/test_redundancy.py::TestPerZeroBatching::test_matches_sequent
             "test_matches_sequential_fold[257-7-general]"]
 DIRECT = ["tests/test_redundancy.py::TestEulerRoute::test_means_match_sin_cos_route[8]",
           "tests/test_redundancy.py::TestPlaneAverage::test_agrees_with_per_zero_route"]
+GEN = "tests/test_dynamics.py::TestGeneralDissipator::"
 
 MUTANTS = [
     # the per-zero route's cone blocks
@@ -89,6 +90,19 @@ MUTANTS = [
     ("P2 pixels parsed as floats", GRIDIO,
      "bad = next((t for t in tokens if not t.isdigit()), None)", "bad = None",
      ["tests/test_io_cli.py::TestPgm::test_non_integer_pixel_rejected[1.5 2e2]"]),
+    # the one Lindblad remainder and its two finishes
+    ("Hermitian finish with the full right_j", DYN,
+     "(self.half_right if hermitian else self.right)", "self.right",
+     [GEN + "test_hermitian_body_matches_term_by_term_reference[3-1-heisenberg-1.0]",
+      GEN + "test_hermitian_body_matches_term_by_term_reference[3-2-schrodinger--1.0]",
+      GEN + "test_both_finishes_agree_on_hermitian_data[4-1-heisenberg]"]),
+    ("general finish takes Y^H", DYN, "ad @ self.m_h", "np.conj(y.T)",
+     [GEN + "test_generator_matches_term_by_term_reference[4-heisenberg-1.0]",
+      GEN + "test_generator_matches_term_by_term_reference[4-schrodinger--1.0]"]),
+    ("stepper ignores Hermitian data", DYN,
+     "hermitian = np.array_equal(a0.data, np.conj(a0.data.T))", "hermitian = False",
+     [GEN + "test_stepper_picks_the_body_from_the_data[3-heisenberg]",
+      GEN + "test_complex_lambda_keeps_hermitian_runs_exact[8-schrodinger]"]),
     ("step count cap removed", DYN, "if n_steps > MAX_STEPS:", "if False:",
      ["tests/test_dynamics.py::TestIntegratorGuards::"
       "test_step_count_over_cap_refused_before_first_record"]),

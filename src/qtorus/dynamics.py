@@ -37,23 +37,23 @@ records that holds only the current step, so memory is bounded in the run
 length.  `evolve_rk4` collects its records into TrajectoryPoint grids.
 
 `lindblad_rhs` and `evolve_steps` both build R and N once, as one
-`_Generator`.  The L_j are stacked, so the first term of N is two matrix
-products for any number of operators, and N on any grid is four.  On a
-Hermitian A each L_j term is Hermitian and (M A)^+ = A M^+, so
+`_Generator`.  Its one `remainder` forms
 
-    N(A) = Y + Y^+,   Y = M A + 1/2 sum_j L_j^+ A L_j
+    Y = M A + c sum_j L_j^+ A L_j   (L_j and L_j^+ swapped when s = -1)
 
-(L_j and L_j^+ swapped in the Schroedinger picture).  That is three
-products: M stacked over the L_j^+ times A, then the stacked halved L_j.
-The output is Hermitian bitwise.  `evolve_steps` takes this body when
-a0's data equals its conjugate transpose exactly (as `q_transform` output
-does).  Every stage input then stays Hermitian bitwise: phi is Hermitian
-bitwise (a complex lambda's phi mirrors its upper triangle), so exp(h R)^T
-equals conj(exp(h R)) entry for entry.  Other grids and `lindblad_rhs`
-take the four-product body.  N returns zeros without C and L_j; the
-generator's `exact` flag then sends `evolve_steps` down the exact path.
-A rate or an M that overflows is left to the per-step finiteness check,
-without a warning at construction.
+in two matrix products for any number of operators: M stacked over the
+L_j^+ times A, then the L_j^+ A blocks side by side times the stacked L_j.
+With c = 1, N(A) = Y + A M^+.  On a Hermitian A each L_j term is
+Hermitian and (M A)^+ = A M^+, so with c = 1/2, N(A) = Y + Y^+: one
+product fewer, and the output is Hermitian bitwise.  `evolve_steps` takes
+this finish when a0's data equals its conjugate transpose exactly (as
+`q_transform` output does).  Every stage input then stays Hermitian
+bitwise: phi is Hermitian bitwise (a complex lambda's phi mirrors its
+upper triangle), so exp(h R)^T equals conj(exp(h R)) entry for entry.
+Other grids and `lindblad_rhs` take the general finish.  N returns zeros
+without C and L_j; the generator's `exact` flag then sends `evolve_steps`
+down the exact path.  A rate or an M that overflows is left to the
+per-step finiteness check, without a warning at construction.
 """
 from __future__ import annotations
 
@@ -241,9 +241,8 @@ class _Generator:
 
     Checks the operator set's band limit against n and the picture name, and
     holds the largest phase gap, R, N and whether N vanishes.  `remainder`
-    takes any grid and costs two products with M and two with the stacked
-    L_j; `hermitian_remainder` takes a Hermitian grid and costs one product
-    with M stacked over the left_j and one with the stacked right_j.
+    costs one product with M stacked over the left_j and one with the
+    stacked right_j, plus one with M^+ unless the data is Hermitian.
     """
 
     def __init__(self, h: HarmonicSpec, lset: Optional[LindbladSet], n: int, picture: str):
@@ -275,39 +274,28 @@ class _Generator:
         self.exact = self.m is None  # no C, no L_j: N vanishes and exp(h R) steps exactly
         if not self.exact:
             self.m_h = np.conj(self.m.T)
-            # the Hermitian body's factors: M over the left_j, and the right_j halved
+            # M over the left_j, and the right_j halved for the Hermitian finish
             self.m_left = self.m if self.left is None else np.concatenate([self.m, self.left])
             self.half_right = None if self.right is None else 0.5 * self.right
 
-    def remainder(self, ad: np.ndarray) -> np.ndarray:
-        """N on raw data; zeros on an exact run."""
-        out = np.zeros_like(ad)
-        if self.exact:
-            return out
-        out += self.m @ ad
-        out += ad @ self.m_h
-        if self.left is not None:
-            side = ad.shape[0]
-            # rows j m .. (j+1) m - 1 of left @ A hold left_j A; laid side by
-            # side they meet the row-stacked right_j, so one product sums over j
-            z = (self.left @ ad).reshape(-1, side, side).transpose(1, 0, 2)
-            out += z.reshape(side, -1) @ self.right
-        return out
+    def remainder(self, ad: np.ndarray, hermitian: bool = False) -> np.ndarray:
+        """N on raw data; zeros on an exact run.
 
-    def hermitian_remainder(self, ad: np.ndarray) -> np.ndarray:
-        """N on Hermitian raw data as Y + Y^+, Y = M A + 1/2 sum_j left_j A right_j.
-
-        For Hermitian A, (M A)^+ = A M^+ and each left_j A right_j is
-        Hermitian, so Y + Y^+ is N; the output is Hermitian bitwise.  Not for
-        an exact run.
+        Y = M A + sum_j left_j A right_j, the right_j halved when `hermitian`
+        is set.  The general finish is Y + A M^+; on Hermitian data the
+        Hermitian finish Y + Y^+ equals it and is Hermitian bitwise.
         """
+        if self.exact:
+            return np.zeros_like(ad)
         side = ad.shape[0]
         p = self.m_left @ ad  # M A on top of the left_j A
         y = p[:side]
-        if self.half_right is not None:
+        if self.left is not None:
+            # rows j m .. (j+1) m - 1 of p[side:] hold left_j A; laid side by
+            # side they meet the row-stacked right_j, so one product sums over j
             z = p[side:].reshape(-1, side, side).transpose(1, 0, 2)
-            y += z.reshape(side, -1) @ self.half_right
-        return y + np.conj(y.T)
+            y += z.reshape(side, -1) @ (self.half_right if hermitian else self.right)
+        return y + np.conj(y.T) if hermitian else y + ad @ self.m_h
 
 
 def lindblad_rhs(a: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet] = None,
@@ -359,8 +347,7 @@ def evolve_steps(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
                           % (cfg.t_end, dt, n_steps, MAX_STEPS))
 
     # the flow keeps a Hermitian a0 Hermitian; checked on the data, not the tag
-    remainder = (gen.hermitian_remainder if np.array_equal(a0.data, np.conj(a0.data.T))
-                 else gen.remainder)
+    hermitian = np.array_equal(a0.data, np.conj(a0.data.T))
     wgt = SobolevWeight(cfg.alpha).weights(n)
     a = np.array(a0.data)
     a.setflags(write=False)
@@ -379,10 +366,10 @@ def evolve_steps(a0: CoeffGrid, h: HarmonicSpec, lset: Optional[LindbladSet],
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite a fails the check
                 ea = e_full * a
-                k1 = remainder(a)
-                k2 = remainder(e_half * (a + (base_dt / 2.0) * k1))
-                k3 = remainder(e_half * a + (base_dt / 2.0) * k2)
-                k4 = remainder(ea + base_dt * (e_half * k3))
+                k1 = gen.remainder(a, hermitian)
+                k2 = gen.remainder(e_half * (a + (base_dt / 2.0) * k1), hermitian)
+                k3 = gen.remainder(e_half * a + (base_dt / 2.0) * k2, hermitian)
+                k4 = gen.remainder(ea + base_dt * (e_half * k3), hermitian)
                 a = ea + (base_dt / 6.0) * (e_full * k1 + 2.0 * (e_half * (k2 + k3)) + k4)
         t = step * base_dt
         if not np.all(np.isfinite(a)):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import re
 import tempfile
@@ -35,7 +36,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .errors import DomainError, FormatError
+from .errors import DimensionError, DomainError, FormatError
 from .grids import TAGS, CoeffGrid, SampleGrid
 from .spectral import analyze
 
@@ -240,9 +241,18 @@ def read_pgm(path):
 
 
 def write_pgm(path, values: np.ndarray, maxval: int = 255, binary: bool = False):
-    """Quantize values in [0,1] to a PGM file (row-major, P2 or P5); non-finite
-    values are refused before anything is written."""
+    """Quantize values in [0,1] to a PGM file (row-major, P2 or P5).
+
+    Only files `read_pgm` takes back are written: values that are not a
+    non-empty 2D array (DimensionError), not finite, or a maxval that is not
+    an integer in 1..65535 (DomainError) are refused before anything is written.
+    """
+    if not (isinstance(maxval, numbers.Integral) and 0 < maxval < 65536):
+        raise DomainError("PGM maxval must be an integer in 1..65535, got %r" % (maxval,))
     arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2 or arr.size == 0:
+        raise DimensionError("PGM values must be a non-empty 2D array, got shape %r"
+                             % (arr.shape,))
     if not np.isfinite(arr).all():
         raise DomainError("PGM values must be finite")
     pix = np.clip(np.rint(arr * maxval), 0, maxval).astype(np.uint16)

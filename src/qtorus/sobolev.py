@@ -4,7 +4,10 @@
 
 The same form serves fields and operator matrices; alpha = 0 recovers the
 Hilbert-Schmidt (Frobenius) pairing.  Custom weights are allowed as long
-as they are non-negative and depend only on k^2 + l^2.
+as they are finite, non-negative and depend only on k^2 + l^2.  Weights
+that are not finite are refused (DomainError), whether a profile returns
+them or (1 + k^2 + l^2)^alpha overflows past 1.8e308 at the corner
+k = l = N.
 """
 
 from __future__ import annotations
@@ -38,10 +41,15 @@ class SobolevWeight:
             w = np.asarray(self.profile(r2), dtype=np.float64)
             if w.shape != r2.shape:
                 raise DimensionError("radial profile must map r^2 grid to same shape")
-            if np.any(w < 0):
-                raise DomainError("radial weight profile must be non-negative")
+            if not np.all((w >= 0) & (w < np.inf)):  # nan fails both
+                raise DomainError("radial weight profile must be finite and non-negative")
             return w
-        return (1.0 + r2) ** self.alpha
+        with np.errstate(over="ignore"):
+            w = (1.0 + r2) ** self.alpha
+        if not np.all(np.isfinite(w)):
+            raise DomainError("Sobolev weight (1 + k^2 + l^2)^%r overflows at band limit %d"
+                              % (self.alpha, n))
+        return w
 
 
 def inner(a: CoeffGrid, b: CoeffGrid, w: SobolevWeight) -> complex:

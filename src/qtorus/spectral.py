@@ -30,6 +30,7 @@ from .grids import (
     SampleGrid,
     require_fourier_real,
     require_hermitian,
+    require_same_size,
 )
 from .errors import DimensionError
 
@@ -111,8 +112,7 @@ def q_transform(f: CoeffGrid, g: CoeffGrid | None = None) -> CoeffGrid:
     w = s_map(f)
     if g is None:
         return w
-    if g.n != f.n:
-        raise DimensionError("band limits differ: %d vs %d" % (f.n, g.n))
+    require_same_size(f, g)
     wg = s_map(g)
     return CoeffGrid(f.n, w.data + 1j * wg.data, GENERAL)
 

@@ -410,12 +410,26 @@ class TestGeneralDissipator:
         a = random_hermitian(n, rng)
         lset = LindbladSet(c=random_hermitian(n, rng, scale=0.7),
                            ls=[random_general(n, rng, scale=0.4) for _ in range(n_ls)])
-        got = _Generator(HarmonicSpec(a=1.3), lset, n, picture).hermitian_remainder(a.data)
+        got = _Generator(HarmonicSpec(a=1.3), lset, n, picture).remainder(a.data, hermitian=True)
         want = reference_remainder_rhs(a.data, lset, sign)
         fro = np.linalg.norm
         scale = fro(a.data) * (2 * fro(lset.c.data) + 2 * sum(fro(l.data) ** 2 for l in lset.ls))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
         assert np.array_equal(got, np.conj(got.T))
+
+    @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+    @pytest.mark.parametrize("n_ls", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_both_finishes_agree_on_hermitian_data(self, rng, n, n_ls, picture):
+        a = random_hermitian(n, rng)
+        assert np.array_equal(a.data, np.conj(a.data.T))
+        lset = LindbladSet(c=random_hermitian(n, rng, scale=0.7),
+                           ls=[random_general(n, rng, scale=0.4) for _ in range(n_ls)])
+        gen = _Generator(HarmonicSpec(a=1.3), lset, n, picture)
+        herm, general = gen.remainder(a.data, hermitian=True), gen.remainder(a.data)
+        fro = np.linalg.norm
+        scale = fro(a.data) * (2 * fro(lset.c.data) + 2 * sum(fro(l.data) ** 2 for l in lset.ls))
+        assert np.max(np.abs(herm - general)) <= 1e-13 * scale
 
     def test_phi_matrix_built_once_per_run(self, rng, monkeypatch):
         calls = []
@@ -434,11 +448,10 @@ class TestGeneralDissipator:
         assert len(calls) <= 1
 
     def test_lambda_only_run_never_calls_the_remainder(self, rng, monkeypatch):
-        def refuse(self, ad):
+        def refuse(self, ad, hermitian=False):
             raise AssertionError("remainder called on a lambda-only run")
 
         monkeypatch.setattr(_Generator, "remainder", refuse)
-        monkeypatch.setattr(_Generator, "hermitian_remainder", refuse)
         n = 3
         lset = LindbladSet(lam=linear_lambda(0.5, n))
         for picture in ("heisenberg", "schrodinger"):
@@ -451,32 +464,33 @@ class TestGeneralDissipator:
     @pytest.mark.parametrize("n", [3, 8, 20])
     def test_stepper_picks_the_body_from_the_data(self, rng, monkeypatch, n, picture):
         calls = []
-        for name in ("remainder", "hermitian_remainder"):
-            def counted(self, ad, body=getattr(_Generator, name), name=name):
-                calls.append(name)
-                return body(self, ad)
+        body = _Generator.remainder
 
-            monkeypatch.setattr(_Generator, name, counted)
+        def counted(self, ad, hermitian=False):
+            calls.append(hermitian)
+            return body(self, ad, hermitian)
+
+        monkeypatch.setattr(_Generator, "remainder", counted)
         lset = LindbladSet(c=random_hermitian(n, rng, scale=0.4),
                            ls=[random_general(n, rng, scale=0.3),
                                random_general(n, rng, scale=0.2)],
                            lam=linear_lambda(0.5, n))
         h, cfg = HarmonicSpec(a=1.3, b=0.2), EvolveConfig(0.01, dt=1e-3)
         herm = random_hermitian(n, rng)
-        # bitwise Hermitian data takes the Hermitian body whatever the tag, and
-        # every record stays bitwise Hermitian
+        # bitwise Hermitian data takes the Hermitian finish whatever the tag,
+        # and every record stays bitwise Hermitian
         for a0 in (herm, CoeffGrid(n, herm.data)):
             calls.clear()
             pts = evolve_rk4(a0, h, lset, cfg, picture)
-            assert calls == ["hermitian_remainder"] * 40
+            assert calls == [True] * 40
             assert all(np.array_equal(p.grid.data, np.conj(p.grid.data.T)) for p in pts)
-        # a general grid, or a Hermitian-tagged one off by an ulp, takes the general body
+        # a general grid, or a Hermitian-tagged one off by an ulp, takes the general finish
         nudged = herm.data.copy()
         nudged[0, -1] = np.nextafter(nudged[0, -1].real, np.inf) + 1j * nudged[0, -1].imag
         for a0 in (random_general(n, rng), CoeffGrid(n, nudged, herm.tag)):
             calls.clear()
             evolve_rk4(a0, h, lset, cfg, picture)
-            assert calls == ["remainder"] * 40
+            assert calls == [False] * 40
 
     @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
     @pytest.mark.parametrize("n", [3, 8, 20])

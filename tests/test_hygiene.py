@@ -1,6 +1,6 @@
 """Source hygiene: every imported name is used in the module that imports it,
-and every private module-level name and every module-level UPPER_CASE constant
-in the package is used somewhere in it.
+and every private module-level name, every method of a private class and every
+module-level UPPER_CASE constant in the package is used somewhere in it.
 
 The checks are stdlib `ast` scans, since no linter is part of the toolchain.
 The package `__init__.py` is left out of the import check: its imports are the
@@ -51,17 +51,22 @@ def test_scan_flags_an_unused_import():
 
 
 def private_definitions(tree):
-    """Module-level functions, classes and constants named _x (dunders excepted),
-    and module-level constants named in UPPER_CASE."""
-    names = []
+    """Module-level functions, classes and constants named _x, the methods of
+    such classes (dunders excepted throughout), and module-level constants
+    named in UPPER_CASE."""
+    names, methods = [], []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            methods += [item.name for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
     return [name for name in names
-            if (name.startswith("_") and not name.startswith("__")) or name.isupper()]
+            if (name.startswith("_") and not name.startswith("__")) or name.isupper()
+            ] + [name for name in methods if not name.startswith("__")]
 
 
 def unreferenced_privates(sources: dict):
@@ -86,9 +91,13 @@ def test_package_private_names_are_all_used():
 
 def test_scan_flags_an_unreferenced_private():
     sources = {"a.py": "_A = 1\n_B: int = 2\n__all__ = []\n\ndef _f():\n    return _A\n\n"
-                       "class _C:\n    pass\n\ndef g():\n    return m._C\n",
-               "b.py": "from a import _B\n\ndef _h(_f):\n    _f = 3\n",
+                       "class _C:\n    def __init__(self):\n        pass\n\n"
+                       "    def used(self):\n        pass\n\n"
+                       "    def orphan(self):  # a body left with no caller\n        pass\n\n"
+                       "def g():\n    return m._C().used()\n",
+               "b.py": "from a import _B\n\ndef _h(_f):\n    _f = 3\n\n"
+                       "class Public:\n    def spare(self):\n        pass\n",
                "c.py": "BLOCK = 256\nCHUNK = 16  # orphaned\nTAG: str = 'x'\nlower = 1\n\n"
                        "def f(x=BLOCK):\n    return b.TAG\n"}
-    assert unreferenced_privates(sources) == [("a.py", "_B"), ("a.py", "_f"), ("b.py", "_h"),
-                                              ("c.py", "CHUNK")]
+    assert unreferenced_privates(sources) == [("a.py", "_B"), ("a.py", "_f"), ("a.py", "orphan"),
+                                              ("b.py", "_h"), ("c.py", "CHUNK")]

@@ -52,7 +52,13 @@ from qtorus import (
 )
 from qtorus import cli, redundancy
 from qtorus.cli import run
-from qtorus.errors import DomainError, FormatError, HermiticityError, SymmetryError
+from qtorus.errors import (
+    DimensionError,
+    DomainError,
+    FormatError,
+    HermiticityError,
+    SymmetryError,
+)
 from qtorus.gridio import atomic_write_bytes
 
 from conftest import DATA
@@ -255,6 +261,30 @@ class TestPgm:
         img, maxval = read_pgm(path)
         assert maxval == 65535
         assert np.max(np.abs(img - vals)) <= 0.5 / 65535
+
+    @pytest.mark.parametrize("maxval", [1, 65535])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_round_trip_at_extreme_maxval(self, tmp_path, rng, maxval, binary):
+        vals = rng.uniform(0, 1, (5, 3))
+        path = tmp_path / "img.pgm"
+        write_pgm(path, vals, maxval=maxval, binary=binary)
+        img, got = read_pgm(path)
+        assert got == maxval
+        assert np.array_equal(np.rint(img * maxval), np.rint(vals * maxval))
+
+    @pytest.mark.parametrize("maxval", [0, -1, 65536, 70000, 255.5, 255.0])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_maxval_the_reader_refuses_is_not_written(self, tmp_path, maxval, binary):
+        # 0 and 65536 up wrote headers read_pgm rejects; 255.5 wrote 255 over pixels of 256
+        with pytest.raises(DomainError, match="maxval"):
+            write_pgm(tmp_path / "img.pgm", np.full((2, 2), 0.5), maxval=maxval, binary=binary)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2), (0, 3)])
+    def test_values_that_are_no_image_are_not_written(self, tmp_path, shape):
+        with pytest.raises(DimensionError, match="2D"):
+            write_pgm(tmp_path / "img.pgm", np.full(shape, 0.5))
+        assert os.listdir(tmp_path) == []
 
     def test_sixteen_bit_is_big_endian(self, tmp_path):
         path = tmp_path / "be.pgm"
@@ -566,6 +596,16 @@ class TestCliNorms:
         assert not out.exists()
         assert os.listdir(tmp_path) == [os.path.basename(field_file)]
 
+    @pytest.mark.parametrize("alphas", ["400", "0,400"])
+    def test_overflowing_weight_refused(self, tmp_path, field_file, capsys, alphas):
+        # at n = 4 the corner weight 33^400 overflows; the norm was printed as nan
+        out = tmp_path / "norms.csv"
+        assert run(["norms", "--in", field_file, "--alphas", alphas,
+                    "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows" in captured.err
+        assert os.listdir(tmp_path) == [os.path.basename(field_file)]
+
     @pytest.mark.parametrize("tag,bad", [("fourier-real", float("nan")),
                                          ("general", float("inf"))])
     def test_non_finite_grid_is_data_error(self, tmp_path, rng, capsys, tag, bad):
@@ -715,6 +755,18 @@ class TestCliEvolve:
         assert run(argv) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--lambda", "linear:0.5"]])
+    def test_overflowing_weight_refused(self, tmp_path, field_file, capsys, extra):
+        # every trace row held a nan norm; with lambda the growth bound's weights
+        # overflow first, without it the stepper's
+        argv = ["evolve", "--field", field_file, "--a", "1.0", "--t", "0.05", "--dt", "0.01",
+                "--alpha", "400", "--out", str(tmp_path / "o.json"),
+                "--trace", str(tmp_path / "t.csv")] + extra
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows" in captured.err
+        assert os.listdir(tmp_path) == [os.path.basename(field_file)]
 
     def test_memory_does_not_grow_with_run_length(self, tmp_path, rng):
         n = 8

@@ -158,6 +158,29 @@ def test_negative_profile_rejected():
         w.weights(2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_profile_rejected(rng, bad):
+    w = SobolevWeight(profile=lambda r2: np.where(r2 == 2, bad, 1.0))
+    with pytest.raises(DomainError, match="finite"):
+        w.weights(2)
+    with pytest.raises(DomainError, match="finite"):
+        norm(random_general(2, rng), w)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha,n", [(400.0, 3), (80.0, 64), (1e6, 1)])
+def test_overflowing_weights_refused(rng, alpha, n):
+    # (1 + k^2 + l^2)^alpha overflows to inf (and inf * 0 entries to nan)
+    with pytest.raises(DomainError, match="overflows at band limit %d" % n):
+        norm(random_general(n, rng), SobolevWeight(alpha))
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_and_underflowing_weights_are_kept():
+    assert SobolevWeight(400.0).weights(1).max() == 3.0 ** 400  # ~7e190 at the corner
+    assert SobolevWeight(-400.0).weights(3).min() == 0.0  # 19^-400 underflows; no refusal
+
+
 def test_misshapen_profile_rejected():
     w = SobolevWeight(profile=lambda r2: np.ones(3))
     with pytest.raises(DimensionError):

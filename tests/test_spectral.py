@@ -310,5 +310,5 @@ class TestComplexExtension:
         assert q_transform(f).tag == HERMITIAN
 
     def test_mismatched_band_limits_rejected(self, rng):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="band limits differ: 3 vs 4"):
             q_transform(random_fourier_real(3, rng), random_fourier_real(4, rng))
