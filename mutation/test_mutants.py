@@ -27,8 +27,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RED, DIR, GRIDS, GRIDIO, DYN = (os.path.join("src", "qtorus", name) for name in (
-    "redundancy.py", "dirichlet.py", "grids.py", "gridio.py", "dynamics.py"))
+RED, DIR, GRIDS, GRIDIO, DYN, ERR = (os.path.join("src", "qtorus", name) for name in (
+    "redundancy.py", "dirichlet.py", "grids.py", "gridio.py", "dynamics.py", "errors.py"))
 
 PER_ZERO = ["tests/test_redundancy.py::TestPerZeroBatching::test_matches_sequential_fold[257-7]",
             "tests/test_redundancy.py::TestPerZeroBatching::"
@@ -74,8 +74,19 @@ MUTANTS = [
      "        raise DomainError(\"phase average of a non-finite ordinate or argument\")\n", "",
      ["tests/test_redundancy.py::TestPhaseAverage::test_no_ordinates_refused[zero]",
       "tests/test_redundancy.py::TestPhaseAverage::test_non_finite_input_refused[nan]"]),
-    ("non-finite T refusal removed", RED, "if not math.isfinite(t):", "if False:",
+    ("non-finite T refusal removed", RED, "_require_finite(T=t)", "pass",
      ["tests/test_redundancy.py::TestNonFiniteT::test_every_window_refuses[nan]"]),
+    ("shared finite-scalar refusal removed", ERR,
+     "if value is not None and not math.isfinite(value):", "if False:",
+     ["tests/test_sobolev.py::test_non_finite_alpha_rejected[nan]",
+      "tests/test_dynamics.py::TestIntegratorGuards::test_non_finite_scalars_rejected[nan]",
+      "tests/test_redundancy.py::TestNonFiniteT::test_every_window_refuses[inf]"]),
+    ("non-finite tau accepted by ZetaParams", DIR, "_require_finite(tau=self.tau)", "pass",
+     ["tests/test_dirichlet.py::TestPeriodizedZeta::test_non_finite_tau_and_t_rejected[nan]"]),
+    ("single_entry wraps an outside index", GRIDS,
+     "    _require_index(n, k, l)\n    side = 2 * n + 1", "    side = 2 * n + 1",
+     ["tests/test_spectral.py::test_grid_containers_refuse_bad_shapes"
+      "[single-entry-row-outside]"]),
     ("ordinate order refusal removed", RED, "ok[1:] &= arr[1:] > arr[:-1]", "pass",
      ["tests/test_redundancy.py::TestZeroTable::test_parse_rejects_disorder"]),
     ("NaN s accepted by periodized_zeta", DIR,

@@ -8,6 +8,9 @@ _COMMANDS is the one description of the subcommands.  run builds the
 parser of the command named first in argv alone, a fifth of the cost of
 building every subcommand; help, a missing command and an unknown one
 take the parser of every command.  Both print the same text.
+
+Numbers on the command line go through _int and _float, and the comma
+lists of --alphas and --counts through one list type built on them.
 """
 
 from __future__ import annotations
@@ -64,24 +67,22 @@ def _number(kind):
 _int, _float = _number(int), _number(float)
 
 
-def _alpha_list(text: str):
-    try:
-        alphas = [_float(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError("bad alpha list %r" % text)
-    if not alphas:
-        raise argparse.ArgumentTypeError("alpha list is empty")
-    return alphas
+def _comma_list(kind, noun, refusal, low=None):
+    """An argparse type: the comma-separated kind(token) of a text, empty tokens
+    skipped; refusal when none is left or one is below low."""
+    def parse(text: str):
+        try:
+            items = [kind(tok) for tok in text.split(",") if tok != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError("bad %s list %r" % (noun, text))
+        if not items or (low is not None and min(items) < low):
+            raise argparse.ArgumentTypeError(refusal)
+        return items
+    return parse
 
 
-def _count_list(text: str):
-    try:
-        counts = [_int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError("bad count list %r" % text)
-    if not counts or any(c < 1 for c in counts):
-        raise argparse.ArgumentTypeError("counts must be positive integers")
-    return counts
+_alpha_list = _comma_list(_float, "alpha", "alpha list is empty")
+_count_list = _comma_list(_int, "count", "counts must be positive integers", low=1)
 
 
 def _lambda_spec(text: str):

@@ -10,6 +10,10 @@ indexed -N..N by
 
 Divisors never leave the window (d | k implies k/d <= k <= N), so D and
 its inverse are exact on band-limited data, not approximations.
+
+The zeta layer refuses what it cannot encode: a sigma that is not finite
+and > 1 (_require_sigma), a non-finite tau or t (errors._require_finite)
+and a sequence with a non-finite entry, each with DomainError.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grids import FOURIER_REAL, GENERAL, CoeffGrid, require_fourier_real
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _require_finite
 from .spectral import s_map
 
 
@@ -125,6 +129,8 @@ class ArithmeticSeq:
         if arr.ndim != 1 or arr.size < 2:
             raise DimensionError("sequence needs 1-based entries up to at least 1")
         arr[0] = 0.0
+        if not np.isfinite(arr).all():
+            raise DomainError("sequence entries must be finite")
         if arr[1] == 0:
             raise DomainError("a_1 must be nonzero")
         self.a = arr
@@ -150,6 +156,7 @@ class ZetaParams:
 
     def __post_init__(self):
         _require_sigma(self.sigma)
+        _require_finite(tau=self.tau)
 
     @property
     def s(self) -> complex:
@@ -157,10 +164,8 @@ class ZetaParams:
 
     def sequence(self, lmax: int) -> ArithmeticSeq:
         """a_k = k^-(sigma + i tau), the periodized-zeta coefficients."""
-        k = np.arange(lmax + 1, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            a = np.exp(-self.s * np.log(np.where(k > 0, k, 1.0)))
-        a[0] = 0.0
+        a = np.zeros(lmax + 1, dtype=np.complex128)
+        a[1:] = np.exp(-self.s * np.log(np.arange(1, lmax + 1)))
         return ArithmeticSeq(a)
 
     def moebius_inverse(self, lmax: int) -> np.ndarray:
@@ -171,11 +176,11 @@ class ZetaParams:
 def moebius_inverse_rows(sigma: float, taus, lmax: int) -> np.ndarray:
     """b_k = mu(k) k^-sigma e^{-i tau log k} for each tau: one 1-based row per ordinate."""
     _require_sigma(sigma)
-    k = np.arange(1, lmax + 1)
     mu = np.array([moebius(j) for j in range(1, lmax + 1)], dtype=np.float64)
+    k = np.flatnonzero(mu) + 1  # b_k = 0 where mu(k) = 0: no phase is taken there
     logk = np.log(k)
     rows = np.zeros((len(taus), lmax + 1), dtype=np.complex128)
-    rows[:, 1:] = (mu * np.exp(-sigma * logk)) * np.exp(
+    rows[:, k] = (mu[k - 1] * np.exp(-sigma * logk)) * np.exp(
         -1j * np.multiply.outer(np.asarray(taus, dtype=np.float64), logk))
     return rows
 
@@ -186,18 +191,19 @@ def _apply_coeffs(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     x is indexed -N..N on axis 0; the negative cone uses conjugated
     coefficients, index 0 passes through.
     """
+    x = np.asarray(x, dtype=np.complex128)
     m = x.shape[0]
     if m % 2 != 1:
         raise DimensionError("vector length must be odd (2N+1), got %d" % m)
-    return d_matrix(coeffs, (m - 1) // 2) @ np.asarray(x, dtype=np.complex128)
+    return d_matrix(coeffs, (m - 1) // 2) @ x
 
 
 def apply_D(seq: ArithmeticSeq, x: np.ndarray) -> np.ndarray:
-    return _apply_coeffs(seq.a, np.asarray(x, dtype=np.complex128))
+    return _apply_coeffs(seq.a, x)
 
 
 def apply_D_inv(seq: ArithmeticSeq, x: np.ndarray) -> np.ndarray:
-    return _apply_coeffs(seq.b, np.asarray(x, dtype=np.complex128))
+    return _apply_coeffs(seq.b, x)
 
 
 def d_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -259,6 +265,7 @@ def periodized_zeta(s: complex, t: float, terms: int) -> PeriodizedZeta:
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag) and s.real > 1):
         raise DomainError("periodized zeta needs a finite s with Re s > 1, got %r" % s)
+    _require_finite(t=t)
     if terms < 0:
         raise DomainError("terms must be non-negative")
     sigma = s.real

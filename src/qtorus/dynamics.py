@@ -64,7 +64,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, IntegrationError
+from .errors import DimensionError, DomainError, IntegrationError, _require_finite
 from .grids import (
     FOURIER_REAL,
     GENERAL,
@@ -78,12 +78,6 @@ from .sobolev import SobolevWeight, _weighted_norm, norm
 
 SUPPORT_RTOL = 1e-12
 MAX_STEPS = 10**9  # a longer run is refused before its first step
-
-
-def _require_finite(**scalars):
-    for name, value in scalars.items():
-        if value is not None and not math.isfinite(value):
-            raise DomainError("%s must be finite, got %r" % (name, value))
 
 
 @dataclass(frozen=True)
@@ -188,8 +182,9 @@ class EvolveConfig:
             raise DomainError("t_end must be non-negative")
         if self.dt is not None and self.dt <= 0:
             raise DomainError("dt must be positive")
-        if self.record_every < 1:
-            raise DomainError("record_every must be >= 1")
+        if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
+            raise DomainError("record_every must be an integer >= 1, got %r"
+                              % (self.record_every,))
 
 
 @dataclass

@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
 Everything raised on bad data derives from DataError so callers (and the
-CLI) can map validation failures to a single exit path.
+CLI) can map validation failures to a single exit path.  _require_finite is
+the package's one refusal of a non-finite scalar parameter.
 """
+
+import math
 
 
 class QTorusError(Exception):
@@ -31,6 +34,12 @@ class FormatError(DataError):
 
 class DomainError(DataError):
     """Parameter outside the valid domain (e.g. Re s <= 1, a_1 = 0)."""
+
+
+def _require_finite(**scalars):
+    for name, value in scalars.items():
+        if value is not None and not math.isfinite(value):
+            raise DomainError("%s must be finite, got %r" % (name, value))
 
 
 class EmptyRangeError(DomainError):

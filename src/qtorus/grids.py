@@ -7,7 +7,9 @@ same container serves two roles: Fourier data of a doubly periodic field
 operator matrices (tag "hermitian" when w[l,k] = conj(w[k,l])).
 
 Tags are advisory: operations validate the actual symmetry at their
-boundary instead of trusting the tag.
+boundary instead of trusting the tag.  The band limit must be an integer
+(Python or numpy) and an index outside the window is refused, by
+CoeffGrid.entry and single_entry alike, never wrapped.
 
 A grid's data is read-only.  A CoeffGrid copies the array it is given
 unless nothing else can write to it: an array that np.asarray made from
@@ -51,6 +53,8 @@ class CoeffGrid:
     tag: str = GENERAL
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise DimensionError("band limit must be an integer, got %r" % (self.n,))
         if self.n < 0:
             raise DimensionError("band limit must be non-negative, got %d" % self.n)
         if self.tag not in TAGS:
@@ -72,8 +76,7 @@ class CoeffGrid:
         self.data = arr
 
     def entry(self, k: int, l: int) -> complex:
-        if abs(k) > self.n or abs(l) > self.n:
-            raise DimensionError("index (%d, %d) outside band limit %d" % (k, l, self.n))
+        _require_index(self.n, k, l)
         return complex(self.data[k + self.n, l + self.n])
 
     def with_data(self, data: np.ndarray, tag: str = GENERAL) -> "CoeffGrid":
@@ -81,13 +84,19 @@ class CoeffGrid:
 
     def scale(self) -> float:
         """Max-abs entry; the reference scale for symmetry tolerances."""
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
+        return float(np.max(np.abs(self.data)))
 
     def __repr__(self):
         return "CoeffGrid(n=%d, tag=%r)" % (self.n, self.tag)
 
 
+def _require_index(n: int, k: int, l: int):
+    if abs(k) > n or abs(l) > n:
+        raise DimensionError("index (%d, %d) outside band limit %d" % (k, l, n))
+
+
 def single_entry(n: int, k: int, l: int, value: complex, tag: str = GENERAL) -> CoeffGrid:
+    _require_index(n, k, l)
     side = 2 * n + 1
     data = np.zeros((side, side), dtype=np.complex128)
     data[k + n, l + n] = value

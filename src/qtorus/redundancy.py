@@ -24,7 +24,8 @@ one pass over the table serves every count.
 
 phase_average and c_d take arbitrary real x and sum cos and sin by
 pairwise np.sum within a block; only distinct x > 0 are evaluated:
-M(-x) = conj(M(x)) and M(0) = 1 exactly.  broadband_average_1d runs on
+M(-x) = conj(M(x)) and M(0) = 1 exactly.  c_d takes an integer d >= 2 and
+checks sigma as the averaging routes do.  broadband_average_1d runs on
 one axis of the direct route's plan with M(-+log d) from phase_average:
 w sin and cos per ordinate, not the Gram block's (w, 2w) product.
 
@@ -58,7 +59,7 @@ import numpy as np
 import orjson
 
 from .dirichlet import _require_sigma, _window_image, _window_terms, moebius_inverse_rows
-from .errors import DimensionError, DomainError, EmptyRangeError, FormatError
+from .errors import DimensionError, DomainError, EmptyRangeError, FormatError, _require_finite
 from .grids import CoeffGrid
 from .spectral import s_map
 from .summation import KahanAccumulator
@@ -96,8 +97,7 @@ class ZeroTable:
 
     def count_below(self, t: float) -> int:
         """N(T): how many ordinates are <= T, for a finite T."""
-        if not math.isfinite(t):
-            raise DomainError("T must be finite, got %r" % t)
+        _require_finite(T=t)
         return int(np.searchsorted(self.ordinates, t, side="right"))
 
     def upto(self, t: float) -> np.ndarray:
@@ -269,8 +269,9 @@ def phase_average(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def c_d(d: int, sigma: float, zeros: ZeroTable, t: float) -> float:
     """Modulus of the zero-averaged coefficient at d: |avg d^-(sigma+i tau)|."""
-    if d < 2:
-        raise DomainError("c_d needs d >= 2, got %d" % d)
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise DomainError("c_d needs an integer d >= 2, got %r" % (d,))
+    _require_sigma(sigma)
     taus = zeros.upto(t)
     m = phase_average(taus, np.array([math.log(d)]))
     return float(d ** (-sigma) * abs(m[0]))

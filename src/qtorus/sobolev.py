@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .commutators import op_commutator
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _require_finite
 from .grids import CoeffGrid, kl_mesh, require_hermitian, require_same_size
 
 
@@ -31,8 +31,7 @@ class SobolevWeight:
     profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise DomainError("Sobolev exponent alpha must be finite, got %r" % (self.alpha,))
+        _require_finite(alpha=self.alpha)
 
     def weights(self, n: int) -> np.ndarray:
         k, l = kl_mesh(n)

@@ -355,6 +355,13 @@ class TestPeriodizedZeta:
         with pytest.raises(DomainError):
             periodized_zeta(s, 0.0, 10)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tau_and_t_rejected(self, bad):
+        with pytest.raises(DomainError, match="tau must be finite"):
+            ZetaParams(sigma=2.0, tau=bad)
+        with pytest.raises(DomainError, match="t must be finite"):
+            periodized_zeta(2.0, bad, 10)
+
 
 def test_zeta_sequence_values():
     zp = ZetaParams(sigma=3.0, tau=0.0)
@@ -369,6 +376,42 @@ def test_zeta_sequence_values():
 def test_sequences_too_short_rejected():
     with pytest.raises(DimensionError):
         ArithmeticSeq(np.array([1.0]))
+
+
+@pytest.mark.parametrize("raw", [[0.0, 1.0, np.nan, 2.0], [0.0, np.inf, 1.0],
+                                 [0.0, 1.0, complex(1.0, -np.inf)]],
+                         ids=["nan", "inf-head", "complex-inf"])
+def test_sequences_with_non_finite_entries_rejected(raw):
+    with pytest.raises(DomainError, match="must be finite"):
+        ArithmeticSeq(raw)
+
+
+@pytest.mark.parametrize("lmax", [1, 2, 16, 64])
+@pytest.mark.parametrize("tau", [0.0, 14.134725, 1e4])
+@pytest.mark.parametrize("sigma", [1.5, 3.0])
+def test_zeta_closed_forms_keep_their_bits(sigma, tau, lmax):
+    """The sequence, its closed-form inverse and both operators equal, bit for
+    bit, the dense formulas written out here."""
+    zp = ZetaParams(sigma, tau)
+    logk = np.log(np.arange(1.0, lmax + 1))
+    a = zp.sequence(lmax).a
+    assert a.tobytes() == np.concatenate(([0.0], np.exp(-zp.s * logk))).tobytes()
+    b = zp.moebius_inverse(lmax)
+    mu = np.array([0] + [moebius(k) for k in range(1, lmax + 1)])
+    dense = np.zeros(lmax + 1, dtype=complex)
+    dense[1:] = (mu[1:] * np.exp(-sigma * logk)) * np.exp(-1j * (tau * logk))
+    live = mu != 0
+    assert b[live].tobytes() == dense[live].tobytes()
+    assert not (b[~live].view(float).any() or np.signbit(b[~live].view(float)).any())
+    seq = zp.sequence(lmax)
+    rng = np.random.default_rng(lmax)
+    for n in sorted({0, lmax // 2, lmax}):
+        x = rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1)
+        assert apply_D(seq, x).tobytes() == (d_matrix(seq.a, n) @ x).tobytes()
+        assert apply_D_inv(seq, x).tobytes() == (d_matrix(seq.b, n) @ x).tobytes()
+        # a list of reals is converted once, to complex128
+        assert apply_D(seq, list(x.real)).tobytes() == (
+            d_matrix(seq.a, n) @ x.real.astype(complex)).tobytes()
 
 
 @pytest.mark.parametrize("call, error, match", [

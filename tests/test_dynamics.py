@@ -588,6 +588,11 @@ class TestIntegratorGuards:
             EvolveConfig(1.0, dt=0.0)
         with pytest.raises(DomainError):
             EvolveConfig(1.0, record_every=0)
+        with pytest.raises(DomainError, match="record_every must be an integer >= 1"):
+            EvolveConfig(1.0, record_every=2.5)
+
+    def test_record_every_takes_a_numpy_integer(self):
+        assert EvolveConfig(1.0, record_every=np.int64(3)).record_every == 3
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_scalars_rejected(self, rng, bad):

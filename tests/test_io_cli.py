@@ -906,6 +906,34 @@ class TestCliEvolve:
                     "--trace", str(tmp_path / "t.csv")]) == 2
 
 
+class TestCliListFlags:
+    """--alphas and --counts share one comma-list type; each refusal is a usage error."""
+
+    @pytest.mark.parametrize("command,flag,text,line", [
+        ("norms", "--alphas", "", "argument --alphas: alpha list is empty"),
+        ("norms", "--alphas", "1,a", "argument --alphas: bad alpha list '1,a'"),
+        ("redundancy", "--counts", "0", "argument --counts: counts must be positive integers"),
+        ("redundancy", "--counts", ",", "argument --counts: counts must be positive integers"),
+        ("redundancy", "--counts", "1,x", "argument --counts: bad count list '1,x'"),
+    ], ids=["empty-alphas", "bad-alpha", "zero-count", "no-count", "bad-count"])
+    def test_refusal_text(self, tmp_path, field_file, capsys, command, flag, text, line):
+        other = (["--in", field_file] if command == "norms" else
+                 ["--field", field_file, "--zeros", str(DATA / "zeta_zeros_100.txt")])
+        out = tmp_path / "out.csv"
+        assert run([command] + other + [flag, text, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[-1] == "qtorus %s: error: %s" % (command, line)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,items", [("0.5", [0.5]), (",1,,-2.5,", [1.0, -2.5])])
+    def test_alpha_list_skips_empty_tokens(self, text, items):
+        assert cli._alpha_list(text) == items
+
+    @pytest.mark.parametrize("text,items", [("7", [7]), ("10,,100,", [10, 100])])
+    def test_count_list_skips_empty_tokens(self, text, items):
+        assert cli._count_list(text) == items
+
+
 class TestCliRedundancy:
     def test_sweep_csv(self, tmp_path, field_file):
         out = str(tmp_path / "red.csv")

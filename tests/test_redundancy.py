@@ -481,8 +481,12 @@ class TestCoefficientDecay:
         assert many < few
 
     def test_domain(self, zeros100):
-        with pytest.raises(DomainError):
-            c_d(1, 3.0, zeros100, 100.0)
+        for d in (1, 2.5, 2.0, np.int64(0)):  # 2.5 was taken as d^-sigma at d = 2.5
+            with pytest.raises(DomainError, match="integer d >= 2"):
+                c_d(d, 3.0, zeros100, 100.0)
+
+    def test_numpy_integer_d(self, zeros100):
+        assert c_d(np.int64(6), 3.0, zeros100, 100.0) == c_d(6, 3.0, zeros100, 100.0)
 
 
 class TestAxisAverage:
@@ -544,6 +548,8 @@ class TestNonFiniteSigma:
             broadband_average_2d_counts(f, sigma, zeros100, [10])
         with pytest.raises(DomainError):
             broadband_average_2d_per_zero(f, sigma, zeros100, 100.0)
+        with pytest.raises(DomainError, match="finite sigma > 1"):
+            c_d(2, sigma, zeros100, 100.0)
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_cli_exits_with_data_error(self, tmp_path, rng, capsys, sigma):

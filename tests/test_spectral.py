@@ -132,11 +132,23 @@ def test_s_inv_rejects_non_hermitian(rng):
     (lambda: CoeffGrid(1, np.zeros((3, 3)), "symmetric"), "unknown grid tag"),
     (lambda: CoeffGrid(1, np.zeros((3, 4))), r"needs shape \(3, 3\)"),
     (lambda: CoeffGrid(1, np.zeros((3, 3))).entry(2, 0), "outside band limit 1"),
+    (lambda: CoeffGrid(1.5, np.zeros((4, 4))), "band limit must be an integer"),
+    (lambda: CoeffGrid(1.0, np.zeros((3, 3))), "band limit must be an integer"),
+    (lambda: single_entry(2, -3, 0, 1.0), r"index \(-3, 0\) outside band limit 2"),
+    (lambda: single_entry(2, 0, 3, 1.0), r"index \(0, 3\) outside band limit 2"),
     (lambda: SampleGrid(3, np.zeros((3, 2))), r"needs shape \(3, 3\)"),
-], ids=["negative-n", "unknown-tag", "coeff-shape", "entry-outside-band", "sample-shape"])
+], ids=["negative-n", "unknown-tag", "coeff-shape", "entry-outside-band", "float-n",
+        "integral-float-n", "single-entry-row-outside", "single-entry-col-outside",
+        "sample-shape"])
 def test_grid_containers_refuse_bad_shapes(make, match):
     with pytest.raises(DimensionError, match=match):
         make()
+
+
+def test_numpy_integer_band_limit_accepted():
+    g = CoeffGrid(np.int64(1), np.zeros((3, 3)))
+    assert g.n == 1 and g.data.shape == (3, 3)
+    assert single_entry(np.int64(2), -2, 2, 1.0).entry(-2, 2) == 1.0
 
 
 class TestGridOwnership:
