@@ -36,6 +36,7 @@ PER_ZERO = ["tests/test_redundancy.py::TestPerZeroBatching::test_matches_sequent
 DIRECT = ["tests/test_redundancy.py::TestEulerRoute::test_means_match_sin_cos_route[8]",
           "tests/test_redundancy.py::TestPlaneAverage::test_agrees_with_per_zero_route"]
 GEN = "tests/test_dynamics.py::TestGeneralDissipator::"
+IO = "tests/test_io_cli.py::TestGridJson::"
 
 MUTANTS = [
     # the per-zero route's cone blocks
@@ -117,6 +118,23 @@ MUTANTS = [
     ("step count cap removed", DYN, "if n_steps > MAX_STEPS:", "if False:",
      ["tests/test_dynamics.py::TestIntegratorGuards::"
       "test_step_count_over_cap_refused_before_first_record"]),
+    # the flat read of grid JSON
+    ("skeleton check dropped", GRIDIO,
+     "    if len(skeleton) != len(lead) + 4 * pairs + 1 or skeleton != (\n"
+     "            lead + b\"[,],\" * (pairs - 1) + b\"[,]]}\"):\n        return None\n", "",
+     [IO + "test_refusals_keep_their_text[wrong-pairs]",
+      IO + "test_refusals_keep_their_text[wrong-pairs-spaced]"]),
+    ("\\s in place of JSON whitespace", GRIDIO, '_JSON_SPACE = rb"[ \\t\\n\\r]*"',
+     '_JSON_SPACE = rb"\\s*"',
+     [IO + "test_form_feed_and_vertical_tab_refused[0-ff]",
+      IO + "test_form_feed_and_vertical_tab_refused[7-vt]"]),
+    ("length compared after building the expected skeleton", GRIDIO,
+     'len(skeleton) != len(lead) + 4 * pairs + 1 or skeleton != (\n'
+     '            lead + b"[,]," * (pairs - 1) + b"[,]]}")',
+     'skeleton != (\n            lead + b"[,]," * (pairs - 1) + b"[,]]}") or len(skeleton) != '
+     'len(lead) + 4 * pairs + 1',
+     [IO + "test_large_n_with_short_body_allocates_nothing[600]",
+      IO + "test_large_n_with_short_body_allocates_nothing[999999999]"]),
     # hygiene and parsing
     ("number-byte check dropped", RED,
      "if joined.translate(None, _NUMBER_BYTES) != b\",\" * (len(lines) - 1):", "if False:",

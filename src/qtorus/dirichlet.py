@@ -12,7 +12,8 @@ Divisors never leave the window (d | k implies k/d <= k <= N), so D and
 its inverse are exact on band-limited data, not approximations.
 
 The zeta layer refuses what it cannot encode: a sigma that is not finite
-and > 1 (_require_sigma), a non-finite tau or t (errors._require_finite)
+and > 1 (_require_sigma), a non-finite tau or t (errors._require_finite),
+a length or term count that is not an integer (errors._require_integer)
 and a sequence with a non-finite entry, each with DomainError.
 """
 
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grids import FOURIER_REAL, GENERAL, CoeffGrid, require_fourier_real
-from .errors import DimensionError, DomainError, _require_finite
+from .errors import DimensionError, DomainError, _require_finite, _require_integer
 from .spectral import s_map
 
 
@@ -164,6 +165,7 @@ class ZetaParams:
 
     def sequence(self, lmax: int) -> ArithmeticSeq:
         """a_k = k^-(sigma + i tau), the periodized-zeta coefficients."""
+        _require_integer(lmax=lmax)
         a = np.zeros(lmax + 1, dtype=np.complex128)
         a[1:] = np.exp(-self.s * np.log(np.arange(1, lmax + 1)))
         return ArithmeticSeq(a)
@@ -176,6 +178,7 @@ class ZetaParams:
 def moebius_inverse_rows(sigma: float, taus, lmax: int) -> np.ndarray:
     """b_k = mu(k) k^-sigma e^{-i tau log k} for each tau: one 1-based row per ordinate."""
     _require_sigma(sigma)
+    _require_integer(lmax=lmax)
     mu = np.array([moebius(j) for j in range(1, lmax + 1)], dtype=np.float64)
     k = np.flatnonzero(mu) + 1  # b_k = 0 where mu(k) = 0: no phase is taken there
     logk = np.log(k)
@@ -266,6 +269,7 @@ def periodized_zeta(s: complex, t: float, terms: int) -> PeriodizedZeta:
     if not (math.isfinite(s.real) and math.isfinite(s.imag) and s.real > 1):
         raise DomainError("periodized zeta needs a finite s with Re s > 1, got %r" % s)
     _require_finite(t=t)
+    _require_integer(terms=terms)
     if terms < 0:
         raise DomainError("terms must be non-negative")
     sigma = s.real

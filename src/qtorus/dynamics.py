@@ -64,7 +64,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, IntegrationError, _require_finite
+from .errors import (DimensionError, DomainError, IntegrationError, _require_finite,
+                     _require_integer)
 from .grids import (
     FOURIER_REAL,
     GENERAL,
@@ -88,6 +89,8 @@ class HarmonicSpec:
 
     def __post_init__(self):
         _require_finite(a=self.a, b=self.b)
+        if self.floor is not None:
+            _require_integer(floor=self.floor)
 
     def levels(self, n: int) -> np.ndarray:
         idx = index_range(n)

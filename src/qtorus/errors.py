@@ -2,10 +2,12 @@
 
 Everything raised on bad data derives from DataError so callers (and the
 CLI) can map validation failures to a single exit path.  _require_finite is
-the package's one refusal of a non-finite scalar parameter.
+the package's one refusal of a non-finite scalar parameter, and
+_require_integer its one refusal of a count or length that is not an integer.
 """
 
 import math
+import numbers
 
 
 class QTorusError(Exception):
@@ -40,6 +42,14 @@ def _require_finite(**scalars):
     for name, value in scalars.items():
         if value is not None and not math.isfinite(value):
             raise DomainError("%s must be finite, got %r" % (name, value))
+
+
+def _require_integer(**values):
+    """Refuse a value that is not a Python or numpy integer: a float such as
+    2.5 or 3.0 would otherwise be rounded, truncated or used as an index."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise DomainError("%s must be an integer, got %r" % (name, value))
 
 
 class EmptyRangeError(DomainError):

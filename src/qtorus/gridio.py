@@ -8,6 +8,18 @@ value reads back bitwise; non-finite values are never written.  The
 reader accepts any JSON whitespace and number spelling and rejects
 anything that is not a finite JSON number.
 
+The reader has two paths with one result.  The flat read (_flat_read)
+takes the layout write_grid and json.dump write: the three keys in that
+order, any JSON whitespace around the keys and inside the pairs, none
+before the first pair or after the last, and pairs joined by "],[" or
+"], [" throughout.  It checks the entries' bracket skeleton,
+joins the pairs into one flat array of numbers and parses that, so orjson
+builds no list per pair.  It refuses nothing: any other text, and any text
+orjson refuses, goes to the general reader (_general_read), which parses
+the whole document and words every refusal.  Only the general reader runs
+the nesting-depth guard: the skeleton the flat read checks fixes the depth
+at 3, while orjson would overflow the C stack on deeply nested text.
+
 PGM: both ASCII (P2) and binary (P5), maxval up to 65535; pixel v maps
 to f = v / maxval in [0, 1].  The header fields (width, height, maxval)
 are separated by whitespace and by '#' comments that run to the end of
@@ -98,11 +110,10 @@ def _parse(blob: bytes):
         raise FormatError("invalid grid JSON: %s" % exc)
 
 
-def grid_from_json(text) -> CoeffGrid:
-    """Parse grid JSON given as str or UTF-8 bytes."""
-    if isinstance(text, str):
-        text = text.encode("utf-8", "surrogatepass")
-    obj = _parse(text)
+def _general_read(blob: bytes):
+    """(n, tag, values) of any grid JSON text; FormatError naming the fault
+    of any other text."""
+    obj = _parse(blob)
     if not isinstance(obj, dict):
         raise FormatError("grid JSON must be an object")
     for key in ("n", "tag", "entries"):
@@ -130,6 +141,69 @@ def grid_from_json(text) -> CoeffGrid:
         i = next(i for i, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
         raise FormatError("grid JSON: entry %d holds %s, not a number"
                           % (i // 2, _JSON_KIND[type(values[i])]))
+    return n, tag, values
+
+
+# The canonical layout up to the entries' opening bracket, and from their
+# closing bracket to the end; each space stands for JSON whitespace, never \s,
+# which also takes \f and \v.
+_JSON_SPACE = rb"[ \t\n\r]*"
+_FLAT_HEAD = re.compile((
+    rb' \{ "n" : (0|[1-9][0-9]{0,8}) , "tag" : "(%s)" , "entries" : \['
+    % b"|".join(re.escape(t.encode()) for t in TAGS)).replace(b" ", _JSON_SPACE))
+_FLAT_TAIL = re.compile(rb"\] \} ".replace(b" ", _JSON_SPACE))
+_NUMBER_OR_SPACE = b"0123456789.eE+- \t\n\r"
+
+
+def _flat_read(blob: bytes):
+    """(n, tag, values) of a grid in the canonical layout, or None to leave it
+    to _general_read.  It refuses nothing: any other layout, and any text
+    orjson refuses, goes to the general reader, which words the error.
+
+    The entries, deleted of number bytes and whitespace, must leave the
+    skeleton [,],[,],...,[,] of side^2 pairs, which fixes the nesting depth
+    at 3, so no depth scan is needed.  The side^2 - 1 separators between
+    pairs must all be "],[" (as write_grid writes them) or all "], [" (as
+    json.dump does): each becomes ",", which leaves one flat array of the
+    numbers that orjson parses without building a list per pair.  Counting
+    the separators replaced proves that no number byte sits outside a pair,
+    and an empty or split number is left for orjson to refuse.
+    """
+    head = _FLAT_HEAD.match(blob)
+    if head is None:
+        return None
+    start, close = head.end(), blob.rfind(b"]")  # the pairs are blob[start:close]
+    if close < start or not _FLAT_TAIL.fullmatch(blob, close):
+        return None
+    n = int(head.group(1))
+    pairs = (2 * n + 1) ** 2
+    # the skeleton of the whole text is the head's, the pairs', then "]}"
+    lead = head.group(0).translate(None, _NUMBER_OR_SPACE)
+    skeleton = blob.translate(None, _NUMBER_OR_SPACE)
+    # lengths first: a huge n with a short body builds no huge skeleton
+    if len(skeleton) != len(lead) + 4 * pairs + 1 or skeleton != (
+            lead + b"[,]," * (pairs - 1) + b"[,]]}"):
+        return None
+    separator = b"], [" if blob.find(b" ", start, close) >= 0 else b"],["
+    flat = blob.replace(separator, b",")  # the head and the tail hold none
+    removed = len(blob) - len(flat)
+    if removed != (len(separator) - 1) * (pairs - 1):
+        return None
+    close -= removed
+    if not (flat.startswith(b"[", start) and flat.endswith(b"]", start, close)):
+        return None
+    try:
+        values = orjson.loads(memoryview(flat)[start:close])
+    except orjson.JSONDecodeError:
+        return None
+    return n, head.group(2).decode(), values
+
+
+def grid_from_json(text) -> CoeffGrid:
+    """Parse grid JSON given as str or UTF-8 bytes."""
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")
+    n, tag, values = _flat_read(text) or _general_read(text)
     # one float64 array viewed as complex: re + 1j*im could flip the sign of a zero
     data = np.array(values, dtype=np.float64).view(np.complex128)
     # orjson refuses NaN, Infinity and overflowing numbers; this keeps the
@@ -137,6 +211,7 @@ def grid_from_json(text) -> CoeffGrid:
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:
         raise FormatError("grid JSON: entry %d is not finite" % bad[0])
+    side = 2 * n + 1
     return CoeffGrid(n, data.reshape(side, side), tag)
 
 

@@ -8,8 +8,9 @@ operator matrices (tag "hermitian" when w[l,k] = conj(w[k,l])).
 
 Tags are advisory: operations validate the actual symmetry at their
 boundary instead of trusting the tag.  The band limit must be an integer
-(Python or numpy) and an index outside the window is refused, by
-CoeffGrid.entry and single_entry alike, never wrapped.
+(Python or numpy) and an index that is not an integer or lies outside the
+window is refused, by CoeffGrid.entry and single_entry alike, never
+wrapped or truncated.
 
 A grid's data is read-only.  A CoeffGrid copies the array it is given
 unless nothing else can write to it: an array that np.asarray made from
@@ -20,6 +21,7 @@ read-only pays no copy.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +93,8 @@ class CoeffGrid:
 
 
 def _require_index(n: int, k: int, l: int):
+    if not (isinstance(k, numbers.Integral) and isinstance(l, numbers.Integral)):
+        raise DimensionError("index (%r, %r) is not a pair of integers" % (k, l))
     if abs(k) > n or abs(l) > n:
         raise DimensionError("index (%d, %d) outside band limit %d" % (k, l, n))
 

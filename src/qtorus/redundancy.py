@@ -59,7 +59,8 @@ import numpy as np
 import orjson
 
 from .dirichlet import _require_sigma, _window_image, _window_terms, moebius_inverse_rows
-from .errors import DimensionError, DomainError, EmptyRangeError, FormatError, _require_finite
+from .errors import (DimensionError, DomainError, EmptyRangeError, FormatError, _require_finite,
+                     _require_integer)
 from .grids import CoeffGrid
 from .spectral import s_map
 from .summation import KahanAccumulator
@@ -108,6 +109,7 @@ class ZeroTable:
 
     def t_covering(self, count: int) -> float:
         """Smallest T whose window holds exactly `count` leading ordinates."""
+        _require_integer(count=count)
         if count < 1 or count > self.count:
             raise EmptyRangeError(
                 "table holds %d ordinates, cannot cover %d" % (self.count, count)

@@ -362,6 +362,28 @@ class TestPeriodizedZeta:
         with pytest.raises(DomainError, match="t must be finite"):
             periodized_zeta(2.0, bad, 10)
 
+    @pytest.mark.parametrize("terms", [2.5, 3.0, np.float64(3.0), "3"])
+    def test_non_integer_terms_rejected(self, terms):
+        # 2.5 would sum k = 1..3 but report the tail bound of 2.5 terms
+        with pytest.raises(DomainError, match="terms must be an integer"):
+            periodized_zeta(2.0, 0.1, terms)
+
+    def test_numpy_integer_terms_read_as_int(self):
+        assert periodized_zeta(2.0, 0.1, np.int64(3)) == periodized_zeta(2.0, 0.1, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda lmax: ZetaParams(2.0, 0.0).sequence(lmax).a,
+    lambda lmax: moebius_inverse_rows(2.0, [1.0], lmax),
+    lambda lmax: ZetaParams(2.0, 0.5).moebius_inverse(lmax),
+], ids=["sequence", "moebius-inverse-rows", "moebius-inverse"])
+def test_sequence_lengths_must_be_integers(make):
+    for lmax in (2.5, 4.0, np.float64(4.0)):
+        with pytest.raises(DomainError, match="lmax must be an integer"):
+            make(lmax)
+    # an integer of either kind gives the same bytes
+    assert make(np.int64(4)).tobytes() == make(4).tobytes()
+
 
 def test_zeta_sequence_values():
     zp = ZetaParams(sigma=3.0, tau=0.0)

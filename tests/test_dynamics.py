@@ -188,6 +188,16 @@ class TestFloor:
         assert np.all(lv[:3] == 0.0)
         assert_allclose(lv[3:], [0.25, 1.25, 2.25, 3.25])
 
+    @pytest.mark.parametrize("floor", [1.5, 2.0, np.float64(1.0), "1"])
+    def test_non_integer_floor_rejected(self, floor):
+        # 1.5 would zero the levels below 2 and act as floor 2
+        with pytest.raises(DomainError, match="floor must be an integer"):
+            HarmonicSpec(a=1.0, floor=floor)
+
+    def test_numpy_integer_floor_reads_as_int(self):
+        h = HarmonicSpec(a=1.0, b=0.25, floor=np.int32(1))
+        assert h.levels(3).tobytes() == HarmonicSpec(a=1.0, b=0.25, floor=1).levels(3).tobytes()
+
     def test_supported_grid_accepted(self):
         a0 = single_entry(3, 1, 2, 1.0)
         h = HarmonicSpec(a=1.0, floor=0)

@@ -14,6 +14,7 @@ import warnings
 
 import hypothesis.strategies as st
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from numpy.testing import assert_allclose
@@ -50,7 +51,7 @@ from qtorus import (
     write_grid,
     write_pgm,
 )
-from qtorus import cli, redundancy
+from qtorus import cli, gridio, redundancy
 from qtorus.cli import run
 from qtorus.errors import (
     DimensionError,
@@ -213,6 +214,114 @@ class TestGridJson:
         for value in ['"%s"' % ("[" * 200_000), r'"\"%s"' % ("[" * 100),
                       r'["\\", "%s"]' % ("[" * 100), '"]]]]"']:
             assert grid_from_json(extra % value).entry(0, 0) == 0
+
+    # The two read paths: the flat read of the canonical layout and the
+    # general reader, which takes any text and words every refusal.
+
+    def test_flat_read_takes_both_writer_spellings(self, rng):
+        g = self._special_grid(rng)
+        for text in (grid_to_json(g), reference_grid_to_json(g), reference_grid_to_json(g) + "\n"):
+            flat = gridio._flat_read(text.encode())
+            assert flat is not None
+            assert flat[:2] == (g.n, g.tag)
+            bits = np.array(flat[2], dtype=np.float64).view(np.uint64)
+            assert np.array_equal(bits, g.data.view(np.uint64).reshape(-1))
+            general = np.array(gridio._general_read(text.encode())[2], dtype=np.float64)
+            assert np.array_equal(bits, general.view(np.uint64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_flat_read_declines_or_matches_general_reader(self, data):
+        blob = _spelled_grid_text(data)
+        n, tag, values = gridio._general_read(blob)
+        flat = gridio._flat_read(blob)
+        if flat is not None:
+            assert flat[:2] == (n, tag)
+            assert np.array_equal(np.array(flat[2], dtype=np.float64).view(np.uint64),
+                                  np.array(values, dtype=np.float64).view(np.uint64))
+
+    def test_canonical_file_skips_the_depth_scan(self, tmp_path, rng, monkeypatch):
+        def no_scan(blob):
+            raise AssertionError("depth scan on a canonical file")
+
+        monkeypatch.setattr(gridio, "_nesting_depth", no_scan)
+        g = self._special_grid(rng)
+        write_grid(tmp_path / "g.json", g)
+        (tmp_path / "old.json").write_text(reference_grid_to_json(g) + "\n")
+        for name in ("g.json", "old.json"):
+            assert np.array_equal(self._bits(read_grid(tmp_path / name).data), self._bits(g.data))
+        with pytest.raises(AssertionError):  # any other layout goes to the general reader
+            grid_from_json('{"tag": "general", "n": 0, "entries": [[0, 0]]}')
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"n":1,"tag":"general","entries":[[1,2,3],[4]%s]}' % (",[0,0]" * 7),
+         "grid JSON: entry 0 is not a [re, im] pair"),
+        ('{"n": 1, "tag": "general", "entries": [[1, 2, 3], [4]%s]}' % (", [0, 0]" * 7),
+         "grid JSON: entry 0 is not a [re, im] pair"),
+        ('{"n":0,"tag":"general","entries":[[[1],0]]}', "grid JSON: entry 0 holds an array, "
+         "not a number"),
+        ('{"n":0,"tag":"general","entries":[[null,0]]}', "grid JSON: entry 0 holds null, "
+         "not a number"),
+        ('{"n": 999999999, "tag": "general", "entries": [[0, 0], [0, 0], [0, 0]]}',
+         "grid JSON: expected 3999999996000000001 entries, got 3"),
+        ('{"n": 0, "tag": "general", "entries": [[0.5, NaN]]}',
+         "grid JSON: NaN at char 45 is not finite"),
+        ('{"n": 0, "tag": "general", "entries": [[1e400, 0.5]]}',
+         "grid JSON: 1e400 at char 40 is not finite"),
+        # number bytes outside a pair, empty and split numbers: orjson words these
+        ('{"n":0,"tag":"general","entries":[5[1,2]]}', None),
+        ('{"n":0,"tag":"general","entries":[[1,]5]}', None),
+        ('{"n":0,"tag":"general","entries":[[,1]]}', None),
+        ('{"n":0,"tag":"general","entries":[[1 2,3]]}', None),
+        ('{"n":0,"tag":"general","entries":[[1,2]]5}', None),
+        ('{"n":0,"tag":"general","entries":[[1,2],]}', None),
+        ('{"n":1,"tag":"general","entries":[[1,2],5[3,4]%s]}' % (",[0,0]" * 7), None),
+        ('{"n":1,"tag":"general","entries":[[1,2]5,[3,4]%s]}' % (",[0,0]" * 7), None),
+        ('{"n":1,"tag":"general","entries":[[1,],5[3,4]%s]}' % (",[0,0]" * 7), None),
+        ('{"n":1,"tag":"general","entries":[[1,2], 5[3,4]%s]}' % (", [0,0]" * 7), None),
+        ('{"n":00,"tag":"general","entries":[[1.5,-2]]}', None),
+    ], ids=[
+        "wrong-pairs", "wrong-pairs-spaced", "array-value", "null-value", "huge-n", "nan",
+        "overflow", "byte-before-pair", "byte-after-pair", "empty-re", "split-number",
+        "byte-after-entries", "trailing-comma", "byte-before-second-pair",
+        "byte-after-first-pair", "empty-im-byte-outside", "byte-outside-spaced",
+        "leading-zero-n"])
+    def test_refusals_keep_their_text(self, text, message):
+        with pytest.raises(FormatError) as got:
+            grid_from_json(text)
+        with pytest.raises(FormatError) as general:
+            gridio._general_read(text.encode())
+        assert str(got.value) == str(general.value)
+        if message is None:
+            assert str(got.value).startswith("invalid grid JSON: ")
+        else:
+            assert str(got.value) == message
+
+    @pytest.mark.parametrize("space", ["\f", "\v"], ids=["ff", "vt"])
+    @pytest.mark.parametrize("at", [0, 1, 6, 7, 11, 19, 21, 33, 34, 35, 39, 44, 45])
+    def test_form_feed_and_vertical_tab_refused(self, space, at):
+        text = '{"n":0,"tag":"general","entries":[[1.5,-2]]}'
+        assert grid_from_json(text).entry(0, 0) == complex(1.5, -2)
+        spaced = text[:at] + space + text[at:]
+        with pytest.raises(FormatError, match="invalid grid JSON") as got:
+            grid_from_json(spaced)
+        with pytest.raises(FormatError) as general:
+            gridio._general_read(spaced.encode())
+        assert str(got.value) == str(general.value)
+
+    @pytest.mark.parametrize("n", ["600", "999999999"])
+    def test_large_n_with_short_body_allocates_nothing(self, n):
+        # the skeleton of a 1201 x 1201 grid alone would take 5.8 MB
+        text = '{"n":%s,"tag":"general","entries":[[0,0],[0,0],[0,0]]}' % n
+        side = 2 * int(n) + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="expected %d entries, got 3$" % (side * side)):
+                grid_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestNonFiniteSymmetry:
@@ -1261,6 +1370,55 @@ def _splice(data, blob: bytes) -> bytes:
         blob = blob[:cut] + data.draw(st.binary(max_size=3)) + blob[cut:][:data.draw(
             st.sampled_from((0, len(blob))))]
     return blob
+
+
+_SPACES = ["", " ", "  ", "\n", "\t", "\r\n"]
+
+
+def _spelled_number(data, x: float) -> str:
+    spellings = [repr(x), orjson.dumps(x).decode(), repr(x).replace("e", "E")]
+    if x == 0:
+        spellings += ["0", "-0", "0.0", "-0.0", "0e0", "-0E+0"]
+    elif x.is_integer() and abs(x) < 1e20:
+        spellings.append("%d" % x)
+    return data.draw(st.sampled_from(spellings))
+
+
+def _spelled_grid_text(data) -> bytes:
+    """A valid grid JSON text: the writers' spellings, or numbers spelled as
+    ints, -0, -0.0 and with either exponent case, with JSON whitespace drawn
+    inside the pairs and around the keys, and between pairs either one
+    separator throughout or whitespace drawn at each."""
+    n = data.draw(st.integers(0, 2))
+    tag = data.draw(st.sampled_from([FOURIER_REAL, HERMITIAN, GENERAL]))
+    count = 2 * (2 * n + 1) ** 2
+    values = data.draw(st.lists(st.one_of(
+        st.sampled_from(TestGridJson.SPECIAL), st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-10**6, 10**6).map(float)), min_size=count, max_size=count))
+    grid = CoeffGrid(n, np.array(values).view(np.complex128).reshape(2 * n + 1, 2 * n + 1), tag)
+    writer = data.draw(st.sampled_from(["orjson", "json", "drawn"]))
+    if writer != "drawn":
+        return (grid_to_json(grid) if writer == "orjson" else reference_grid_to_json(grid)).encode()
+    inside = data.draw(st.booleans())
+    separator = data.draw(st.sampled_from(["],[", "], [", None]))
+
+    def space():
+        return data.draw(st.sampled_from(_SPACES)) if inside else ""
+
+    def outside():  # between pairs and around them
+        return "" if separator else data.draw(st.sampled_from(_SPACES))
+
+    entries = ""
+    for i, (re_, im) in enumerate(zip(values[::2], values[1::2])):
+        if i:
+            entries += separator or "]%s,%s[" % (outside(), outside())
+        entries += "%s%s%s,%s%s%s" % (space(), _spelled_number(data, re_), space(), space(),
+                                      _spelled_number(data, im), space())
+    s = space
+    text = '%s{%s"n"%s:%s%d%s,%s"tag"%s:%s"%s"%s,%s"entries"%s:%s[%s[%s]%s]%s}%s' % (
+        s(), s(), s(), s(), n, s(), s(), s(), s(), tag, s(), s(), s(), s(), outside(), entries,
+        outside(), s(), s())
+    return text.encode()
 
 
 def _mutated_grid_text(data) -> bytes:

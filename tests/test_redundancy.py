@@ -83,6 +83,12 @@ class TestZeroTable:
         with pytest.raises(EmptyRangeError):
             zeros100.t_covering(0)
 
+    @pytest.mark.parametrize("count", [2.5, 5.0, np.float64(5.0)])
+    def test_t_covering_refuses_a_non_integer_count(self, zeros100, count):
+        with pytest.raises(DomainError, match="count must be an integer"):
+            zeros100.t_covering(count)
+        assert zeros100.t_covering(np.int64(5)) == zeros100.t_covering(5)
+
     def test_parse_comments_and_blanks(self):
         table = load_zero_table(io.StringIO(
             "# header\n\n14.1347\n  21.0220\n\n# trailing\n25.0109\n"))

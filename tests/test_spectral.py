@@ -136,9 +136,13 @@ def test_s_inv_rejects_non_hermitian(rng):
     (lambda: CoeffGrid(1.0, np.zeros((3, 3))), "band limit must be an integer"),
     (lambda: single_entry(2, -3, 0, 1.0), r"index \(-3, 0\) outside band limit 2"),
     (lambda: single_entry(2, 0, 3, 1.0), r"index \(0, 3\) outside band limit 2"),
+    (lambda: single_entry(2, 1.5, 0, 1.0), r"index \(1.5, 0\) is not a pair of integers"),
+    (lambda: single_entry(2, 0, 1.0, 1.0), r"index \(0, 1.0\) is not a pair of integers"),
+    (lambda: CoeffGrid(1, np.zeros((3, 3))).entry(0.5, 0), "is not a pair of integers"),
     (lambda: SampleGrid(3, np.zeros((3, 2))), r"needs shape \(3, 3\)"),
 ], ids=["negative-n", "unknown-tag", "coeff-shape", "entry-outside-band", "float-n",
         "integral-float-n", "single-entry-row-outside", "single-entry-col-outside",
+        "single-entry-float-row", "single-entry-integral-float-col", "entry-float-row",
         "sample-shape"])
 def test_grid_containers_refuse_bad_shapes(make, match):
     with pytest.raises(DimensionError, match=match):
@@ -148,6 +152,12 @@ def test_grid_containers_refuse_bad_shapes(make, match):
 def test_numpy_integer_band_limit_accepted():
     g = CoeffGrid(np.int64(1), np.zeros((3, 3)))
     assert g.n == 1 and g.data.shape == (3, 3)
+
+
+def test_numpy_integer_index_accepted():
+    g = single_entry(2, np.int64(-1), np.int32(2), 1.5)
+    assert g.data.tobytes() == single_entry(2, -1, 2, 1.5).data.tobytes()
+    assert g.entry(np.int64(-1), 2) == 1.5
     assert single_entry(np.int64(2), -2, 2, 1.0).entry(-2, 2) == 1.0
 
 
