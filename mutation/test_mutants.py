@@ -37,6 +37,7 @@ DIRECT = ["tests/test_redundancy.py::TestEulerRoute::test_means_match_sin_cos_ro
           "tests/test_redundancy.py::TestPlaneAverage::test_agrees_with_per_zero_route"]
 GEN = "tests/test_dynamics.py::TestGeneralDissipator::"
 IO = "tests/test_io_cli.py::TestGridJson::"
+ZT = "tests/test_redundancy.py::TestZeroTable::"
 
 MUTANTS = [
     # the per-zero route's cone blocks
@@ -47,6 +48,9 @@ MUTANTS = [
      "q, p, w = pbuf[:s].reshape(s, n, n), qbuf[:s].reshape(s, n, n), wbuf[:s]", PER_ZERO),
     ("0 row dropped", RED, "            block[n] += np.sum(w[:, n], axis=0)\n", "", PER_ZERO),
     ("0 column dropped", RED, "w[:, :, n] = f[:, n]", "w[:, :, n] = 0", PER_ZERO),
+    ("mu and k^-sigma rebuilt per block", RED, "rows = _moebius_rows(terms, taus[start:stop])",
+     "rows = _moebius_rows(_moebius_terms(sigma, n), taus[start:stop])",
+     ["tests/test_redundancy.py::TestPerZeroBatching::test_moebius_terms_built_once_per_call"]),
     ("sub-batch buffers sized by the count", RED,
      "wbuf = np.empty((SUB_BATCH,) + f.shape", "wbuf = np.empty((taus.size,) + f.shape",
      ["tests/test_redundancy.py::TestPerZeroBatching::test_peak_memory_at_32"]),
@@ -135,6 +139,22 @@ MUTANTS = [
      'len(lead) + 4 * pairs + 1',
      [IO + "test_large_n_with_short_body_allocates_nothing[600]",
       IO + "test_large_n_with_short_body_allocates_nothing[999999999]"]),
+    # the zero-table loader's line-free path for clean pieces
+    ("refused clean piece not retried line by line", RED,
+     "except orjson.JSONDecodeError:  # a blank line, or a number orjson does not take\n"
+     "                pass", "except orjson.JSONDecodeError:\n                raise",
+     [ZT + "test_line_shapes_stay_on_orjson[blank-line-8192]",
+      ZT + "test_line_shapes_stay_on_orjson[leading-blank-line-1]",
+      ZT + "test_line_shapes_stay_on_orjson[newline-only-piece-8192]"]),
+    ("final \\n kept in the body", RED, "body = piece[:-1] if piece[-1] == 0x0A else piece",
+     "body = piece", [ZT + "test_shipped_data_pieces_skip_the_per_line_pass"]),
+    ("clean-byte check dropped", RED, "if not body.translate(None, _CLEAN_BYTES):", "if True:",
+     ["tests/test_io_cli.py::TestCliRedundancy::test_number_spellings_match_per_line_loader"
+      "[true\\n-1]",
+      "tests/test_io_cli.py::TestCliRedundancy::test_number_spellings_match_per_line_loader"
+      "[14.1\\n1,2\\n-1]"]),
+    ("'#' lines kept by the per-line pass", RED, 'if b"#" in piece:', "if False:",
+     [ZT + "test_line_shapes_stay_on_orjson[comment-mid-table-8192]"]),
     # hygiene and parsing
     ("number-byte check dropped", RED,
      "if joined.translate(None, _NUMBER_BYTES) != b\",\" * (len(lines) - 1):", "if False:",

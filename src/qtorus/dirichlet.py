@@ -177,14 +177,26 @@ class ZetaParams:
 
 def moebius_inverse_rows(sigma: float, taus, lmax: int) -> np.ndarray:
     """b_k = mu(k) k^-sigma e^{-i tau log k} for each tau: one 1-based row per ordinate."""
+    return _moebius_rows(_moebius_terms(sigma, lmax), taus)
+
+
+def _moebius_terms(sigma: float, lmax: int):
+    """(k, mu(k) k^-sigma, log k, lmax) over the k <= lmax with mu(k) != 0:
+    all that moebius_inverse_rows needs besides the ordinates, so that a
+    caller with many blocks of ordinates builds it once."""
     _require_sigma(sigma)
     _require_integer(lmax=lmax)
     mu = np.array([moebius(j) for j in range(1, lmax + 1)], dtype=np.float64)
     k = np.flatnonzero(mu) + 1  # b_k = 0 where mu(k) = 0: no phase is taken there
     logk = np.log(k)
+    return k, mu[k - 1] * np.exp(-sigma * logk), logk, lmax
+
+
+def _moebius_rows(terms, taus) -> np.ndarray:
+    """The rows of moebius_inverse_rows from its _moebius_terms."""
+    k, coef, logk, lmax = terms
     rows = np.zeros((len(taus), lmax + 1), dtype=np.complex128)
-    rows[:, k] = (mu[k - 1] * np.exp(-sigma * logk)) * np.exp(
-        -1j * np.multiply.outer(np.asarray(taus, dtype=np.float64), logk))
+    rows[:, k] = coef * np.exp(-1j * np.multiply.outer(np.asarray(taus, dtype=np.float64), logk))
     return rows
 
 

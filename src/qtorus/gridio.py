@@ -55,9 +55,8 @@ from .spectral import analyze
 
 def _grid_bytes(grid: CoeffGrid) -> bytes:
     pairs = grid.data.view(np.float64).reshape(-1, 2)  # data is C-contiguous complex128
-    finite = np.isfinite(pairs).all(axis=1)
-    if not finite.all():
-        i = int(np.flatnonzero(~finite)[0])
+    if not np.isfinite(pairs).all():  # the bad entry is sought only when there is one
+        i = int(np.flatnonzero(~np.isfinite(pairs))[0]) // 2  # its first float's pair
         side = 2 * grid.n + 1
         raise FormatError("cannot write grid JSON: entry %d (k=%d, l=%d) is not finite"
                           % (i, i // side - grid.n, i % side - grid.n))

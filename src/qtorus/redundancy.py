@@ -6,7 +6,11 @@ on averages M(x) of exp(-i tau_n x) phases, which cancel as the table
 grows.  Ordinates are ingested from text tables, never computed here:
 load_zero_table only parses a table, by orjson reads of many lines at a
 time when it can and line by line to name a bad line, and ZeroTable is
-the one check of ordinate values.
+the one check of ordinate values.  A piece of the table that holds only
+number bytes and \\n is joined for orjson by one replace of \\n by a
+comma; a piece with a '#' line, \\r, spaces or tabs, or one that orjson
+refuses so joined (a blank line leaves an empty element), is stripped
+and joined line by line.
 
 Two implementations of the 2D average are kept deliberately separate:
 broadband_average_2d applies averaged phase factors divisor pair by
@@ -58,7 +62,8 @@ from functools import lru_cache
 import numpy as np
 import orjson
 
-from .dirichlet import _require_sigma, _window_image, _window_terms, moebius_inverse_rows
+from .dirichlet import (_moebius_rows, _moebius_terms, _require_sigma, _window_image,
+                        _window_terms)
 from .errors import (DimensionError, DomainError, EmptyRangeError, FormatError, _require_finite,
                      _require_integer)
 from .grids import CoeffGrid
@@ -119,15 +124,36 @@ class ZeroTable:
 
 _CAST_BYTES = 1 << 13  # table bytes per orjson parse: bounds the objects alive at once
 _NUMBER_BYTES = b"0123456789.eE+-"  # the bytes a data line may hold to reach orjson
+_CLEAN_BYTES = _NUMBER_BYTES + b"\n"  # the bytes of a piece that needs no per-line pass
+
+
+def _joined_lines(piece: bytes) -> bytes:
+    """The stripped lines of a piece that are neither blank nor '#', joined
+    by commas; ValueError if one holds a byte that is not a number byte."""
+    lines = list(filter(None, map(bytes.strip, piece.splitlines())))
+    if b"#" in piece:
+        lines = [s for s in lines if s[0] != 0x23]  # '#'
+    joined = b",".join(lines)
+    if joined.translate(None, _NUMBER_BYTES) != b"," * (len(lines) - 1):
+        raise ValueError("not a list of JSON numbers")
+    return joined
 
 
 def _ascii_ordinates(data: bytes) -> np.ndarray:
     """The data lines of a table as float64, each read as float() reads
     it; ValueError if one might not be.  The table is parsed _CAST_BYTES
-    at a time, cut after a \\n so that no line is split: the stripped lines
-    that are neither blank nor '#' are joined by commas and read as one
-    JSON array by orjson.  A comment may hold any UTF-8: no byte of a
-    multi-byte character is \\n, \\r or '#'.
+    at a time, cut after a \\n so that no line is split, and each piece's
+    data lines, joined by commas, are read as one JSON array by orjson.
+
+    A clean piece is joined without a pass per line: when the piece
+    without its final \\n holds only number bytes and \\n, one replace of
+    \\n by a comma joins its lines.  A blank line (also a leading or a
+    trailing one) leaves an empty element there, which orjson refuses, and
+    so does a number it does not take; such a piece, and every piece with
+    another byte ('#', \\r, spaces, tabs), goes through _joined_lines,
+    which strips each line and drops the blank and '#' ones.  A comment
+    may hold any UTF-8: no byte of a multi-byte character is \\n, \\r or
+    '#'.
 
     Only lines of digits, '.', 'e', 'E', '+' and '-' reach orjson, so each
     is one JSON number or a refusal ("+1", ".5", "1.", "01", "1e999"); '_'
@@ -141,16 +167,17 @@ def _ascii_ordinates(data: bytes) -> np.ndarray:
     while start < len(data):
         stop = data.find(b"\n", start + _CAST_BYTES) + 1 or len(data)
         piece, start = data[start:stop], stop
-        lines = list(filter(None, map(bytes.strip, piece.splitlines())))
-        if b"#" in piece:
-            lines = [s for s in lines if s[0] != 0x23]  # '#'
-        if not lines:
-            continue
-        joined = b",".join(lines)
-        if joined.translate(None, _NUMBER_BYTES) != b"," * (len(lines) - 1):
-            raise ValueError("not a list of JSON numbers")
-        del lines  # before orjson's list of floats exists: it keeps the peak low
-        part = np.array(orjson.loads(b"[%b]" % joined), dtype=np.float64)
+        body = piece[:-1] if piece[-1] == 0x0A else piece  # '\n'
+        values = None
+        if not body.translate(None, _CLEAN_BYTES):
+            try:
+                values = orjson.loads(b"[%b]" % body.replace(b"\n", b","))
+            except orjson.JSONDecodeError:  # a blank line, or a number orjson does not take
+                pass
+        if values is None:
+            values = orjson.loads(b"[%b]" % _joined_lines(piece))
+        del piece, body  # before the float64 copy exists: it keeps the peak low
+        part = np.array(values, dtype=np.float64)
         if not part.all():
             raise ValueError("zero ordinate")
         parts.append(part)
@@ -458,9 +485,10 @@ def broadband_average_2d_per_zero(fhat: CoeffGrid, sigma: float, zeros: ZeroTabl
     pbuf = np.zeros((SUB_BATCH, n * n), dtype=np.complex128)
     qbuf = np.empty_like(pbuf)
     wbuf = np.empty((SUB_BATCH,) + f.shape, dtype=np.complex128)
+    terms = _moebius_terms(sigma, n)  # mu and k^-sigma, once per call
 
     def block_sum(start, stop):
-        rows = moebius_inverse_rows(sigma, taus[start:stop], n)
+        rows = _moebius_rows(terms, taus[start:stop])
         block = np.zeros(f.shape, dtype=np.complex128)
         for sub in range(0, rows.shape[0], SUB_BATCH):
             b = rows[sub:sub + SUB_BATCH]

@@ -119,6 +119,21 @@ def reference_load_zero_table(source):
     return ZeroTable(np.array(vals))
 
 
+# The ordinates 14.1, 21.0 and 25.0 in each line shape that the zero-table
+# loader's pieces meet beside clean lines: blank lines, line ends other than
+# \n, a '#' line and no final \n.
+LINE_SHAPES = {
+    "blank-line": b"14.1\n\n21.0\n25.0\n",
+    "leading-blank-line": b"\n14.1\n21.0\n25.0\n",
+    "trailing-blank-lines": b"14.1\n21.0\n25.0\n\n\n",
+    "newline-only-piece": b"14.1\n21.0\n25.0\n\n",  # 12-byte pieces: the last is \n alone
+    "no-final-newline": b"14.1\n21.0\n25.0",
+    "crlf": b"14.1\r\n21.0\r\n25.0\r\n",
+    "lone-cr": b"14.1\n21.0\r25.0\n",
+    "comment-mid-table": b"14.1\n21.0\n# note\n25.0\n",
+}
+
+
 def two_part_fold(shape, terms):
     """(total, comp) of a Neumaier fold of complex terms in the given order,
     the real and the imaginary parts folded as two separate real arrays."""

@@ -64,6 +64,7 @@ from qtorus.gridio import atomic_write_bytes
 
 from conftest import DATA
 from helpers import (
+    LINE_SHAPES,
     random_fourier_real,
     random_general,
     random_hermitian,
@@ -161,6 +162,14 @@ class TestGridJson:
         with pytest.raises(FormatError):
             write_grid(tmp_path / "g.json", grid)
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("first", [complex(np.nan, 0.0), complex(1.0, -np.inf)])
+    def test_writer_names_the_first_non_finite_entry(self, first):
+        data = np.zeros((5, 5), dtype=np.complex128)
+        data[1, 3] = first
+        data[4, 0] = complex(0.0, np.nan)
+        with pytest.raises(FormatError, match=r"entry 8 \(k=-1, l=1\) is not finite"):
+            grid_to_json(CoeffGrid(2, data))
 
     SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-5, 0.1, 1 / 3]
@@ -1154,8 +1163,10 @@ class TestCliRedundancy:
             assert _load_outcome(io.StringIO(text)) == _load_outcome(
                 io.StringIO(text, newline=None), reference_load_zero_table)
 
-    @pytest.mark.parametrize("cast_bytes", [1, 12, 1 << 15])
+    @pytest.mark.parametrize("cast_bytes", [1, 12, 1 << 13, 1 << 15])
     @pytest.mark.parametrize("table", [
+        *(pytest.param(table, id=name) for name, table in LINE_SHAPES.items()),
+        b"14.1\n-\n21.0\n",
         b"-0\n14.1\n",  # orjson reads -0 as the int 0; the refusal keeps the sign
         b"14.1\n-0\n",
         b"+1\n14.1\n",

@@ -47,6 +47,7 @@ from qtorus.errors import DimensionError, DomainError, EmptyRangeError, FormatEr
 
 from conftest import DATA
 from helpers import (
+    LINE_SHAPES,
     random_fourier_real,
     random_general,
     random_hermitian,
@@ -132,6 +133,25 @@ class TestZeroTable:
     def test_shipped_tables_match_per_line_loader(self, name):
         want = reference_load_zero_table(DATA / name).ordinates
         assert load_zero_table(DATA / name).ordinates.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cast_bytes", [1, 12, 1 << 13, 1 << 15])
+    @pytest.mark.parametrize("table", LINE_SHAPES.values(), ids=LINE_SHAPES.keys())
+    def test_line_shapes_stay_on_orjson(self, monkeypatch, table, cast_bytes):
+        # a piece that is not clean takes the per-line pass, not the whole-table fallback
+        monkeypatch.setattr(redundancy, "_CAST_BYTES", cast_bytes)
+        assert redundancy._ascii_ordinates(table).tolist() == [14.1, 21.0, 25.0]
+
+    def test_shipped_data_pieces_skip_the_per_line_pass(self, monkeypatch):
+        join, pieces = redundancy._joined_lines, []
+
+        def spy(piece):
+            pieces.append(piece)
+            return join(piece)
+
+        monkeypatch.setattr(redundancy, "_joined_lines", spy)
+        assert load_zero_table(DATA / "zeta_zeros_10k.txt").count == 10000
+        # only the first piece, which holds the '#' header, is stripped line by line
+        assert len(pieces) == 1 and pieces[0].startswith(b"# imaginary parts")
 
     def test_parse_rejects_disorder(self):
         with pytest.raises(FormatError, match="increasing"):
@@ -722,6 +742,18 @@ class TestPerZeroBatching:
         batched = broadband_average_2d_per_zero(f, 2.5, zeros10k, t)
         slow = sequential_per_zero_average(f, 2.5, zeros10k.ordinates[:count])
         assert np.max(np.abs(batched.data - slow)) <= 1e-13 * f.scale()
+
+    def test_moebius_terms_built_once_per_call(self, zeros10k, monkeypatch):
+        build, calls = redundancy._moebius_terms, []
+
+        def spy(sigma, lmax):
+            calls.append(lmax)
+            return build(sigma, lmax)
+
+        monkeypatch.setattr(redundancy, "_moebius_terms", spy)
+        f = random_general(7, np.random.default_rng(7))
+        broadband_average_2d_per_zero(f, 2.5, zeros10k, zeros10k.t_covering(600))  # 3 blocks
+        assert calls == [7]
 
     def test_peak_memory_at_32(self, zeros10k):
         # the sub-batch buffers hold SUB_BATCH ordinates whatever the count:
