@@ -155,6 +155,26 @@ MUTANTS = [
       "[14.1\\n1,2\\n-1]"]),
     ("'#' lines kept by the per-line pass", RED, 'if b"#" in piece:', "if False:",
      [ZT + "test_line_shapes_stay_on_orjson[comment-mid-table-8192]"]),
+    # the header skip before the pieces
+    ("header skip crosses a \\r", RED,
+     'if not stop or data.find(b"\\r", start, stop) >= 0:', "if not stop:",
+     ["tests/test_io_cli.py::TestCliRedundancy::test_number_spellings_match_per_line_loader"
+      "[# header\\r14.1\\n21.0\\n-8192]"]),
+    ("header skip without its '#' check", RED, 'while data.startswith(b"#", start):',
+     "while start < len(data):",
+     ["tests/test_io_cli.py::TestCliRedundancy::test_number_spellings_match_per_line_loader"
+      "[  # x\\n14.1\\n21.0\\n-8192]",
+      ZT + "test_shipped_tables_match_per_line_loader[zeta_zeros_100.txt]"]),
+    # one float64 conversion of the numbers orjson parses
+    ("wrong count given to np.fromiter", GRIDIO, "np.fromiter(values, np.float64, len(values))",
+     "np.fromiter(values, np.float64, len(values) - 1)",
+     [ZT + "test_shipped_tables_match_per_line_loader[zeta_zeros_10k.txt]",
+      IO + "test_round_trip_exact"]),
+    # the field's S-map, taken once per redundancy call
+    ("once-taken S-map of zbar, not of the field", RED, "target = s_map(fhat).data",
+     "target = s_map(zbar).data",
+     ["tests/test_io_cli.py::TestCliRedundancy::test_field_is_mapped_once_per_call",
+      "tests/test_redundancy.py::TestErrorAccounting::test_field_and_operator_errors_agree"]),
     # hygiene and parsing
     ("number-byte check dropped", RED,
      "if joined.translate(None, _NUMBER_BYTES) != b\",\" * (len(lines) - 1):", "if False:",

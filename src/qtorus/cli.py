@@ -39,7 +39,7 @@ from .gridio import (
     read_grid,
     write_grid,
 )
-from .redundancy import averaging_errors, broadband_average_2d_counts, load_zero_table
+from .redundancy import _averaging_errors, broadband_average_2d_counts, load_zero_table
 from .sobolev import SobolevWeight, norm
 from .spectral import q_inverse, q_transform, s_map
 
@@ -201,9 +201,8 @@ def cmd_redundancy(args) -> int:
     table = load_zero_table(args.zeros)
     rows = ["zero_count,T,l2_error_field,hs_error_operator"]
     zbars = broadband_average_2d_counts(field, args.sigma, table, args.counts)
-    for count, zbar in zip(args.counts, zbars):
+    for count, (l2, hs) in zip(args.counts, _averaging_errors(zbars, field)):
         t = table.t_covering(count)
-        l2, hs = averaging_errors(zbar, field)
         rows.append("%d,%s,%s,%s" % (count, _fmt(t), _fmt(l2), _fmt(hs)))
     atomic_write_bytes(args.out, ("\n".join(rows) + "\n").encode())
     manifest.write_for(args.out)

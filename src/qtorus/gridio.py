@@ -6,7 +6,10 @@ k outer from -N to N, l inner from -N to N.  Files are written with
 compact separators and shortest round-trip floats (orjson), so every
 value reads back bitwise; non-finite values are never written.  The
 reader accepts any JSON whitespace and number spelling and rejects
-anything that is not a finite JSON number.
+anything that is not a finite JSON number.  Each list of numbers orjson
+parses becomes float64 through _json_floats, one np.fromiter pass that
+rounds every int as float() does; no intermediate array of objects is
+built.
 
 The reader has two paths with one result.  The flat read (_flat_read)
 takes the layout write_grid and json.dump write: the three keys in that
@@ -62,6 +65,12 @@ def _grid_bytes(grid: CoeffGrid) -> bytes:
                           % (i, i // side - grid.n, i % side - grid.n))
     return orjson.dumps({"n": grid.n, "tag": grid.tag, "entries": pairs},
                         option=orjson.OPT_SERIALIZE_NUMPY)
+
+
+def _json_floats(values: list) -> np.ndarray:
+    """A list of the numbers orjson parses (floats and ints) as float64, each
+    rounded as float() rounds it, in one pass sized by the list."""
+    return np.fromiter(values, np.float64, len(values))
 
 
 def grid_to_json(grid: CoeffGrid) -> str:
@@ -203,15 +212,16 @@ def grid_from_json(text) -> CoeffGrid:
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")
     n, tag, values = _flat_read(text) or _general_read(text)
-    # one float64 array viewed as complex: re + 1j*im could flip the sign of a zero
-    data = np.array(values, dtype=np.float64).view(np.complex128)
+    flat = _json_floats(values)
     # orjson refuses NaN, Infinity and overflowing numbers; this keeps the
-    # finite-entry promise whatever the parser lets through
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        raise FormatError("grid JSON: entry %d is not finite" % bad[0])
+    # finite-entry promise whatever the parser lets through, in one pass, and
+    # looks for the bad entry only when there is one
+    if not np.isfinite(flat).all():
+        raise FormatError("grid JSON: entry %d is not finite"
+                          % (np.flatnonzero(~np.isfinite(flat))[0] // 2))
     side = 2 * n + 1
-    return CoeffGrid(n, data.reshape(side, side), tag)
+    # one float64 array viewed as complex: re + 1j*im could flip the sign of a zero
+    return CoeffGrid(n, flat.view(np.complex128).reshape(side, side), tag)
 
 
 def read_grid(path) -> CoeffGrid:
@@ -241,7 +251,10 @@ def atomic_write_bytes(path, payload: bytes):
 
 
 def write_grid(path, grid: CoeffGrid):
-    atomic_write_bytes(path, _grid_bytes(grid) + b"\n")
+    payload = _grid_bytes(grid)  # a refused grid opens no file
+    with atomic_writer(path) as fh:  # two writes: no copy of the payload with its \n
+        fh.write(payload)
+        fh.write(b"\n")
 
 
 @dataclass

@@ -6,11 +6,14 @@ on averages M(x) of exp(-i tau_n x) phases, which cancel as the table
 grows.  Ordinates are ingested from text tables, never computed here:
 load_zero_table only parses a table, by orjson reads of many lines at a
 time when it can and line by line to name a bad line, and ZeroTable is
-the one check of ordinate values.  A piece of the table that holds only
-number bytes and \\n is joined for orjson by one replace of \\n by a
-comma; a piece with a '#' line, \\r, spaces or tabs, or one that orjson
-refuses so joined (a blank line leaves an empty element), is stripped
-and joined line by line.
+the one check of ordinate values.  The leading '#' lines that end at a
+\\n and hold no \\r are skipped before the table is cut into pieces, so
+the header of a shipped table costs no per-line pass.  A piece of the
+table that holds only number bytes and \\n is joined for orjson by one
+replace of \\n by a comma; a piece with a '#' line, \\r, spaces or tabs,
+or one that orjson refuses so joined (a blank line leaves an empty
+element), is stripped and joined line by line.  Each piece's list of
+numbers becomes float64 in one np.fromiter pass (gridio._json_floats).
 
 Two implementations of the 2D average are kept deliberately separate:
 broadband_average_2d applies averaged phase factors divisor pair by
@@ -67,6 +70,7 @@ from .dirichlet import (_moebius_rows, _moebius_terms, _require_sigma, _window_i
 from .errors import (DimensionError, DomainError, EmptyRangeError, FormatError, _require_finite,
                      _require_integer)
 from .grids import CoeffGrid
+from .gridio import _json_floats
 from .spectral import s_map
 from .summation import KahanAccumulator
 
@@ -141,9 +145,14 @@ def _joined_lines(piece: bytes) -> bytes:
 
 def _ascii_ordinates(data: bytes) -> np.ndarray:
     """The data lines of a table as float64, each read as float() reads
-    it; ValueError if one might not be.  The table is parsed _CAST_BYTES
-    at a time, cut after a \\n so that no line is split, and each piece's
-    data lines, joined by commas, are read as one JSON array by orjson.
+    it; ValueError if one might not be.  The leading '#' lines are skipped
+    first, each only when it ends at a \\n and holds no \\r: a \\r ends a
+    line too, so a line after it may be data.  Any other line, a CR or CRLF
+    header or an indented '#' line among them, is left to the pieces.  The
+    rest of the table is parsed _CAST_BYTES at a time, cut after a \\n so
+    that no line is split, and each piece's data lines, joined by commas,
+    are read as one JSON array by orjson and become float64 by
+    gridio._json_floats, one np.fromiter pass over the list.
 
     A clean piece is joined without a pass per line: when the piece
     without its final \\n holds only number bytes and \\n, one replace of
@@ -164,6 +173,11 @@ def _ascii_ordinates(data: bytes) -> np.ndarray:
     non-ASCII spaces); what it leaves is no number byte, so it falls back.
     """
     parts, start = [np.empty(0)], 0
+    while data.startswith(b"#", start):  # the header
+        stop = data.find(b"\n", start) + 1
+        if not stop or data.find(b"\r", start, stop) >= 0:
+            break
+        start = stop
     while start < len(data):
         stop = data.find(b"\n", start + _CAST_BYTES) + 1 or len(data)
         piece, start = data[start:stop], stop
@@ -177,7 +191,7 @@ def _ascii_ordinates(data: bytes) -> np.ndarray:
         if values is None:
             values = orjson.loads(b"[%b]" % _joined_lines(piece))
         del piece, body  # before the float64 copy exists: it keeps the peak low
-        part = np.array(values, dtype=np.float64)
+        part = _json_floats(values)
         if not part.all():
             raise ValueError("zero ordinate")
         parts.append(part)
@@ -508,8 +522,20 @@ def broadband_average_2d_per_zero(fhat: CoeffGrid, sigma: float, zeros: ZeroTabl
     return _window_image(fhat, out)
 
 
+def _averaging_errors(zbars, fhat: CoeffGrid) -> list:
+    """averaging_errors of each average in zbars against one fhat, whose
+    S-map is taken once: after the first zbar's, as averaging_errors takes
+    them, so that a refusal names the same grid."""
+    errors, target = [], None
+    for zbar in zbars:
+        image = s_map(zbar).data
+        if target is None:
+            target = s_map(fhat).data
+        errors.append((float(np.linalg.norm(zbar.data - fhat.data)),
+                       float(np.linalg.norm(image - target))))
+    return errors
+
+
 def averaging_errors(zbar: CoeffGrid, fhat: CoeffGrid):
     """(field l2 error, operator Hilbert-Schmidt error) of an average."""
-    l2 = float(np.linalg.norm(zbar.data - fhat.data))
-    hs = float(np.linalg.norm(s_map(zbar).data - s_map(fhat).data))
-    return l2, hs
+    return _averaging_errors([zbar], fhat)[0]

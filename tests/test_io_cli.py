@@ -206,6 +206,26 @@ class TestGridJson:
         assert np.array_equal(values.view(np.uint64).reshape(-1),
                               g.data.view(np.uint64).reshape(-1))
 
+    # ints past 2**53, past int64 and past uint64 (orjson's int range), -0 and an underflow
+    SPELLINGS = ["9007199254740993", "9223372036854776833", "18446744073709551615",
+                 "18446744073709551616", "-0", "1e-400", "-9007199254740993",
+                 "-9223372036854776833", "-18446744073709551615", "-18446744073709551616",
+                 "-1e-400", "0", "-0.0", "17", "0.1", "-2", "5e-324", "1e308"]
+
+    @pytest.mark.parametrize("layout", [
+        '{"n":1,"tag":"general","entries":[%s]}',
+        '{"n": 1, "tag": "general", "entries": [%s]}',
+        '{"tag": "general", "n": 1, "entries": [%s]}',  # the general reader
+    ], ids=["compact", "spaced", "general-reader"])
+    def test_number_spellings_read_as_the_stdlib_parser_reads_them(self, layout):
+        pairs = zip(self.SPELLINGS[::2], self.SPELLINGS[1::2])
+        sep = "," if layout.startswith('{"n":1') else ", "
+        text = layout % sep.join("[%s%s%s]" % (re, sep, im) for re, im in pairs)
+        want = np.array([float(v) for pair in json.loads(text)["entries"] for v in pair])
+        got = grid_from_json(text).data
+        assert np.array_equal(self._bits(got).reshape(-1),
+                              want.view(np.complex128).view(np.uint64))
+
     def test_any_json_whitespace_accepted(self):
         text = '\r\n{ "n" :\t0 ,\n "tag": "general",\r "entries" : [ [ 1.5 ,\n-2 ] ] }\n  '
         assert grid_from_json(text).entry(0, 0) == complex(1.5, -2.0)
@@ -1096,6 +1116,33 @@ class TestCliRedundancy:
         assert run(["redundancy", "--field", field_file, "--counts", "0",
                     "--zeros", zeros, "--out", str(tmp_path / "o.csv")]) == 1
 
+    def test_field_is_mapped_once_per_call(self, tmp_path, field_file, monkeypatch):
+        smap, mapped = redundancy.s_map, []
+
+        def spy(grid):
+            mapped.append(grid)
+            return smap(grid)
+
+        average, zbars = redundancy.broadband_average_2d_counts, []
+
+        def kept(*args):
+            zbars.extend(average(*args))
+            return zbars
+
+        monkeypatch.setattr(redundancy, "s_map", spy)
+        monkeypatch.setattr(cli, "broadband_average_2d_counts", kept)
+        out = tmp_path / "red.csv"
+        assert run(["redundancy", "--field", field_file, "--sigma", "3.0",
+                    "--zeros", str(DATA / "zeta_zeros_100.txt"),
+                    "--counts", "5,10,50,100", "--out", str(out)]) == 0
+        assert len(mapped) == 5  # one S-map per average and one of the field
+        monkeypatch.undo()
+        field = read_grid(field_file)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == len(zbars) == 4
+        for row, zbar in zip(rows, zbars):
+            assert row[2:] == [repr(e) for e in redundancy.averaging_errors(zbar, field)]
+
 
     def test_non_utf8_zero_table_is_data_error(self, tmp_path, field_file, capsys):
         table = tmp_path / "z.txt"
@@ -1184,6 +1231,17 @@ class TestCliRedundancy:
         b"\x0b14.1\x0c\n\x0c21.0\x0b\n",
         b"14.1\r21.0\n",
         b"# header\r14.1\r\r21.0\r",
+        # the header before the pieces: only '#' lines that end at \n with no \r are skipped
+        b"# header\r14.1\n21.0\n",
+        b"# header\r\n# more\n14.1\n21.0\n",
+        pytest.param(b"# " + b"x" * (1 << 16) + b"\n14.1\n21.0\n", id="header-over-64KB"),
+        b"# header",
+        b"# header\n# no final newline",
+        b"# only\n# comments\n",
+        b"  # x\n14.1\n21.0\n",
+        b"# a\n  # x\n14.1\n",
+        b"# a\n14.1\n# b\n21.0\n# c\n",
+        b"#\n\n#\n14.1\n",
     ])
     def test_number_spellings_match_per_line_loader(self, tmp_path, monkeypatch, table,
                                                     cast_bytes):
