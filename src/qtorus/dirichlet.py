@@ -32,6 +32,7 @@ from .spectral import s_map
 
 
 def moebius(n: int) -> int:
+    _require_integer(n=n)
     if n < 1:
         raise DomainError("moebius is defined for n >= 1, got %d" % n)
     result = 1

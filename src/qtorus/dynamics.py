@@ -422,6 +422,7 @@ def dissipative_constant(alpha: float, lset: LindbladSet) -> float:
 def growth_bound(alpha: float, lset: LindbladSet, t: float) -> GrowthBound:
     if alpha < 0:
         raise DomainError("growth bound needs alpha >= 0")
+    _require_finite(t=t)
     if t < 0:
         raise DomainError("growth bound needs t >= 0")
     c = dissipative_constant(alpha, lset)

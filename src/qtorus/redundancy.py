@@ -4,16 +4,16 @@ A smooth field re-encoded through the slowly-decaying bases D(sigma, tau)
 is recovered by averaging over many ordinates tau_n: the corrections ride
 on averages M(x) of exp(-i tau_n x) phases, which cancel as the table
 grows.  Ordinates are ingested from text tables, never computed here:
-load_zero_table only parses a table, by orjson reads of many lines at a
-time when it can and line by line to name a bad line, and ZeroTable is
-the one check of ordinate values.  The leading '#' lines that end at a
-\\n and hold no \\r are skipped before the table is cut into pieces, so
-the header of a shipped table costs no per-line pass.  A piece of the
-table that holds only number bytes and \\n is joined for orjson by one
-replace of \\n by a comma; a piece with a '#' line, \\r, spaces or tabs,
-or one that orjson refuses so joined (a blank line leaves an empty
-element), is stripped and joined line by line.  Each piece's list of
-numbers becomes float64 in one np.fromiter pass (gridio._json_floats).
+load_zero_table only parses a table, and ZeroTable is the one check of
+ordinate values.  The parse has two paths with one result, as the grid
+JSON reader has.  A clean table (leading '#' lines that end at a \\n and
+hold no \\r, then one JSON number per line and no line end but \\n, as
+the shipped tables and scripts/generate_zero_table.py write) is read by
+orjson a piece at a time, each piece's lines joined by one replace of \\n
+by a comma and its list of numbers made float64 in one np.fromiter pass
+(gridio._json_floats).  Any other table (blank lines, \\r, spaces, a
+'#' line among the data, a number orjson does not take) is read whole,
+line by line, which names the first bad line.
 
 Two implementations of the 2D average are kept deliberately separate:
 broadband_average_2d applies averaged phase factors divisor pair by
@@ -127,50 +127,28 @@ class ZeroTable:
 
 
 _CAST_BYTES = 1 << 13  # table bytes per orjson parse: bounds the objects alive at once
-_NUMBER_BYTES = b"0123456789.eE+-"  # the bytes a data line may hold to reach orjson
-_CLEAN_BYTES = _NUMBER_BYTES + b"\n"  # the bytes of a piece that needs no per-line pass
-
-
-def _joined_lines(piece: bytes) -> bytes:
-    """The stripped lines of a piece that are neither blank nor '#', joined
-    by commas; ValueError if one holds a byte that is not a number byte."""
-    lines = list(filter(None, map(bytes.strip, piece.splitlines())))
-    if b"#" in piece:
-        lines = [s for s in lines if s[0] != 0x23]  # '#'
-    joined = b",".join(lines)
-    if joined.translate(None, _NUMBER_BYTES) != b"," * (len(lines) - 1):
-        raise ValueError("not a list of JSON numbers")
-    return joined
+_CLEAN_BYTES = b"0123456789.eE+-\n"  # the bytes of a piece that orjson reads
 
 
 def _ascii_ordinates(data: bytes) -> np.ndarray:
-    """The data lines of a table as float64, each read as float() reads
-    it; ValueError if one might not be.  The leading '#' lines are skipped
-    first, each only when it ends at a \\n and holds no \\r: a \\r ends a
-    line too, so a line after it may be data.  Any other line, a CR or CRLF
-    header or an indented '#' line among them, is left to the pieces.  The
-    rest of the table is parsed _CAST_BYTES at a time, cut after a \\n so
-    that no line is split, and each piece's data lines, joined by commas,
-    are read as one JSON array by orjson and become float64 by
-    gridio._json_floats, one np.fromiter pass over the list.
+    """The data lines of a clean table as float64, each read as float()
+    reads it; ValueError for any other table.  The leading '#' lines are
+    skipped first, each only when it ends at a \\n and holds no \\r: a \\r
+    ends a line too, so a line after it may be data.  The rest is parsed
+    _CAST_BYTES at a time, cut after a \\n so that no line is split.  A
+    piece's body (the piece without its final \\n) must hold only number
+    bytes and \\n, or ValueError ('#', \\r, spaces, tabs, '_', non-ASCII).
+    One replace of \\n by a comma joins its lines into one JSON array for
+    orjson, which refuses a blank line (an empty element; a final blank line
+    cut off as a piece of its own is the empty array) and a number it does
+    not take ("+1", ".5", "1.", "01", "1e999") with a JSONDecodeError, a
+    ValueError.  gridio._json_floats makes the list float64 in one
+    np.fromiter pass.  A header comment may hold any UTF-8: no byte of a
+    multi-byte character is \\n, \\r or '#'.
 
-    A clean piece is joined without a pass per line: when the piece
-    without its final \\n holds only number bytes and \\n, one replace of
-    \\n by a comma joins its lines.  A blank line (also a leading or a
-    trailing one) leaves an empty element there, which orjson refuses, and
-    so does a number it does not take; such a piece, and every piece with
-    another byte ('#', \\r, spaces, tabs), goes through _joined_lines,
-    which strips each line and drops the blank and '#' ones.  A comment
-    may hold any UTF-8: no byte of a multi-byte character is \\n, \\r or
-    '#'.
-
-    Only lines of digits, '.', 'e', 'E', '+' and '-' reach orjson, so each
-    is one JSON number or a refusal ("+1", ".5", "1.", "01", "1e999"); '_'
-    and non-ASCII bytes are refused.  A JSON number reads as float() reads
-    it, but for "-0", which orjson reads as the int 0: a zero ordinate is
-    refused here, so that the per-line parse keeps its sign for ZeroTable's
-    refusal.  bytes.strip() strips less than str.strip() (not \\x1c-\\x1f or
-    non-ASCII spaces); what it leaves is no number byte, so it falls back.
+    A JSON number reads as float() reads it, but for "-0", which orjson
+    reads as the int 0: a zero ordinate is refused here, so that the
+    per-line parse keeps its sign for ZeroTable's refusal.
     """
     parts, start = [np.empty(0)], 0
     while data.startswith(b"#", start):  # the header
@@ -182,14 +160,9 @@ def _ascii_ordinates(data: bytes) -> np.ndarray:
         stop = data.find(b"\n", start + _CAST_BYTES) + 1 or len(data)
         piece, start = data[start:stop], stop
         body = piece[:-1] if piece[-1] == 0x0A else piece  # '\n'
-        values = None
-        if not body.translate(None, _CLEAN_BYTES):
-            try:
-                values = orjson.loads(b"[%b]" % body.replace(b"\n", b","))
-            except orjson.JSONDecodeError:  # a blank line, or a number orjson does not take
-                pass
-        if values is None:
-            values = orjson.loads(b"[%b]" % _joined_lines(piece))
+        if body.translate(None, _CLEAN_BYTES):
+            raise ValueError("not a clean piece")
+        values = orjson.loads(b"[%b]" % body.replace(b"\n", b","))
         del piece, body  # before the float64 copy exists: it keeps the peak low
         part = _json_floats(values)
         if not part.all():
@@ -216,10 +189,10 @@ def _read_table(source) -> bytes:
 
 
 def _table_ordinates(data: bytes) -> np.ndarray:
-    """The ordinates of a table's data lines, by orjson when every data line
-    is a JSON number; otherwise line by line, which takes only ASCII decimal
-    ordinates (float() takes "1_4.5" and "٢١" too) and names the first line
-    that is not one."""
+    """The ordinates of a table's data lines, by orjson when the table is
+    clean (_ascii_ordinates); otherwise line by line, which takes only ASCII
+    decimal ordinates (float() takes "1_4.5" and "٢١" too) and names the
+    first line that is not one."""
     try:
         return _ascii_ordinates(data)
     except ValueError:
@@ -242,13 +215,13 @@ def load_zero_table(source) -> ZeroTable:
     """Parse an ordinate table: one decimal per line, '#' comments.
 
     source is a path or an open text or binary handle.  The table is read
-    whole, checked as UTF-8 once and split at \\n, \\r\\n and \\r.  Its data
-    lines are parsed by orjson, a piece of the table at a time, as JSON
-    arrays of numbers, which read each line as float() does; only when a
-    piece holds a data line that is not a JSON number (or is zero) are the
-    lines parsed one at a time, to name the first bad one.  The loader only
-    parses; ZeroTable checks the values.  The table's bytes are released
-    before ZeroTable copies the values.
+    whole, checked as UTF-8 once and split at \\n, \\r\\n and \\r.  A clean
+    table (a '#' header, then one JSON number per line, split at \\n) is parsed
+    by orjson, a piece of the table at a time, as JSON arrays of numbers,
+    which read each line as float() does; any other table, or one with a
+    zero, is parsed line by line, blank and '#' lines skipped, to name the
+    first bad line.  The loader only parses; ZeroTable checks the values.
+    The table's bytes are released before ZeroTable copies the values.
     """
     return ZeroTable(_table_ordinates(_read_table(source)))
 
@@ -440,6 +413,7 @@ def broadband_average_2d_counts(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
     """
     _require_sigma(sigma)
     for c in counts:
+        _require_integer(count=c)
         if not 1 <= c <= zeros.count:
             raise EmptyRangeError(
                 "table holds %d ordinates, cannot average over %d" % (zeros.count, c))

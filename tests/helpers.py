@@ -120,8 +120,9 @@ def reference_load_zero_table(source):
 
 
 # The ordinates 14.1, 21.0 and 25.0 in each line shape that the zero-table
-# loader's pieces meet beside clean lines: blank lines, line ends other than
-# \n, a '#' line and no final \n.
+# loader meets beside clean lines: blank lines, line ends other than \n, a
+# '#' line among the data and no final \n.  Only the last is a clean table,
+# which orjson reads; the loader reads the others line by line.
 LINE_SHAPES = {
     "blank-line": b"14.1\n\n21.0\n25.0\n",
     "leading-blank-line": b"\n14.1\n21.0\n25.0\n",

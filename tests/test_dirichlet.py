@@ -77,6 +77,10 @@ class TestMoebius:
             moebius(0)
         with pytest.raises(DomainError):
             moebius(-5)
+        for bad in (2.5, 6.0, np.float64(6.0)):
+            with pytest.raises(DomainError, match="n must be an integer"):
+                moebius(bad)
+        assert moebius(np.int64(6)) == moebius(6) == 1
 
 
 class TestConvolutionRing:

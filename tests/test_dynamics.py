@@ -670,6 +670,9 @@ class TestGrowthBounds:
             growth_bound(-1.0, LindbladSet(), 1.0)
         with pytest.raises(DomainError):
             growth_bound(0.0, LindbladSet(), -1.0)
+        for t in (np.nan, np.inf):  # with no operators c = 0, and factors of nan or 0 * inf
+            with pytest.raises(DomainError, match="t must be finite"):
+                growth_bound(1.0, LindbladSet(), t)
 
     def test_trajectory_stays_below_bounds(self, rng):
         # mixed generator vs the full factor; pure dissipative vs exp(ct)

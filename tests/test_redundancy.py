@@ -117,7 +117,7 @@ class TestZeroTable:
             load_zero_table(io.StringIO("14.1\rx\n21.0\n"))
 
     def test_utf8_comments_reach_orjson(self, monkeypatch):
-        # only the data lines decide whether orjson parses the table
+        # only the data lines decide whether orjson parses the table: not the header's bytes
         parse, calls = redundancy._ascii_ordinates, []
 
         def spy(data):
@@ -125,7 +125,7 @@ class TestZeroTable:
             return calls[-1]
 
         monkeypatch.setattr(redundancy, "_ascii_ordinates", spy)
-        table = load_zero_table(io.StringIO("# ζ zeros ٢١\n14.1\n  # 1_0 here\n21.0\n"))
+        table = load_zero_table(io.StringIO("# ζ zeros ٢١\n# 1_0 here\n14.1\n21.0\n"))
         assert table.ordinates.tolist() == [14.1, 21.0]
         assert [c.tolist() for c in calls] == [[14.1, 21.0]]
 
@@ -135,24 +135,26 @@ class TestZeroTable:
         assert load_zero_table(DATA / name).ordinates.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cast_bytes", [1, 12, 1 << 13, 1 << 15])
-    @pytest.mark.parametrize("table", LINE_SHAPES.values(), ids=LINE_SHAPES.keys())
-    def test_line_shapes_stay_on_orjson(self, monkeypatch, table, cast_bytes):
-        # a piece that is not clean takes the per-line pass, not the whole-table fallback
+    @pytest.mark.parametrize("name", LINE_SHAPES)
+    def test_only_clean_line_shapes_stay_on_orjson(self, monkeypatch, name, cast_bytes):
+        # a table with a piece that is not clean is refused by orjson's path and read line
+        # by line; a final blank line cut off as a piece of its own is the empty array
         monkeypatch.setattr(redundancy, "_CAST_BYTES", cast_bytes)
-        assert redundancy._ascii_ordinates(table).tolist() == [14.1, 21.0, 25.0]
+        table = LINE_SHAPES[name]
+        if name == "no-final-newline" or (name == "newline-only-piece" and cast_bytes <= 12):
+            assert redundancy._ascii_ordinates(table).tolist() == [14.1, 21.0, 25.0]
+        else:
+            with pytest.raises(ValueError):
+                redundancy._ascii_ordinates(table)
+        assert load_zero_table(io.BytesIO(table)).ordinates.tolist() == [14.1, 21.0, 25.0]
 
-    def test_shipped_data_pieces_skip_the_per_line_pass(self, monkeypatch):
-        join, pieces = redundancy._joined_lines, []
-
-        def spy(piece):
-            pieces.append(piece)
-            return join(piece)
-
-        monkeypatch.setattr(redundancy, "_joined_lines", spy)
-        assert load_zero_table(DATA / "zeta_zeros_100.txt").count == 100
-        assert load_zero_table(DATA / "zeta_zeros_10k.txt").count == 10000
-        # the '#' header is skipped before the table is cut into pieces
-        assert pieces == []
+    def test_shipped_tables_stay_on_orjson(self):
+        # the '#' header is skipped before the table is cut into pieces, and every piece
+        # is clean: a piece that is not would raise here
+        for name in ("zeta_zeros_100.txt", "zeta_zeros_10k.txt"):
+            want = reference_load_zero_table(DATA / name).ordinates
+            assert redundancy._ascii_ordinates((DATA / name).read_bytes()).tobytes() == (
+                want.tobytes())
 
     def test_parse_rejects_disorder(self):
         with pytest.raises(FormatError, match="increasing"):
@@ -330,6 +332,9 @@ class TestBlockAveraging:
         f = random_fourier_real(2, rng)
         for bad in ([10, 101], [0]):
             with pytest.raises(EmptyRangeError):
+                broadband_average_2d_counts(f, 3.0, zeros100, bad)
+        for bad in ([1.0], [2.5], [10, 20.0]):
+            with pytest.raises(DomainError, match="count must be an integer"):
                 broadband_average_2d_counts(f, 3.0, zeros100, bad)
         with pytest.raises(EmptyRangeError):
             broadband_average_2d(f, 3.0, zeros100, 10.0)
