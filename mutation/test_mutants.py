@@ -38,6 +38,7 @@ DIRECT = ["tests/test_redundancy.py::TestEulerRoute::test_means_match_sin_cos_ro
 GEN = "tests/test_dynamics.py::TestGeneralDissipator::"
 IO = "tests/test_io_cli.py::TestGridJson::"
 ZT = "tests/test_redundancy.py::TestZeroTable::"
+REFUSED = "tests/test_contract.py::test_bad_value_refused["
 
 MUTANTS = [
     # the per-zero route's cone blocks
@@ -70,35 +71,41 @@ MUTANTS = [
      "np.unique(dd).tolist()",
      ["tests/test_redundancy.py::TestPlaneAverage::test_direct_route_leaves_numpy_ma_unimported"]),
     # refusals
-    ("sigma refusal removed", DIR, "if not (math.isfinite(sigma) and sigma > 1):", "if False:",
-     ["tests/test_redundancy.py::TestNonFiniteSigma::test_library_routes_reject[nan]",
-      "tests/test_redundancy.py::TestNonFiniteSigma::test_library_routes_reject[inf]"]),
+    ("sigma refusal removed", DIR, "    _require_finite(sigma=sigma)\n    if not sigma > 1:",
+     "    if False:",
+     [REFUSED + "c_d-sigma-nan]", REFUSED + "broadband_average_2d-sigma-inf]",
+      "tests/test_dirichlet.py::TestPeriodizedZeta::test_domain",
+      "tests/test_redundancy.py::TestNonFiniteSigma::test_cli_exits_with_data_error[nan]"]),
     ("phase_average refusals removed", RED,
      "    if taus.size == 0:\n        raise EmptyRangeError(\"a phase average needs at least one "
-     "ordinate\")\n    if not (np.isfinite(taus).all() and np.isfinite(xs).all()):\n"
-     "        raise DomainError(\"phase average of a non-finite ordinate or argument\")\n", "",
+     "ordinate\")\n    _require_finite(taus=taus, xs=xs)\n", "",
      ["tests/test_redundancy.py::TestPhaseAverage::test_no_ordinates_refused[zero]",
-      "tests/test_redundancy.py::TestPhaseAverage::test_non_finite_input_refused[nan]"]),
+      REFUSED + "phase_average-xs-nan-entry]"]),
     ("non-finite T refusal removed", RED, "_require_finite(T=t)", "pass",
-     ["tests/test_redundancy.py::TestNonFiniteT::test_every_window_refuses[nan]"]),
-    ("shared finite-scalar refusal removed", ERR,
-     "if value is not None and not math.isfinite(value):", "if False:",
-     ["tests/test_sobolev.py::test_non_finite_alpha_rejected[nan]",
-      "tests/test_dynamics.py::TestIntegratorGuards::test_non_finite_scalars_rejected[nan]",
-      "tests/test_redundancy.py::TestNonFiniteT::test_every_window_refuses[inf]"]),
+     [REFUSED + "ZeroTable.count_below-t-nan]", REFUSED + "broadband_average_2d-t-nan]"]),
+    ("shared finite refusal removed", ERR, "        if not ok:\n", "        if False:\n",
+     [REFUSED + "SobolevWeight-alpha-nan]", REFUSED + "EvolveConfig-t_end-nan]",
+      REFUSED + "ZeroTable.count_below-t-inf]", REFUSED + "LindbladSet-lam-nan-entry]",
+      REFUSED + "drift_oracle-a-nan]"]),
+    ("_require_finite reduced to scalars", ERR,
+     "        try:\n            ok = value is None or not isinstance(value, bool) and np.isfinite(\n"
+     "                float(value) if isinstance(value, int) else value).all()\n"
+     "        except (TypeError, OverflowError):  # a string or an object; an int past 1e308\n"
+     "            ok = False\n",
+     "        ok = value is None or not isinstance(value, bool) and np.isfinite(complex(value))\n",
+     [REFUSED + "phase_average-taus-nan-entry]", REFUSED + "heisenberg_closed-a0-inf-entry]",
+      REFUSED + "ArithmeticSeq-a--infj-entry]"]),
     ("non-finite tau accepted by ZetaParams", DIR, "_require_finite(tau=self.tau)", "pass",
-     ["tests/test_dirichlet.py::TestPeriodizedZeta::test_non_finite_tau_and_t_rejected[nan]"]),
+     [REFUSED + "ZetaParams-tau-nan]"]),
     ("single_entry wraps an outside index", GRIDS,
      "    _require_index(n, k, l)\n    side = 2 * n + 1", "    side = 2 * n + 1",
      ["tests/test_spectral.py::test_grid_containers_refuse_bad_shapes"
       "[single-entry-row-outside]"]),
     ("ordinate order refusal removed", RED, "ok[1:] &= arr[1:] > arr[:-1]", "pass",
      ["tests/test_redundancy.py::TestZeroTable::test_parse_rejects_disorder"]),
-    ("NaN s accepted by periodized_zeta", DIR,
-     "if not (math.isfinite(s.real) and math.isfinite(s.imag) and s.real > 1):",
-     "if s.real <= 1:",
-     ["tests/test_dirichlet.py::TestPeriodizedZeta::test_non_finite_s_rejected[(nan+0j)]"]),
-    ("PGM writer takes non-finite values", GRIDIO, "if not np.isfinite(arr).all():", "if False:",
+    ("NaN s accepted by periodized_zeta", DIR, "_require_finite(s=s, t=t)", "_require_finite(t=t)",
+     [REFUSED + "periodized_zeta-s-2+nanj]", REFUSED + "periodized_zeta-s-2+infj]"]),
+    ("PGM writer takes non-finite values", GRIDIO, "    _require_finite(values=arr)\n", "",
      ["tests/test_io_cli.py::TestPgm::test_non_finite_values_refused[False-nan]"]),
     ("negative band limit ingested", GRIDIO, "    if n < 0:\n        raise DomainError(\"band",
      "    if False:\n        raise DomainError(\"band",
@@ -171,12 +178,26 @@ MUTANTS = [
       "tests/test_redundancy.py::TestErrorAccounting::test_field_and_operator_errors_agree"]),
     # refusals of a parameter outside its domain
     ("moebius takes a float", DIR, "    _require_integer(n=n)\n", "",
-     ["tests/test_dirichlet.py::TestMoebius::test_domain"]),
+     [REFUSED + "moebius-n-2.5]", REFUSED + "moebius-n-float64-6.0]"]),
     ("float count reaches the block folds", RED, "        _require_integer(count=c)\n", "",
      ["tests/test_redundancy.py::TestBlockAveraging::test_counts_outside_table_rejected"]),
-    ("growth bound of a non-finite t", DYN, 'alpha >= 0")\n    _require_finite(t=t)\n',
-     'alpha >= 0")\n',
-     ["tests/test_dynamics.py::TestGrowthBounds::test_negative_arguments_rejected"]),
+    ("growth bound of a non-finite t", DYN, "_require_finite(alpha=alpha, t=t)",
+     "_require_finite(alpha=alpha)",
+     [REFUSED + "growth_bound-t-nan]", REFUSED + "growth_bound-t-inf]"]),
+    # the one refusal contract: a band limit checked at its root, bools and
+    # arrays refused by the two helpers, c_d's integer check folded into them
+    ("band-limit check dropped from index_range", GRIDS,
+     "    _require_band_limit(n)\n    return np.arange(-n, n + 1)",
+     "    return np.arange(-n, n + 1)",
+     [REFUSED + "index_range-n-2.5]", REFUSED + "index_range-n--1]",
+      REFUSED + "HarmonicSpec.levels-n-2.5]"]),
+    ("bool clause dropped from _require_integer", ERR,
+     "if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (",
+     "if not isinstance(value, numbers.Integral) or (",
+     [REFUSED + "CoeffGrid-n-True]", REFUSED + "index_range-n-True]",
+      REFUSED + "ZeroTable.t_covering-count-True]"]),
+    ("c_d's integer check deleted", RED, "    _require_integer(d=d)\n", "",
+     [REFUSED + "c_d-d-2.5]", REFUSED + "c_d-d-6.0]"]),
     # hygiene and parsing
     ("unused constant re-added", RED,
      "BLOCK = 256  # ordinates per block sum of a phase average\n",

@@ -11,22 +11,21 @@ indexed -N..N by
 Divisors never leave the window (d | k implies k/d <= k <= N), so D and
 its inverse are exact on band-limited data, not approximations.
 
-The zeta layer refuses what it cannot encode: a sigma that is not finite
-and > 1 (_require_sigma), a non-finite tau or t (errors._require_finite),
-a length or term count that is not an integer (errors._require_integer)
-and a sequence with a non-finite entry, each with DomainError.
+The zeta layer refuses what it cannot encode, each with DomainError: a
+non-finite sigma, tau, s, t or sequence entry (errors._require_finite), a
+length or term count that is not an integer (errors._require_integer), and
+a sigma or Re s that is not > 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .grids import FOURIER_REAL, GENERAL, CoeffGrid, require_fourier_real
+from .grids import FOURIER_REAL, GENERAL, CoeffGrid, _require_band_limit, require_fourier_real
 from .errors import DimensionError, DomainError, _require_finite, _require_integer
 from .spectral import s_map
 
@@ -117,6 +116,7 @@ def dirichlet_inverse(a: np.ndarray) -> np.ndarray:
 
 
 def unit_sequence(lmax: int) -> np.ndarray:
+    _require_integer(1, lmax=lmax)
     u = np.zeros(lmax + 1, dtype=np.complex128)
     u[1] = 1.0
     return u
@@ -131,8 +131,7 @@ class ArithmeticSeq:
         if arr.ndim != 1 or arr.size < 2:
             raise DimensionError("sequence needs 1-based entries up to at least 1")
         arr[0] = 0.0
-        if not np.isfinite(arr).all():
-            raise DomainError("sequence entries must be finite")
+        _require_finite(a=arr)
         if arr[1] == 0:
             raise DomainError("a_1 must be nonzero")
         self.a = arr
@@ -147,7 +146,8 @@ class ArithmeticSeq:
 
 
 def _require_sigma(sigma: float):
-    if not (math.isfinite(sigma) and sigma > 1):
+    _require_finite(sigma=sigma)
+    if not sigma > 1:
         raise DomainError("the zeta re-encoding needs a finite sigma > 1, got %g" % sigma)
 
 
@@ -186,7 +186,7 @@ def _moebius_terms(sigma: float, lmax: int):
     all that moebius_inverse_rows needs besides the ordinates, so that a
     caller with many blocks of ordinates builds it once."""
     _require_sigma(sigma)
-    _require_integer(lmax=lmax)
+    _require_integer(0, lmax=lmax)
     mu = np.array([moebius(j) for j in range(1, lmax + 1)], dtype=np.float64)
     k = np.flatnonzero(mu) + 1  # b_k = 0 where mu(k) = 0: no phase is taken there
     logk = np.log(k)
@@ -228,6 +228,7 @@ def d_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
     coeffs is 1-based along its last axis; a stack of shape (C, L) gives
     the C matrices, shape (C, 2N+1, 2N+1).
     """
+    _require_band_limit(n)
     coeffs = np.asarray(coeffs)
     lmax = coeffs.shape[-1] - 1
     if lmax < n:
@@ -278,10 +279,10 @@ def periodized_zeta(s: complex, t: float, terms: int) -> PeriodizedZeta:
     The reported tail bound is sum_{k>terms} k^-Re(s), estimated by the
     integral comparison; it bounds the truncation error of the value.
     """
+    _require_finite(s=s, t=t)
     s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag) and s.real > 1):
+    if not s.real > 1:
         raise DomainError("periodized zeta needs a finite s with Re s > 1, got %r" % s)
-    _require_finite(t=t)
     _require_integer(terms=terms)
     if terms < 0:
         raise DomainError("terms must be non-negative")

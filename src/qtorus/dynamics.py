@@ -107,8 +107,7 @@ class HarmonicSpec:
 
 def _check_initial_grid(a0: CoeffGrid, floor: Optional[int]):
     """Finite entries, and no support below the spectrum floor when one is set."""
-    if not np.all(np.isfinite(a0.data)):
-        raise DomainError("initial grid has non-finite entries")
+    _require_finite(a0=a0.data)
     if floor is None:
         return
     bad = index_range(a0.n) < floor
@@ -122,6 +121,7 @@ def _check_initial_grid(a0: CoeffGrid, floor: Optional[int]):
 
 def linear_lambda(c: complex, n: int) -> np.ndarray:
     """The diagonal family lam_k = c*k on the index window [-n, n]."""
+    _require_finite(c=c)
     return c * index_range(n).astype(np.complex128)
 
 
@@ -136,8 +136,7 @@ class LindbladSet:
             require_hermitian(self.c)
         if self.lam is not None:
             self.lam = np.asarray(self.lam, dtype=np.complex128)
-            if not np.all(np.isfinite(self.lam)):
-                raise DomainError("lambda entries must be finite")
+            _require_finite(lam=self.lam)
             if self.lam.ndim != 1 or self.lam.size % 2 != 1:
                 raise DimensionError("lambda must be a 1D sequence of odd length 2N+1")
         self.n  # refuses mixed band limits
@@ -185,9 +184,7 @@ class EvolveConfig:
             raise DomainError("t_end must be non-negative")
         if self.dt is not None and self.dt <= 0:
             raise DomainError("dt must be positive")
-        if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
-            raise DomainError("record_every must be an integer >= 1, got %r"
-                              % (self.record_every,))
+        _require_integer(1, record_every=self.record_every)
 
 
 @dataclass
@@ -420,9 +417,9 @@ def dissipative_constant(alpha: float, lset: LindbladSet) -> float:
 
 
 def growth_bound(alpha: float, lset: LindbladSet, t: float) -> GrowthBound:
+    _require_finite(alpha=alpha, t=t)
     if alpha < 0:
         raise DomainError("growth bound needs alpha >= 0")
-    _require_finite(t=t)
     if t < 0:
         raise DomainError("growth bound needs t >= 0")
     c = dissipative_constant(alpha, lset)

@@ -1,13 +1,12 @@
 """Exception types shared across the package.
 
-Everything raised on bad data derives from DataError so callers (and the
-CLI) can map validation failures to a single exit path.  _require_finite is
-the package's one refusal of a non-finite scalar parameter, and
-_require_integer its one refusal of a count or length that is not an integer.
+Everything raised on bad data derives from DataError, exit code 2 in the
+CLI.  Only _require_integer and _require_finite refuse an argument by kind.
 """
 
-import math
 import numbers
+
+import numpy as np
 
 
 class QTorusError(Exception):
@@ -38,18 +37,29 @@ class DomainError(DataError):
     """Parameter outside the valid domain (e.g. Re s <= 1, a_1 = 0)."""
 
 
-def _require_finite(**scalars):
-    for name, value in scalars.items():
-        if value is not None and not math.isfinite(value):
-            raise DomainError("%s must be finite, got %r" % (name, value))
-
-
-def _require_integer(**values):
-    """Refuse a value that is not a Python or numpy integer: a float such as
-    2.5 or 3.0 would otherwise be rounded, truncated or used as an index."""
+def _require_finite(**values):
+    """Refuse a non-finite scalar or array, a bool, a string or an int past 1e308."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
-            raise DomainError("%s must be an integer, got %r" % (name, value))
+        try:
+            ok = value is None or not isinstance(value, bool) and np.isfinite(
+                float(value) if isinstance(value, int) else value).all()
+        except (TypeError, OverflowError):  # a string or an object; an int past 1e308
+            ok = False
+        if not ok:
+            raise DomainError("entries of %s must be finite" % name if np.ndim(value)
+                              else "%s must be finite, got %r" % (name, value))
+
+
+def _require_integer(least=None, /, **values):
+    """Refuse a float (2.5 or 3.0 would be rounded, truncated or used as an
+    index), a bool, a value below least when given, or an int past 64 bits."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
+                least is not None and value < least):
+            raise DomainError("%s must be an integer%s, got %r"
+                              % (name, "" if least is None else " >= %d" % least, value))
+        if not -2**63 <= value < 2**63:
+            raise DomainError("%s must fit in 64 bits" % name)
 
 
 class EmptyRangeError(DomainError):

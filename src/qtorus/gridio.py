@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import re
 import tempfile
@@ -51,7 +50,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .errors import DimensionError, DomainError, FormatError
+from .errors import DimensionError, DomainError, FormatError, _require_finite, _require_integer
 from .grids import TAGS, CoeffGrid, SampleGrid
 from .spectral import analyze
 
@@ -334,14 +333,14 @@ def write_pgm(path, values: np.ndarray, maxval: int = 255, binary: bool = False)
     non-empty 2D array (DimensionError), not finite, or a maxval that is not
     an integer in 1..65535 (DomainError) are refused before anything is written.
     """
-    if not (isinstance(maxval, numbers.Integral) and 0 < maxval < 65536):
+    _require_integer(maxval=maxval)
+    if not 0 < maxval < 65536:
         raise DomainError("PGM maxval must be an integer in 1..65535, got %r" % (maxval,))
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise DimensionError("PGM values must be a non-empty 2D array, got shape %r"
                              % (arr.shape,))
-    if not np.isfinite(arr).all():
-        raise DomainError("PGM values must be finite")
+    _require_finite(values=arr)
     pix = np.clip(np.rint(arr * maxval), 0, maxval).astype(np.uint16)
     h, w = pix.shape
     header = "%s\n%d %d\n%d\n" % ("P5" if binary else "P2", w, h, maxval)
@@ -355,6 +354,7 @@ def write_pgm(path, values: np.ndarray, maxval: int = 255, binary: bool = False)
 
 def center_fit(img: np.ndarray, side: int) -> np.ndarray:
     """Center-crop or zero-pad a 2D array to side x side."""
+    _require_integer(0, side=side)
     top, left = (max(size - side, 0) // 2 for size in img.shape)
     out = img[top:top + side, left:left + side]
     return np.pad(out, [((side - size) // 2, side - size - (side - size) // 2)
@@ -363,6 +363,7 @@ def center_fit(img: np.ndarray, side: int) -> np.ndarray:
 
 def ingest_pgm(path, n: int) -> CoeffGrid:
     """PGM to Fourier coefficients at band limit n (crop/pad to 2n+1)."""
+    _require_integer(n=n)
     if n < 0:
         raise DomainError("band limit must be >= 0, got %d" % n)
     img, _ = read_pgm(path)

@@ -7,10 +7,10 @@ same container serves two roles: Fourier data of a doubly periodic field
 operator matrices (tag "hermitian" when w[l,k] = conj(w[k,l])).
 
 Tags are advisory: operations validate the actual symmetry at their
-boundary instead of trusting the tag.  The band limit must be an integer
-(Python or numpy) and an index that is not an integer or lies outside the
-window is refused, by CoeffGrid.entry and single_entry alike, never
-wrapped or truncated.
+boundary instead of trusting the tag.  A band limit is checked where a
+window is built (CoeffGrid, index_range, single_entry, dirichlet.d_matrix)
+and an index by CoeffGrid.entry and single_entry; a negative band limit or
+an index outside the window is refused, never wrapped or truncated.
 
 A grid's data is read-only.  A CoeffGrid copies the array it is given
 unless nothing else can write to it: an array that np.asarray made from
@@ -21,12 +21,11 @@ read-only pays no copy.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, HermiticityError, SymmetryError
+from .errors import DimensionError, HermiticityError, SymmetryError, _require_integer
 
 FOURIER_REAL = "fourier-real"
 HERMITIAN = "hermitian"
@@ -38,7 +37,14 @@ TAGS = (FOURIER_REAL, HERMITIAN, GENERAL)
 SYMMETRY_RTOL = 1e-12
 
 
+def _require_band_limit(n: int):
+    _require_integer(n=n)
+    if n < 0:
+        raise DimensionError("band limit must be non-negative, got %d" % n)
+
+
 def index_range(n: int) -> np.ndarray:
+    _require_band_limit(n)
     return np.arange(-n, n + 1)
 
 
@@ -55,10 +61,7 @@ class CoeffGrid:
     tag: str = GENERAL
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)):
-            raise DimensionError("band limit must be an integer, got %r" % (self.n,))
-        if self.n < 0:
-            raise DimensionError("band limit must be non-negative, got %d" % self.n)
+        _require_band_limit(self.n)
         if self.tag not in TAGS:
             raise DimensionError("unknown grid tag %r" % (self.tag,))
         side = 2 * self.n + 1
@@ -93,13 +96,13 @@ class CoeffGrid:
 
 
 def _require_index(n: int, k: int, l: int):
-    if not (isinstance(k, numbers.Integral) and isinstance(l, numbers.Integral)):
-        raise DimensionError("index (%r, %r) is not a pair of integers" % (k, l))
+    _require_integer(k=k, l=l)
     if abs(k) > n or abs(l) > n:
         raise DimensionError("index (%d, %d) outside band limit %d" % (k, l, n))
 
 
 def single_entry(n: int, k: int, l: int, value: complex, tag: str = GENERAL) -> CoeffGrid:
+    _require_band_limit(n)
     _require_index(n, k, l)
     side = 2 * n + 1
     data = np.zeros((side, side), dtype=np.complex128)
@@ -146,6 +149,7 @@ class SampleGrid:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _require_integer(m=self.m)
         arr = np.asarray(self.values)
         if arr.shape != (self.m, self.m):
             raise DimensionError(

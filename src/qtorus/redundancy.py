@@ -271,8 +271,7 @@ def phase_average(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if taus.size == 0:
         raise EmptyRangeError("a phase average needs at least one ordinate")
-    if not (np.isfinite(taus).all() and np.isfinite(xs).all()):
-        raise DomainError("phase average of a non-finite ordinate or argument")
+    _require_finite(taus=taus, xs=xs)
     ax, inv = np.unique(np.abs(xs).ravel(), return_inverse=True)
     live = ax != 0
     xl = ax[live]
@@ -285,7 +284,8 @@ def phase_average(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def c_d(d: int, sigma: float, zeros: ZeroTable, t: float) -> float:
     """Modulus of the zero-averaged coefficient at d: |avg d^-(sigma+i tau)|."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
+    _require_integer(d=d)
+    if d < 2:
         raise DomainError("c_d needs an integer d >= 2, got %r" % (d,))
     _require_sigma(sigma)
     taus = zeros.upto(t)

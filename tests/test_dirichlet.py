@@ -77,10 +77,6 @@ class TestMoebius:
             moebius(0)
         with pytest.raises(DomainError):
             moebius(-5)
-        for bad in (2.5, 6.0, np.float64(6.0)):
-            with pytest.raises(DomainError, match="n must be an integer"):
-                moebius(bad)
-        assert moebius(np.int64(6)) == moebius(6) == 1
 
 
 class TestConvolutionRing:
@@ -346,48 +342,6 @@ class TestPeriodizedZeta:
             with pytest.raises(DomainError, match="finite sigma > 1"):
                 moebius_inverse_rows(sigma, [14.134725], 10)
 
-    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_sigma_rejected(self, sigma):
-        with pytest.raises(DomainError):
-            ZetaParams(sigma=sigma, tau=14.0)
-        with pytest.raises(DomainError, match="finite sigma > 1"):
-            moebius_inverse_rows(sigma, [14.134725], 10)
-
-    @pytest.mark.parametrize("s", [complex(float("nan"), 0.0), complex(float("inf"), 0.0),
-                                   complex(-float("inf"), 0.0), complex(2.0, float("nan"))])
-    def test_non_finite_s_rejected(self, s):
-        with pytest.raises(DomainError):
-            periodized_zeta(s, 0.0, 10)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_tau_and_t_rejected(self, bad):
-        with pytest.raises(DomainError, match="tau must be finite"):
-            ZetaParams(sigma=2.0, tau=bad)
-        with pytest.raises(DomainError, match="t must be finite"):
-            periodized_zeta(2.0, bad, 10)
-
-    @pytest.mark.parametrize("terms", [2.5, 3.0, np.float64(3.0), "3"])
-    def test_non_integer_terms_rejected(self, terms):
-        # 2.5 would sum k = 1..3 but report the tail bound of 2.5 terms
-        with pytest.raises(DomainError, match="terms must be an integer"):
-            periodized_zeta(2.0, 0.1, terms)
-
-    def test_numpy_integer_terms_read_as_int(self):
-        assert periodized_zeta(2.0, 0.1, np.int64(3)) == periodized_zeta(2.0, 0.1, 3)
-
-
-@pytest.mark.parametrize("make", [
-    lambda lmax: ZetaParams(2.0, 0.0).sequence(lmax).a,
-    lambda lmax: moebius_inverse_rows(2.0, [1.0], lmax),
-    lambda lmax: ZetaParams(2.0, 0.5).moebius_inverse(lmax),
-], ids=["sequence", "moebius-inverse-rows", "moebius-inverse"])
-def test_sequence_lengths_must_be_integers(make):
-    for lmax in (2.5, 4.0, np.float64(4.0)):
-        with pytest.raises(DomainError, match="lmax must be an integer"):
-            make(lmax)
-    # an integer of either kind gives the same bytes
-    assert make(np.int64(4)).tobytes() == make(4).tobytes()
-
 
 def test_zeta_sequence_values():
     zp = ZetaParams(sigma=3.0, tau=0.0)
@@ -402,14 +356,6 @@ def test_zeta_sequence_values():
 def test_sequences_too_short_rejected():
     with pytest.raises(DimensionError):
         ArithmeticSeq(np.array([1.0]))
-
-
-@pytest.mark.parametrize("raw", [[0.0, 1.0, np.nan, 2.0], [0.0, np.inf, 1.0],
-                                 [0.0, 1.0, complex(1.0, -np.inf)]],
-                         ids=["nan", "inf-head", "complex-inf"])
-def test_sequences_with_non_finite_entries_rejected(raw):
-    with pytest.raises(DomainError, match="must be finite"):
-        ArithmeticSeq(raw)
 
 
 @pytest.mark.parametrize("lmax", [1, 2, 16, 64])

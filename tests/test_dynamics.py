@@ -188,16 +188,6 @@ class TestFloor:
         assert np.all(lv[:3] == 0.0)
         assert_allclose(lv[3:], [0.25, 1.25, 2.25, 3.25])
 
-    @pytest.mark.parametrize("floor", [1.5, 2.0, np.float64(1.0), "1"])
-    def test_non_integer_floor_rejected(self, floor):
-        # 1.5 would zero the levels below 2 and act as floor 2
-        with pytest.raises(DomainError, match="floor must be an integer"):
-            HarmonicSpec(a=1.0, floor=floor)
-
-    def test_numpy_integer_floor_reads_as_int(self):
-        h = HarmonicSpec(a=1.0, b=0.25, floor=np.int32(1))
-        assert h.levels(3).tobytes() == HarmonicSpec(a=1.0, b=0.25, floor=1).levels(3).tobytes()
-
     def test_supported_grid_accepted(self):
         a0 = single_entry(3, 1, 2, 1.0)
         h = HarmonicSpec(a=1.0, floor=0)
@@ -220,19 +210,6 @@ class TestFloor:
             heisenberg_closed(a0, HarmonicSpec(a=1.0, floor=0), 0.1)
         with pytest.raises(DomainError):
             evolve_rk4(a0, HarmonicSpec(a=1.0, floor=0), None, EvolveConfig(0.1))
-
-    @pytest.mark.parametrize("floor", [None, 0])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-    def test_non_finite_grid_rejected_on_entry(self, floor, bad):
-        data = np.array(single_entry(3, 1, 2, 1.0).data)
-        data[2 + 3, 1 + 3] = bad
-        a0 = CoeffGrid(3, data)
-        h = HarmonicSpec(a=1.0, floor=floor)
-        with pytest.raises(DomainError, match="non-finite"):
-            heisenberg_closed(a0, h, 0.1)
-        for t_end in (0.0, 0.1):  # t_end=0 takes no step; only the entry check sees it
-            with pytest.raises(DomainError, match="non-finite"):
-                evolve_rk4(a0, h, LindbladSet(lam=linear_lambda(1.0, 3)), EvolveConfig(t_end))
 
 
 class TestDiagonalLindblad:
@@ -601,34 +578,6 @@ class TestIntegratorGuards:
         with pytest.raises(DomainError, match="record_every must be an integer >= 1"):
             EvolveConfig(1.0, record_every=2.5)
 
-    def test_record_every_takes_a_numpy_integer(self):
-        assert EvolveConfig(1.0, record_every=np.int64(3)).record_every == 3
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_scalars_rejected(self, rng, bad):
-        for kwargs in ({"t_end": bad}, {"t_end": 1.0, "dt": bad},
-                       {"t_end": 1.0, "alpha": bad}):
-            with pytest.raises(DomainError):
-                EvolveConfig(**kwargs)
-        with pytest.raises(DomainError):
-            HarmonicSpec(a=bad)
-        with pytest.raises(DomainError):
-            HarmonicSpec(a=1.0, b=bad)
-        with pytest.raises(DomainError):
-            LindbladSet(lam=np.array([0.0, bad, 1.0]))
-        with pytest.raises(DomainError):
-            LindbladSet(lam=np.array([0.0, complex(0.0, bad), 1.0]))
-        # the closed forms; at t = inf the frozen diagonal would read 0 * inf = nan
-        a0, f0 = random_hermitian(2, rng), random_fourier_real(2, rng)
-        with pytest.raises(DomainError, match="t must be finite"):
-            heisenberg_closed(a0, HarmonicSpec(a=1.0), bad)
-        with pytest.raises(DomainError, match="t must be finite"):
-            diagonal_lindblad_closed(a0, linear_lambda(1.0, 2), bad)
-        with pytest.raises(DomainError, match="t must be finite"):
-            drift_oracle(f0, 1.0, bad)
-        with pytest.raises(DomainError, match="a must be finite"):
-            drift_oracle(f0, bad, 1.0)
-
 
 class TestGrowthBounds:
     def test_constant_assembles_all_parts(self, rng):
@@ -670,9 +619,6 @@ class TestGrowthBounds:
             growth_bound(-1.0, LindbladSet(), 1.0)
         with pytest.raises(DomainError):
             growth_bound(0.0, LindbladSet(), -1.0)
-        for t in (np.nan, np.inf):  # with no operators c = 0, and factors of nan or 0 * inf
-            with pytest.raises(DomainError, match="t must be finite"):
-                growth_bound(1.0, LindbladSet(), t)
 
     def test_trajectory_stays_below_bounds(self, rng):
         # mixed generator vs the full factor; pure dissipative vs exp(ct)

@@ -101,3 +101,38 @@ def test_scan_flags_an_unreferenced_private():
                        "def f(x=BLOCK):\n    return b.TAG\n"}
     assert unreferenced_privates(sources) == [("a.py", "_B"), ("a.py", "_f"), ("a.py", "orphan"),
                                               ("b.py", "_h"), ("c.py", "CHUNK")]
+
+
+def integer_type_tests(source: str):
+    """(line, text) of each integer type test: a reference to numbers.Integral
+    or np.integer, or an isinstance of int.  In the package these belong in
+    errors._require_integer alone."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (node.attr == "Integral" or (
+                node.attr == "integer" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and node.id == "Integral":
+            found.append((node.lineno, node.id))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            found += [(node.lineno, "int") for kind in kinds
+                      if isinstance(kind, ast.Name) and kind.id == "int"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_integer_type_tests_only_in_errors(path):
+    assert integer_type_tests(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_an_integer_type_test():
+    src = ("import numbers\nimport numpy as np\nfrom numbers import Integral\n\n"
+           "def f(n, k, l):\n    if not isinstance(n, (int, np.integer)):\n        pass\n"
+           "    if isinstance(k, numbers.Integral) or isinstance(l, Integral):\n        pass\n"
+           "    return type(n) is int, isinstance(n, float), np.iinfo(np.int64)\n")
+    assert integer_type_tests(src) == [(6, "int"), (6, "np.integer"), (8, "Integral"),
+                                       (8, "numbers.Integral")]

@@ -104,6 +104,19 @@ class TestGridJson:
         assert len(obj["entries"]) == 9
         assert obj["entries"][4] == [1.5, 0.0]
 
+    def test_bool_band_limit_never_reaches_a_file(self, tmp_path):
+        # a grid of band limit True was written as "n":true, which the reader refuses
+        with pytest.raises(DomainError, match="n must be an integer, got True"):
+            CoeffGrid(True, np.zeros((3, 3)))
+        path = tmp_path / "g.json"
+        path.write_bytes(grid_to_json(CoeffGrid(1, np.zeros((3, 3)))).replace(
+            '"n":1', '"n":true').encode())
+        with pytest.raises(FormatError, match="n must be a non-negative integer"):
+            read_grid(path)
+        write_grid(path, CoeffGrid(np.int64(1), np.eye(3)))
+        assert path.read_bytes() == (grid_to_json(CoeffGrid(1, np.eye(3))) + "\n").encode()
+        assert type(read_grid(path).n) is int
+
     @pytest.mark.parametrize("text", [
         "not json at all",
         "[1, 2, 3]",

@@ -146,12 +146,6 @@ def test_custom_profile_used(rng):
     assert_allclose(norm(a, flat), np.linalg.norm(a.data), rtol=1e-13)
 
 
-@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
-def test_non_finite_alpha_rejected(alpha):
-    with pytest.raises(DomainError, match="alpha must be finite"):
-        SobolevWeight(alpha)
-
-
 def test_negative_profile_rejected():
     w = SobolevWeight(profile=lambda r2: -np.ones_like(r2))
     with pytest.raises(DomainError):
