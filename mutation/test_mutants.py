@@ -81,7 +81,7 @@ MUTANTS = [
      "ordinate\")\n    _require_finite(taus=taus, xs=xs)\n", "",
      ["tests/test_redundancy.py::TestPhaseAverage::test_no_ordinates_refused[zero]",
       REFUSED + "phase_average-xs-nan-entry]"]),
-    ("non-finite T refusal removed", RED, "_require_finite(T=t)", "pass",
+    ("non-finite T refusal removed", RED, "_require_finite(t=t)", "pass",
      [REFUSED + "ZeroTable.count_below-t-nan]", REFUSED + "broadband_average_2d-t-nan]"]),
     ("shared finite refusal removed", ERR, "        if not ok:\n", "        if False:\n",
      [REFUSED + "SobolevWeight-alpha-nan]", REFUSED + "EvolveConfig-t_end-nan]",
@@ -107,9 +107,10 @@ MUTANTS = [
      [REFUSED + "periodized_zeta-s-2+nanj]", REFUSED + "periodized_zeta-s-2+infj]"]),
     ("PGM writer takes non-finite values", GRIDIO, "    _require_finite(values=arr)\n", "",
      ["tests/test_io_cli.py::TestPgm::test_non_finite_values_refused[False-nan]"]),
-    ("negative band limit ingested", GRIDIO, "    if n < 0:\n        raise DomainError(\"band",
-     "    if False:\n        raise DomainError(\"band",
-     ["tests/test_io_cli.py::TestIngest::test_negative_band_limit_refused"]),
+    ("band-limit check dropped from ingest_pgm", GRIDIO, "    _require_band_limit(n)\n    img, _",
+     "    img, _",
+     ["tests/test_io_cli.py::TestIngest::test_negative_band_limit_refused",
+      REFUSED + "ingest_pgm-n-2.5]", REFUSED + "ingest_pgm-n-valid-as-float]"]),
     ("P2 pixels parsed as floats", GRIDIO,
      "bad = next((t for t in tokens if not t.isdigit()), None)", "bad = None",
      ["tests/test_io_cli.py::TestPgm::test_non_integer_pixel_rejected[1.5 2e2]"]),
@@ -196,6 +197,14 @@ MUTANTS = [
      "if not isinstance(value, numbers.Integral) or (",
      [REFUSED + "CoeffGrid-n-True]", REFUSED + "index_range-n-True]",
       REFUSED + "ZeroTable.t_covering-count-True]"]),
+    ("CoeffGrid takes an integral float band limit", GRIDS,
+     "        _require_band_limit(self.n)\n        if self.tag",
+     "        if self.n < 0:\n            raise DimensionError(\"band limit\")\n        if self.tag",
+     [REFUSED + "CoeffGrid-n-6.0]", REFUSED + "CoeffGrid-n-valid-as-float]"]),
+    ("index check rounds a float", GRIDS, "_require_integer(k=k, l=l)",
+     "_require_integer(k=int(k), l=int(l))",
+     [REFUSED + "single_entry-k-6.0]", REFUSED + "single_entry-l-valid-as-float]",
+      REFUSED + "CoeffGrid.entry-k-valid-as-float]"]),
     ("c_d's integer check deleted", RED, "    _require_integer(d=d)\n", "",
      [REFUSED + "c_d-d-2.5]", REFUSED + "c_d-d-6.0]"]),
     # hygiene and parsing

@@ -283,9 +283,7 @@ def periodized_zeta(s: complex, t: float, terms: int) -> PeriodizedZeta:
     s = complex(s)
     if not s.real > 1:
         raise DomainError("periodized zeta needs a finite s with Re s > 1, got %r" % s)
-    _require_integer(terms=terms)
-    if terms < 0:
-        raise DomainError("terms must be non-negative")
+    _require_integer(0, terms=terms)
     sigma = s.real
     if terms == 0:
         return PeriodizedZeta(0.0 + 0.0j, 1.0 + 1.0 / (sigma - 1.0))

@@ -51,7 +51,7 @@ import orjson
 
 from . import __version__
 from .errors import DimensionError, DomainError, FormatError, _require_finite, _require_integer
-from .grids import TAGS, CoeffGrid, SampleGrid
+from .grids import TAGS, CoeffGrid, SampleGrid, _require_band_limit
 from .spectral import analyze
 
 
@@ -363,9 +363,7 @@ def center_fit(img: np.ndarray, side: int) -> np.ndarray:
 
 def ingest_pgm(path, n: int) -> CoeffGrid:
     """PGM to Fourier coefficients at band limit n (crop/pad to 2n+1)."""
-    _require_integer(n=n)
-    if n < 0:
-        raise DomainError("band limit must be >= 0, got %d" % n)
+    _require_band_limit(n)
     img, _ = read_pgm(path)
     if img.shape[0] != img.shape[1]:
         warnings.warn(

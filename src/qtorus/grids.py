@@ -8,9 +8,10 @@ operator matrices (tag "hermitian" when w[l,k] = conj(w[k,l])).
 
 Tags are advisory: operations validate the actual symmetry at their
 boundary instead of trusting the tag.  A band limit is checked where a
-window is built (CoeffGrid, index_range, single_entry, dirichlet.d_matrix)
-and an index by CoeffGrid.entry and single_entry; a negative band limit or
-an index outside the window is refused, never wrapped or truncated.
+window is built (CoeffGrid, index_range, single_entry, dirichlet.d_matrix,
+gridio.ingest_pgm) and an index by CoeffGrid.entry and single_entry; a
+negative band limit or an index outside the window is refused, never
+wrapped or truncated.
 
 A grid's data is read-only.  A CoeffGrid copies the array it is given
 unless nothing else can write to it: an array that np.asarray made from

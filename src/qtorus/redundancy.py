@@ -107,7 +107,7 @@ class ZeroTable:
 
     def count_below(self, t: float) -> int:
         """N(T): how many ordinates are <= T, for a finite T."""
-        _require_finite(T=t)
+        _require_finite(t=t)
         return int(np.searchsorted(self.ordinates, t, side="right"))
 
     def upto(self, t: float) -> np.ndarray:

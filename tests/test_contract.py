@@ -13,16 +13,22 @@ the CLI turns into exit code 2:
     complex     a finite complex        errors._require_finite
     array       finite entries          errors._require_finite
 
-The integer roles take 2.5, 6.0 and np.float64(6.0) no more than NaN, a
-bool, a string or an integer past 64 bits; a band limit and a count refuse
--1 as well.  A numpy integer gives the same bytes as the Python integer.
-Every public callable of qtorus is a row or is in EXEMPT, with the reason.
+The integer roles take 2.5, 6.0, np.float64(6.0) and their valid value as
+a float no more than NaN, a bool, a string or an integer past 64 bits; a
+band limit and a count refuse -1 as well.  Each refusal is the helper's
+own: a DomainError whose text starts with the argument's name, so a later
+shape or window check that happens to refuse the value does not count.
+-1 alone may meet a range rule, in its own class and words, and a row
+whose check names the bad entry says so in its refusal.  A numpy integer
+gives the same bytes as the Python integer.  Every public callable of
+qtorus is a row or is in EXEMPT, with the reason.
 
 A new refusal comes with a row here, not with a hand-written test.
 """
 
 import dataclasses
 import numbers
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +39,9 @@ from qtorus import (
     ArithmeticSeq,
     CoeffGrid,
     DataError,
+    DomainError,
     EvolveConfig,
+    FormatError,
     HarmonicSpec,
     LindbladSet,
     SampleGrid,
@@ -125,14 +133,18 @@ def _evolve_records(record_every):
 
 
 class Row:
-    """A public callable: call(**args) with a (role, valid value) per argument."""
+    """A public callable: call(**args) with a (role, valid value) per argument.
+    refusal, when given, is the (class, text) of a check that names the bad
+    entry in place of the helpers'."""
 
-    def __init__(self, name, call, **args):
-        self.name, self.call, self.args = name, call, args
+    def __init__(self, name, call, refusal=None, **args):
+        self.name, self.call, self.refusal, self.args = name, call, refusal, args
 
     def valid(self) -> dict:
         return {arg: value for arg, (_, value) in self.args.items()}
 
+
+_GRID_ENTRY = (FormatError, r"^cannot write grid JSON: entry \d+ \(k=-?\d+, l=-?\d+\) is not")
 
 ROWS = [
     # grids: a band limit is checked where the window is built
@@ -192,7 +204,8 @@ ROWS = [
     Row("SobolevWeight", SobolevWeight, alpha=(REAL, 1.0)),
     Row("SobolevWeight.weights", lambda n: SobolevWeight(1.0).weights(n), n=(BAND, 3)),
     # redundancy
-    Row("ZeroTable", ZeroTable, ordinates=(ARRAY, ZEROS.ordinates)),
+    Row("ZeroTable", ZeroTable, refusal=(FormatError, r"^ordinate \d+ is .*; ordinates must be"),
+        ordinates=(ARRAY, ZEROS.ordinates)),
     Row("ZeroTable.count_below", ZEROS.count_below, t=(REAL, 22.0)),
     Row("ZeroTable.upto", ZEROS.upto, t=(REAL, 22.0)),
     Row("ZeroTable.t_covering", ZEROS.t_covering, count=(COUNT, 3)),
@@ -216,8 +229,9 @@ ROWS = [
         values=(ARRAY, np.full((3, 3), 0.5)), maxval=(COUNT, 255)),
     Row("center_fit", lambda side: center_fit(np.ones((5, 5)), side), side=(COUNT, 3)),
     Row("ingest_pgm", _ingest, n=(BAND, 2)),
-    Row("write_grid", _write_grid_file, data=(ARRAY, A0)),
-    Row("grid_to_json", lambda data: grid_to_json(CoeffGrid(2, data)), data=(ARRAY, A0)),
+    Row("write_grid", _write_grid_file, refusal=_GRID_ENTRY, data=(ARRAY, A0)),
+    Row("grid_to_json", lambda data: grid_to_json(CoeffGrid(2, data)), refusal=_GRID_ENTRY,
+        data=(ARRAY, A0)),
 ]
 
 _GRID_ONLY = "its arguments are grids, whose band limits CoeffGrid checks, and " \
@@ -258,10 +272,19 @@ def _bad_value(role, valid, value):
     return arr
 
 
-CASES = [pytest.param(row, arg, _bad_value(role, valid, value),
+def _refusal(row, arg, label):
+    """The (class, text) a bad value must be refused with."""
+    if label == "-1":
+        return DataError, None  # a range rule, in its own class and words
+    return row.refusal or (DomainError, r"^(entries of )?%s must (be an integer|fit in 64 "
+                                        r"bits|be finite)" % re.escape(arg))
+
+
+CASES = [pytest.param(row, arg, _bad_value(role, valid, value), _refusal(row, arg, label),
                       id="%s-%s-%s" % (row.name, arg, label))
          for row in ROWS for arg, (role, valid) in row.args.items()
-         for label, value in BAD[role]
+         for label, value in BAD[role] + (
+             [("valid-as-float", float(valid))] if role in INTEGER_ROLES else [])
          if role != ARRAY or np.iscomplexobj(valid) or not isinstance(value, complex)]
 
 INTEGER_CASES = [pytest.param(row, arg, kind, id="%s-%s-%s" % (row.name, arg, kind.__name__))
@@ -299,9 +322,10 @@ def test_valid_call_succeeds(row):
     assert _bytes(row.call(**row.valid()))
 
 
-@pytest.mark.parametrize("row,arg,bad", CASES)
-def test_bad_value_refused(row, arg, bad):
-    with pytest.raises(DataError):
+@pytest.mark.parametrize("row,arg,bad,refusal", CASES)
+def test_bad_value_refused(row, arg, bad, refusal):
+    kind, text = refusal
+    with pytest.raises(kind, match=text):
         row.call(**dict(row.valid(), **{arg: bad}))
 
 

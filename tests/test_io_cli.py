@@ -594,7 +594,7 @@ class TestIngest:
     def test_negative_band_limit_refused(self, tmp_path):
         path = tmp_path / "w.pgm"
         write_pgm(path, np.ones((3, 3)), maxval=255)
-        with pytest.raises(DomainError, match="band limit"):
+        with pytest.raises(DimensionError, match="band limit"):
             ingest_pgm(path, -1)
         out = tmp_path / "z.json"
         assert run(["ingest-pgm", "--in", str(path), "--n", "-1", "--out", str(out)]) == 2

@@ -141,8 +141,6 @@ def test_grid_containers_refuse_bad_shapes(make, match):
     with pytest.raises(DimensionError, match=match):
         make()
 
-    assert single_entry(np.int64(2), -2, 2, 1.0).entry(-2, 2) == 1.0
-
 
 class TestGridOwnership:
     """A grid copies an array unless nothing else can write to it."""
