@@ -27,8 +27,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RED, DIR, GRIDS, GRIDIO, DYN, ERR = (os.path.join("src", "qtorus", name) for name in (
-    "redundancy.py", "dirichlet.py", "grids.py", "gridio.py", "dynamics.py", "errors.py"))
+RED, DIR, GRIDS, GRIDIO, DYN, ERR, CLI = (os.path.join("src", "qtorus", name) for name in (
+    "redundancy.py", "dirichlet.py", "grids.py", "gridio.py", "dynamics.py", "errors.py",
+    "cli.py"))
 
 PER_ZERO = ["tests/test_redundancy.py::TestPerZeroBatching::test_matches_sequential_fold[257-7]",
             "tests/test_redundancy.py::TestPerZeroBatching::"
@@ -39,6 +40,7 @@ GEN = "tests/test_dynamics.py::TestGeneralDissipator::"
 IO = "tests/test_io_cli.py::TestGridJson::"
 ZT = "tests/test_redundancy.py::TestZeroTable::"
 REFUSED = "tests/test_contract.py::test_bad_value_refused["
+RECORD = "tests/test_io_cli.py::TestRunRecord::test_run_record["
 
 MUTANTS = [
     # the per-zero route's cone blocks
@@ -103,9 +105,14 @@ MUTANTS = [
       "[single-entry-row-outside]"]),
     ("ordinate order refusal removed", RED, "ok[1:] &= arr[1:] > arr[:-1]", "pass",
      ["tests/test_redundancy.py::TestZeroTable::test_parse_rejects_disorder"]),
-    ("NaN s accepted by periodized_zeta", DIR, "_require_finite(s=s, t=t)", "_require_finite(t=t)",
+    ("NaN s accepted by periodized_zeta", DIR, "    _require_finite_complex(s=s)\n", "",
      [REFUSED + "periodized_zeta-s-2+nanj]", REFUSED + "periodized_zeta-s-2+infj]"]),
-    ("PGM writer takes non-finite values", GRIDIO, "    _require_finite(values=arr)\n", "",
+    ("complex refusal dropped from the real role", ERR, "        if np.iscomplexobj(value):\n",
+     "        if False:\n",
+     [REFUSED + "SobolevWeight-alpha-1j]", REFUSED + "EvolveConfig-t_end-3+0j]",
+      REFUSED + "ZeroTable.count_below-t-complex128-3]", REFUSED + "phase_average-xs-1j-entry]",
+      REFUSED + "write_pgm-values-0j-entry]"]),
+    ("PGM writer takes non-finite values", GRIDIO, "    _require_finite(values=values)", "",
      ["tests/test_io_cli.py::TestPgm::test_non_finite_values_refused[False-nan]"]),
     ("band-limit check dropped from ingest_pgm", GRIDIO, "    _require_band_limit(n)\n    img, _",
      "    img, _",
@@ -207,6 +214,14 @@ MUTANTS = [
       REFUSED + "CoeffGrid.entry-k-valid-as-float]"]),
     ("c_d's integer check deleted", RED, "    _require_integer(d=d)\n", "",
      [REFUSED + "c_d-d-2.5]", REFUSED + "c_d-d-6.0]"]),
+    # the run record, built and written by cli.run from the argument roles
+    ("sidecar for the first output only", CLI,
+     "        for out in outputs:  # only a run that succeeds is recorded\n",
+     "        for out in outputs[:1]:\n", [RECORD + "qinverse]", RECORD + "evolve]"]),
+    ("parameter left out of the record", CLI, '_arg("param", "--dt", type=_float)',
+     '_arg("", "--dt", type=_float)', [RECORD + "evolve]", RECORD + "evolve-lindblad]"]),
+    ("absent optional input recorded", CLI, 'if value and "in" in roles:',
+     'if "in" in roles:', [RECORD + "qtransform]", RECORD + "evolve]"]),
     # hygiene and parsing
     ("unused constant re-added", RED,
      "BLOCK = 256  # ordinates per block sum of a phase average\n",

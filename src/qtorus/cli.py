@@ -1,13 +1,16 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error.
-Every file output is written atomically and gets a .manifest.json
-sidecar echoing inputs and parameters.
 
-_COMMANDS is the one description of the subcommands.  run builds the
-parser of the command named first in argv alone, a fifth of the cost of
-building every subcommand; help, a missing command and an unknown one
-take the parser of every command.  Both print the same text.
+_COMMANDS is the one description of the subcommands.  Each argument in it
+is an input file, an output file or a parameter (--zeros is both), and run
+builds the run record from those roles: it writes the record as a
+<output>.manifest.json sidecar of each output given, once the handler has
+succeeded.  The handlers compute and write their outputs, each atomically.
+
+run builds the parser of the command named first in argv alone, a fifth
+of the cost of building every subcommand; help, a missing command and an
+unknown one take the parser of every command.  Both print the same text.
 
 Numbers on the command line go through _int and _float, and the comma
 lists of --alphas and --counts through one list type built on them.
@@ -94,43 +97,27 @@ def _lambda_spec(text: str):
     raise argparse.ArgumentTypeError("expected linear:<c>, got %r" % text)
 
 
-def cmd_smap(args) -> int:
-    manifest = RunManifest([args.infile], {"command": "smap"})
-    w = s_map(read_grid(args.infile))
-    write_grid(args.out, w)
-    manifest.write_for(args.out)
-    return 0
+def cmd_smap(args):
+    write_grid(args.out, s_map(read_grid(args.infile)))
 
 
-def cmd_qtransform(args) -> int:
-    inputs = [args.field] + ([args.imag] if args.imag else [])
-    manifest = RunManifest(inputs, {"command": "qtransform"})
+def cmd_qtransform(args):
     f = read_grid(args.field)
     g = read_grid(args.imag) if args.imag else None
     write_grid(args.out, q_transform(f, g))
-    manifest.write_for(args.out)
-    return 0
 
 
-def cmd_qinverse(args) -> int:
-    manifest = RunManifest([args.infile], {"command": "qinverse"})
+def cmd_qinverse(args):
     f, g = q_inverse(read_grid(args.infile))
     write_grid(args.out_real, f)
     write_grid(args.out_imag, g)
-    manifest.write_for(args.out_real)
-    manifest.write_for(args.out_imag)
-    return 0
 
 
-def cmd_ingest_pgm(args) -> int:
-    manifest = RunManifest([args.infile], {"command": "ingest-pgm", "n": args.n})
-    grid = ingest_pgm(args.infile, args.n)
-    write_grid(args.out, grid)
-    manifest.write_for(args.out)
-    return 0
+def cmd_ingest_pgm(args):
+    write_grid(args.out, ingest_pgm(args.infile, args.n))
 
 
-def cmd_norms(args) -> int:
+def cmd_norms(args):
     grid = read_grid(args.infile)
     lines = ["alpha,norm"]
     for alpha in args.alphas:
@@ -138,28 +125,15 @@ def cmd_norms(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        manifest = RunManifest([args.infile],
-                               {"command": "norms", "alphas": args.alphas})
         atomic_write_bytes(args.out, text.encode())
-        manifest.write_for(args.out)
-    return 0
 
 
-def cmd_evolve(args) -> int:
-    inputs = [args.field] + ([args.compact] if args.compact else []) + list(args.lindblad)
-    params = {
-        "command": "evolve", "a": args.a, "b": args.b, "floor": args.floor,
-        "lambda": args.lam, "t": args.t, "dt": args.dt, "alpha": args.alpha,
-    }
-    manifest = RunManifest(inputs, params)
-
+def cmd_evolve(args):
     field = read_grid(args.field)
     a0 = q_transform(field)
     c = read_grid(args.compact) if args.compact else None
     ls = [read_grid(p) for p in args.lindblad]
-    lam = None
-    if args.lam is not None:
-        lam = linear_lambda(args.lam[1], field.n)
+    lam = None if args.lam is None else linear_lambda(args.lam[1], field.n)
     lset = LindbladSet(c=c, ls=ls, lam=lam)
     h = HarmonicSpec(args.a, args.b, args.floor)
     cfg = EvolveConfig(t_end=args.t, dt=args.dt, alpha=args.alpha)
@@ -175,15 +149,12 @@ def cmd_evolve(args) -> int:
             pure, full = growth_factors(diss_c, t)
             fh.write(("%s,%s,%s,%s\n" % (
                 _fmt(t), _fmt(alpha_norm), _fmt(norm0 * pure), _fmt(norm0 * full))).encode())
-    manifest.write_for(args.trace)
 
     evolved_field, _ = q_inverse(CoeffGrid(a0.n, last, a0.tag))
     write_grid(args.out, evolved_field)
-    manifest.write_for(args.out)
-    return 0
 
 
-def cmd_redundancy(args) -> int:
+def cmd_redundancy(args):
     if not os.path.exists(args.zeros):
         raise FileNotFoundError("zero table not found: %s" % args.zeros)
     if not args.field:
@@ -192,11 +163,6 @@ def cmd_redundancy(args) -> int:
             "--counts <list> --out <csv>\n"
             "redundancy: --field is required"
         )
-    params = {
-        "command": "redundancy", "sigma": args.sigma, "counts": args.counts,
-        "zeros": args.zeros,
-    }
-    manifest = RunManifest([args.field, args.zeros], params)
     field = read_grid(args.field)
     table = load_zero_table(args.zeros)
     rows = ["zero_count,T,l2_error_field,hs_error_operator"]
@@ -205,57 +171,54 @@ def cmd_redundancy(args) -> int:
         t = table.t_covering(count)
         rows.append("%d,%s,%s,%s" % (count, _fmt(t), _fmt(l2), _fmt(hs)))
     atomic_write_bytes(args.out, ("\n".join(rows) + "\n").encode())
-    manifest.write_for(args.out)
-    return 0
 
 
-def cmd_commutator(args) -> int:
-    manifest = RunManifest([args.f, args.g], {"command": "commutator"})
-    out = field_commutator(read_grid(args.f), read_grid(args.g))
-    write_grid(args.out, out)
-    manifest.write_for(args.out)
-    return 0
+def cmd_commutator(args):
+    write_grid(args.out, field_commutator(read_grid(args.f), read_grid(args.g)))
 
 
-def _arg(*flags, **kw):
-    return flags, kw
+def _arg(role, *flags, **kw):
+    """An argument's role in the run record (in, out, param, or "in param"),
+    its flags and its argparse keywords."""
+    return flags, kw, role.split()
 
 
-_IN, _OUT = _arg("--in", dest="infile", required=True), _arg("--out", required=True)
+_IN, _OUT = _arg("in", "--in", dest="infile", required=True), _arg("out", "--out", required=True)
 
 # name: (help, handler, arguments), the one description of every subcommand
 _COMMANDS = {
     "smap": ("rearrange a fourier-real grid into a Hermitian one", cmd_smap, (_IN, _OUT)),
     "qtransform": ("Q-transform of a field (plus optional imaginary part)", cmd_qtransform, (
-        _arg("--field", required=True), _arg("--imag"), _OUT)),
+        _arg("in", "--field", required=True), _arg("in", "--imag"), _OUT)),
     "qinverse": ("split a matrix grid back into two fields", cmd_qinverse, (
-        _IN, _arg("--out-real", dest="out_real", required=True),
-        _arg("--out-imag", dest="out_imag", required=True))),
+        _IN, _arg("out", "--out-real", dest="out_real", required=True),
+        _arg("out", "--out-imag", dest="out_imag", required=True))),
     "ingest-pgm": ("PGM image to Fourier coefficients", cmd_ingest_pgm, (
-        _IN, _arg("--n", type=_int, required=True), _OUT)),
+        _IN, _arg("param", "--n", type=_int, required=True), _OUT)),
     "norms": ("Sobolev norms of a grid for a list of alphas", cmd_norms, (
-        _IN, _arg("--alphas", type=_alpha_list, required=True), _arg("--out"))),
+        _IN, _arg("param", "--alphas", type=_alpha_list, required=True), _arg("out", "--out"))),
     "evolve": ("evolve a field's observable under the master equation", cmd_evolve, (
-        _arg("--field", required=True),
-        _arg("--a", type=_float, required=True),
-        _arg("--b", type=_float, default=0.0),
-        _arg("--floor", type=_int),
-        _arg("--compact"),
-        _arg("--lindblad", action="append", default=[]),
-        _arg("--lambda", dest="lam", type=_lambda_spec),
-        _arg("--t", type=_float, required=True),
-        _arg("--dt", type=_float),
-        _arg("--alpha", type=_float, default=0.0),
-        _OUT,
-        _arg("--trace", required=True))),
+        _arg("in", "--field", required=True),
+        _arg("param", "--a", type=_float, required=True),
+        _arg("param", "--b", type=_float, default=0.0),
+        _arg("param", "--floor", type=_int),
+        _arg("in", "--compact"),
+        _arg("in", "--lindblad", action="append", default=[]),
+        _arg("param", "--lambda", dest="lam", type=_lambda_spec),
+        _arg("param", "--t", type=_float, required=True),
+        _arg("param", "--dt", type=_float),
+        _arg("param", "--alpha", type=_float, default=0.0),
+        _arg("out", "--trace", required=True),
+        _OUT)),
     "redundancy": ("broadband averaging error sweep over a zero table", cmd_redundancy, (
-        _arg("--field"),
-        _arg("--sigma", type=_float, default=3.0),
-        _arg("--zeros", required=True),
-        _arg("--counts", type=_count_list, required=True),
+        _arg("in", "--field"),
+        _arg("param", "--sigma", type=_float, default=3.0),
+        _arg("in param", "--zeros", required=True),
+        _arg("param", "--counts", type=_count_list, required=True),
         _OUT)),
     "commutator": ("field commutator of two fourier-real grids", cmd_commutator, (
-        _arg("--f", dest="f", required=True), _arg("--g", dest="g", required=True), _OUT)),
+        _arg("in", "--f", dest="f", required=True), _arg("in", "--g", dest="g", required=True),
+        _OUT)),
 }
 
 
@@ -266,12 +229,11 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qtorus")
     metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
     sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, handler, args) in _COMMANDS.items():
+    for name, (help_text, _, args) in _COMMANDS.items():
         if command in (None, name):
             sp = sub.add_parser(name, help=help_text)
-            for flags, kw in args:
+            for flags, kw, _ in args:
                 sp.add_argument(*flags, **kw)
-            sp.set_defaults(handler=handler)
     return p
 
 
@@ -285,14 +247,31 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    _, handler, arguments = _COMMANDS[args.command]
+    # the run record, in table order: each parameter under its flag name, and
+    # the input and output paths given
+    inputs, params, outputs = [], {"command": args.command}, []
+    for flags, kw, roles in arguments:
+        key = flags[0][2:]
+        value = getattr(args, kw.get("dest", key.replace("-", "_")))
+        if "param" in roles:
+            params[key] = value
+        if value and "in" in roles:
+            inputs += value if isinstance(value, list) else [value]
+        if value and "out" in roles:
+            outputs.append(value)
+    manifest = RunManifest(inputs, params)
     try:
-        return args.handler(args)
+        handler(args)
+        for out in outputs:  # only a run that succeeds is recorded
+            manifest.write_for(out)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except (QTorusError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return 0
 
 
 def main():

@@ -12,9 +12,10 @@ Divisors never leave the window (d | k implies k/d <= k <= N), so D and
 its inverse are exact on band-limited data, not approximations.
 
 The zeta layer refuses what it cannot encode, each with DomainError: a
-non-finite sigma, tau, s, t or sequence entry (errors._require_finite), a
-length or term count that is not an integer (errors._require_integer), and
-a sigma or Re s that is not > 1.
+sigma, tau or t that is not a finite real (errors._require_finite), a
+non-finite s or sequence entry (errors._require_finite_complex), a length
+or term count that is not an integer (errors._require_integer), and a
+sigma or Re s that is not > 1.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .grids import FOURIER_REAL, GENERAL, CoeffGrid, _require_band_limit, require_fourier_real
-from .errors import DimensionError, DomainError, _require_finite, _require_integer
+from .errors import (DimensionError, DomainError, _require_finite, _require_finite_complex,
+                     _require_integer)
 from .spectral import s_map
 
 
@@ -131,7 +133,7 @@ class ArithmeticSeq:
         if arr.ndim != 1 or arr.size < 2:
             raise DimensionError("sequence needs 1-based entries up to at least 1")
         arr[0] = 0.0
-        _require_finite(a=arr)
+        _require_finite_complex(a=arr)
         if arr[1] == 0:
             raise DomainError("a_1 must be nonzero")
         self.a = arr
@@ -279,7 +281,8 @@ def periodized_zeta(s: complex, t: float, terms: int) -> PeriodizedZeta:
     The reported tail bound is sum_{k>terms} k^-Re(s), estimated by the
     integral comparison; it bounds the truncation error of the value.
     """
-    _require_finite(s=s, t=t)
+    _require_finite_complex(s=s)
+    _require_finite(t=t)
     s = complex(s)
     if not s.real > 1:
         raise DomainError("periodized zeta needs a finite s with Re s > 1, got %r" % s)

@@ -65,7 +65,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (DimensionError, DomainError, IntegrationError, _require_finite,
-                     _require_integer)
+                     _require_finite_complex, _require_integer)
 from .grids import (
     FOURIER_REAL,
     GENERAL,
@@ -107,7 +107,7 @@ class HarmonicSpec:
 
 def _check_initial_grid(a0: CoeffGrid, floor: Optional[int]):
     """Finite entries, and no support below the spectrum floor when one is set."""
-    _require_finite(a0=a0.data)
+    _require_finite_complex(a0=a0.data)
     if floor is None:
         return
     bad = index_range(a0.n) < floor
@@ -121,7 +121,7 @@ def _check_initial_grid(a0: CoeffGrid, floor: Optional[int]):
 
 def linear_lambda(c: complex, n: int) -> np.ndarray:
     """The diagonal family lam_k = c*k on the index window [-n, n]."""
-    _require_finite(c=c)
+    _require_finite_complex(c=c)
     return c * index_range(n).astype(np.complex128)
 
 
@@ -136,7 +136,7 @@ class LindbladSet:
             require_hermitian(self.c)
         if self.lam is not None:
             self.lam = np.asarray(self.lam, dtype=np.complex128)
-            _require_finite(lam=self.lam)
+            _require_finite_complex(lam=self.lam)
             if self.lam.ndim != 1 or self.lam.size % 2 != 1:
                 raise DimensionError("lambda must be a 1D sequence of odd length 2N+1")
         self.n  # refuses mixed band limits

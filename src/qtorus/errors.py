@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Everything raised on bad data derives from DataError, exit code 2 in the
-CLI.  Only _require_integer and _require_finite refuse an argument by kind.
+CLI.  Only _require_integer, _require_finite (a real: a complex type is
+refused, 3+0j included) and _require_finite_complex refuse an argument by kind.
 """
 
 import numbers
@@ -38,6 +39,16 @@ class DomainError(DataError):
 
 
 def _require_finite(**values):
+    """Refuse what _require_finite_complex refuses, and any complex type, 3+0j
+    and an array of complex dtype included: the argument is a real."""
+    for name, value in values.items():
+        if np.iscomplexobj(value):
+            raise DomainError("entries of %s must be real" % name if np.ndim(value)
+                              else "%s must be real, got %r" % (name, value))
+    _require_finite_complex(**values)
+
+
+def _require_finite_complex(**values):
     """Refuse a non-finite scalar or array, a bool, a string or an int past 1e308."""
     for name, value in values.items():
         try:

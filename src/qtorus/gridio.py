@@ -330,17 +330,17 @@ def write_pgm(path, values: np.ndarray, maxval: int = 255, binary: bool = False)
     """Quantize values in [0,1] to a PGM file (row-major, P2 or P5).
 
     Only files `read_pgm` takes back are written: values that are not a
-    non-empty 2D array (DimensionError), not finite, or a maxval that is not
+    non-empty 2D array (DimensionError), not finite reals, or a maxval that is not
     an integer in 1..65535 (DomainError) are refused before anything is written.
     """
     _require_integer(maxval=maxval)
     if not 0 < maxval < 65536:
         raise DomainError("PGM maxval must be an integer in 1..65535, got %r" % (maxval,))
+    _require_finite(values=values)  # before the cast, which would drop an imaginary part
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise DimensionError("PGM values must be a non-empty 2D array, got shape %r"
                              % (arr.shape,))
-    _require_finite(values=arr)
     pix = np.clip(np.rint(arr * maxval), 0, maxval).astype(np.uint16)
     h, w = pix.shape
     header = "%s\n%d %d\n%d\n" % ("P5" if binary else "P2", w, h, maxval)

@@ -81,15 +81,20 @@ _CHUNK_ENTRIES = 1 << 18  # 2D terms per chunk of output rows of the direct rout
 
 @dataclass(eq=False)
 class ZeroTable:
-    """Zero ordinates, finite, positive and strictly increasing.  The one check
+    """Zero ordinates, real, finite, positive and strictly increasing.  The one check
     of their values: it names the first bad ordinate by position and value."""
 
     ordinates: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.ordinates, dtype=np.float64)
+        arr = np.array(self.ordinates)
         if arr.ndim != 1 or arr.size == 0:
             raise FormatError("zero table needs at least one ordinate")
+        if np.iscomplexobj(arr):  # a complex dtype is refused whole, 3+0j included
+            i = int(np.argmax(arr.imag != 0))
+            raise FormatError("ordinate %d is %r; ordinates must be real"
+                              % (i + 1, complex(arr[i])))
+        arr = arr.astype(np.float64, copy=False)
         ok = np.isfinite(arr) & (arr > 0)
         ok[1:] &= arr[1:] > arr[:-1]
         if not ok.all():
@@ -265,13 +270,14 @@ def phase_average(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """M(x) = (1/n) sum over tau of exp(-i tau x), in fixed blocks, compensated.
 
     Only the distinct |x| > 0 are evaluated; M(-x) = conj(M(x)) and
-    M(0) = 1 exactly.  No ordinates, or a non-finite ordinate or x, is refused.
+    M(0) = 1 exactly.  No ordinates, or a complex or non-finite ordinate or x, is
+    refused.
     """
-    taus = np.asarray(taus, dtype=np.float64)
-    xs = np.asarray(xs, dtype=np.float64)
+    taus, xs = np.asarray(taus), np.asarray(xs)  # cast once checked: a complex one is refused
     if taus.size == 0:
         raise EmptyRangeError("a phase average needs at least one ordinate")
     _require_finite(taus=taus, xs=xs)
+    taus, xs = taus.astype(np.float64, copy=False), xs.astype(np.float64, copy=False)
     ax, inv = np.unique(np.abs(xs).ravel(), return_inverse=True)
     live = ax != 0
     xl = ax[live]

@@ -5,19 +5,22 @@ checks, with a valid value for every argument.  Each role has its bad
 values, and each bad value must be refused with a DataError subclass, which
 the CLI turns into exit code 2:
 
-    role        what it takes           refused by
-    band limit  an integer >= 0         errors._require_integer, then n >= 0
-    count       an integer >= a least   errors._require_integer, then the range rule
-    index       any integer             errors._require_integer
-    real        a finite real           errors._require_finite
-    complex     a finite complex        errors._require_finite
-    array       finite entries          errors._require_finite
+    role           what it takes           refused by
+    band limit     an integer >= 0         errors._require_integer, then n >= 0
+    count          an integer >= a least   errors._require_integer, then the range rule
+    index          any integer             errors._require_integer
+    real           a finite real           errors._require_finite
+    complex        a finite complex        errors._require_finite_complex
+    real array     finite real entries     errors._require_finite
+    complex array  finite entries          errors._require_finite_complex
 
 The integer roles take 2.5, 6.0, np.float64(6.0) and their valid value as
 a float no more than NaN, a bool, a string or an integer past 64 bits; a
-band limit and a count refuse -1 as well.  Each refusal is the helper's
-own: a DomainError whose text starts with the argument's name, so a later
-shape or window check that happens to refuse the value does not count.
+band limit and a count refuse -1 as well.  The real roles take a complex
+type (1j, 3+0j, np.complex128(3), an array of complex dtype) no more than
+NaN.  Each refusal is the helper's own: a DomainError whose text starts
+with the argument's name, so a later shape or window check that happens to
+refuse the value does not count.
 -1 alone may meet a range rule, in its own class and words, and a row
 whose check names the bad entry says so in its refusal.  A numpy integer
 gives the same bytes as the Python integer.  Every public callable of
@@ -79,24 +82,26 @@ from qtorus import (
 from qtorus.dirichlet import moebius_inverse_rows
 from qtorus.grids import kl_mesh
 
-BAND, COUNT, INDEX, REAL, COMPLEX, ARRAY = (
-    "band limit", "count", "index", "real", "complex", "array")
+BAND, COUNT, INDEX, REAL, COMPLEX, REAL_ARRAY, COMPLEX_ARRAY = (
+    "band limit", "count", "index", "real", "complex", "real array", "complex array")
 
 _NOT_INTEGERS = [("nan", float("nan")), ("inf", float("inf")), ("-inf", -float("inf")),
                  ("2.5", 2.5), ("6.0", 6.0), ("float64-6.0", np.float64(6.0)),
                  ("True", True), ("str", "3"), ("10**400", 10**400)]
 _NOT_FINITE = [("nan", float("nan")), ("inf", float("inf")), ("-inf", -float("inf")),
                ("True", True), ("str", "3"), ("10**400", 10**400)]
+_NOT_FINITE_ENTRIES = [("nan-entry", float("nan")), ("inf-entry", float("inf")),
+                       ("-inf-entry", -float("inf"))]
 BAD = {
     BAND: _NOT_INTEGERS + [("-1", -1)],
     COUNT: _NOT_INTEGERS + [("-1", -1)],
     INDEX: _NOT_INTEGERS,
-    REAL: _NOT_FINITE,
+    REAL: _NOT_FINITE + [("1j", 1j), ("3+0j", 3 + 0j), ("complex128-3", np.complex128(3))],
     COMPLEX: _NOT_FINITE + [("2+nanj", complex(2.0, float("nan"))),
                             ("nan+0j", complex(float("nan"), 0.0)),
                             ("2+infj", complex(2.0, float("inf")))],
-    ARRAY: [("nan-entry", float("nan")), ("inf-entry", float("inf")),
-            ("-inf-entry", -float("inf")), ("-infj-entry", complex(0.0, -float("inf")))],
+    REAL_ARRAY: _NOT_FINITE_ENTRIES + [("1j-entry", 1j), ("0j-entry", 0j)],
+    COMPLEX_ARRAY: _NOT_FINITE_ENTRIES + [("-infj-entry", complex(0.0, -float("inf")))],
 }
 INTEGER_ROLES = (BAND, COUNT, INDEX)
 
@@ -159,7 +164,7 @@ ROWS = [
     # dirichlet
     Row("moebius", moebius, n=(COUNT, 6)),
     Row("unit_sequence", unit_sequence, lmax=(COUNT, 4)),
-    Row("ArithmeticSeq", ArithmeticSeq, a=(ARRAY, np.array([0.0, 1.0, 0.5j, 0.25]))),
+    Row("ArithmeticSeq", ArithmeticSeq, a=(COMPLEX_ARRAY, np.array([0.0, 1.0, 0.5j, 0.25]))),
     Row("ZetaParams", ZetaParams, sigma=(REAL, 2.0), tau=(REAL, 0.5)),
     Row("ZetaParams.sequence", lambda lmax: ZetaParams(2.0, 0.5).sequence(lmax),
         lmax=(COUNT, 4)),
@@ -179,23 +184,23 @@ ROWS = [
     Row("HarmonicSpec.gaps", lambda n: HarmonicSpec(1.0, 0.25).gaps(n), n=(BAND, 3)),
     Row("linear_lambda", linear_lambda, c=(COMPLEX, 0.5 + 0.25j), n=(BAND, 2)),
     Row("default_dt", lambda n: default_dt(HarmonicSpec(1.0), n), n=(BAND, 3)),
-    Row("LindbladSet", lambda lam: LindbladSet(lam=lam).phi_matrix(), lam=(ARRAY, LAM)),
+    Row("LindbladSet", lambda lam: LindbladSet(lam=lam).phi_matrix(), lam=(COMPLEX_ARRAY, LAM)),
     Row("EvolveConfig", EvolveConfig, t_end=(REAL, 0.05), dt=(REAL, 0.01), alpha=(REAL, 1.0),
         record_every=(COUNT, 2)),
     Row("evolve_steps.record_every", _evolve_records, record_every=(COUNT, 2)),
     Row("heisenberg_closed",
         lambda a0, t: heisenberg_closed(CoeffGrid(2, a0), HarmonicSpec(1.0, floor=0), t),
-        a0=(ARRAY, A0), t=(REAL, 0.1)),
+        a0=(COMPLEX_ARRAY, A0), t=(REAL, 0.1)),
     Row("drift_oracle", lambda a, t: drift_oracle(F2, a, t), a=(REAL, 1.0), t=(REAL, 0.1)),
     Row("diagonal_lindblad_closed",
         lambda lam, t: diagonal_lindblad_closed(CoeffGrid(2, A0), lam, t),
-        lam=(ARRAY, LAM), t=(REAL, 0.1)),
+        lam=(COMPLEX_ARRAY, LAM), t=(REAL, 0.1)),
     # t_end = 0 takes no step: only the entry check sees the initial grid
     Row("evolve_rk4", lambda a0: evolve_rk4(CoeffGrid(2, a0), HarmonicSpec(1.0), None,
-                                            EvolveConfig(0.0)), a0=(ARRAY, A0)),
+                                            EvolveConfig(0.0)), a0=(COMPLEX_ARRAY, A0)),
     Row("evolve_steps", lambda a0: list(evolve_steps(
         CoeffGrid(2, a0), HarmonicSpec(1.0), LindbladSet(lam=LAM), EvolveConfig(0.02, 0.01))),
-        a0=(ARRAY, A0)),
+        a0=(COMPLEX_ARRAY, A0)),
     Row("dissipative_constant", lambda alpha: dissipative_constant(alpha, LindbladSet(lam=LAM)),
         alpha=(REAL, 1.0)),
     Row("growth_bound", lambda alpha, t: growth_bound(alpha, LindbladSet(lam=LAM), t),
@@ -205,12 +210,12 @@ ROWS = [
     Row("SobolevWeight.weights", lambda n: SobolevWeight(1.0).weights(n), n=(BAND, 3)),
     # redundancy
     Row("ZeroTable", ZeroTable, refusal=(FormatError, r"^ordinate \d+ is .*; ordinates must be"),
-        ordinates=(ARRAY, ZEROS.ordinates)),
+        ordinates=(REAL_ARRAY, ZEROS.ordinates)),
     Row("ZeroTable.count_below", ZEROS.count_below, t=(REAL, 22.0)),
     Row("ZeroTable.upto", ZEROS.upto, t=(REAL, 22.0)),
     Row("ZeroTable.t_covering", ZEROS.t_covering, count=(COUNT, 3)),
     Row("phase_average", phase_average,
-        taus=(ARRAY, ZEROS.ordinates), xs=(ARRAY, np.array([-0.5, 0.0, 0.7]))),
+        taus=(REAL_ARRAY, ZEROS.ordinates), xs=(REAL_ARRAY, np.array([-0.5, 0.0, 0.7]))),
     Row("c_d", lambda d, sigma, t: c_d(d, sigma, ZEROS, t),
         d=(COUNT, 2), sigma=(REAL, 3.0), t=(REAL, 40.0)),
     Row("broadband_average_1d",
@@ -226,12 +231,12 @@ ROWS = [
         sigma=(REAL, 3.0), t=(REAL, 40.0)),
     # gridio: the writers name the bad entry, the readers are exempt
     Row("write_pgm", _write_pgm_file,
-        values=(ARRAY, np.full((3, 3), 0.5)), maxval=(COUNT, 255)),
+        values=(REAL_ARRAY, np.full((3, 3), 0.5)), maxval=(COUNT, 255)),
     Row("center_fit", lambda side: center_fit(np.ones((5, 5)), side), side=(COUNT, 3)),
     Row("ingest_pgm", _ingest, n=(BAND, 2)),
-    Row("write_grid", _write_grid_file, refusal=_GRID_ENTRY, data=(ARRAY, A0)),
+    Row("write_grid", _write_grid_file, refusal=_GRID_ENTRY, data=(COMPLEX_ARRAY, A0)),
     Row("grid_to_json", lambda data: grid_to_json(CoeffGrid(2, data)), refusal=_GRID_ENTRY,
-        data=(ARRAY, A0)),
+        data=(COMPLEX_ARRAY, A0)),
 ]
 
 _GRID_ONLY = "its arguments are grids, whose band limits CoeffGrid checks, and " \
@@ -265,7 +270,7 @@ EXEMPT = {
 
 
 def _bad_value(role, valid, value):
-    if role != ARRAY:
+    if role not in (REAL_ARRAY, COMPLEX_ARRAY):
         return value
     arr = np.array(valid, dtype=np.result_type(valid, value))
     arr.flat[-1] = value
@@ -277,15 +282,14 @@ def _refusal(row, arg, label):
     if label == "-1":
         return DataError, None  # a range rule, in its own class and words
     return row.refusal or (DomainError, r"^(entries of )?%s must (be an integer|fit in 64 "
-                                        r"bits|be finite)" % re.escape(arg))
+                                        r"bits|be finite|be real)" % re.escape(arg))
 
 
 CASES = [pytest.param(row, arg, _bad_value(role, valid, value), _refusal(row, arg, label),
                       id="%s-%s-%s" % (row.name, arg, label))
          for row in ROWS for arg, (role, valid) in row.args.items()
          for label, value in BAD[role] + (
-             [("valid-as-float", float(valid))] if role in INTEGER_ROLES else [])
-         if role != ARRAY or np.iscomplexobj(valid) or not isinstance(value, complex)]
+             [("valid-as-float", float(valid))] if role in INTEGER_ROLES else [])]
 
 INTEGER_CASES = [pytest.param(row, arg, kind, id="%s-%s-%s" % (row.name, arg, kind.__name__))
                  for row in ROWS for arg, (role, _) in row.args.items()

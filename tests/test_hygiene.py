@@ -1,6 +1,8 @@
 """Source hygiene: every imported name is used in the module that imports it,
 and every private module-level name, every method of a private class and every
 module-level UPPER_CASE constant in the package is used somewhere in it.
+Integer type tests live in errors alone, and the run record is built and
+written in cli.run alone.
 
 The checks are stdlib `ast` scans, since no linter is part of the toolchain.
 The package `__init__.py` is left out of the import check: its imports are the
@@ -136,3 +138,36 @@ def test_scan_flags_an_integer_type_test():
            "    return type(n) is int, isinstance(n, float), np.iinfo(np.int64)\n")
     assert integer_type_tests(src) == [(6, "int"), (6, "np.integer"), (8, "Integral"),
                                        (8, "numbers.Integral")]
+
+
+def run_records_outside_run(source: str, module: str):
+    """(line, text) of each RunManifest(...) construction or .write_for(...) call
+    outside cli.run.  The CLI's run builds every run's record from the roles of
+    its arguments and writes every sidecar; a handler does neither."""
+    found = []
+    for top in ast.parse(source).body:
+        if module == "cli.py" and isinstance(top, ast.FunctionDef) and top.name == "run":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "RunManifest"
+                    or getattr(node.func, "attr", None) in ("RunManifest", "write_for")):
+                found.append((node.lineno, ast.unparse(node.func)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_run_record_only_in_cli_run(path):
+    assert run_records_outside_run(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_scan_flags_a_run_record_outside_run():
+    src = ("from .gridio import RunManifest\nfrom . import gridio\n\n"
+           "def cmd_x(args):\n    m = RunManifest([], {})\n    m.write_for(args.out)\n\n"
+           "def run(argv):\n    manifest = RunManifest([], {})\n    manifest.write_for('o')\n\n"
+           "class Sidecar:\n    def write_for(self, path):\n        gridio.RunManifest([], {})\n")
+    assert run_records_outside_run(src, "cli.py") == [(5, "RunManifest"), (6, "m.write_for"),
+                                                      (14, "gridio.RunManifest")]
+    assert run_records_outside_run(src, "gridio.py") == [
+        (5, "RunManifest"), (6, "m.write_for"), (9, "RunManifest"), (10, "manifest.write_for"),
+        (14, "gridio.RunManifest")]

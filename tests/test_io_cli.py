@@ -646,16 +646,6 @@ class TestCliTransforms:
         assert "not finite" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["huge.json"]
 
-    def test_manifest_sidecar(self, tmp_path, field_file):
-        out = str(tmp_path / "w.json")
-        run(["smap", "--in", field_file, "--out", out])
-        with open(out + ".manifest.json") as fh:
-            m = json.load(fh)
-        assert m["inputs"] == [field_file]
-        assert m["params"]["command"] == "smap"
-        assert m["tool_version"] == "0.1.0"
-        assert m["duration_s"] >= 0.0
-
     def test_manifest_duration_ignores_wall_clock_steps(self, tmp_path, field_file,
                                                         monkeypatch):
         wall = iter(range(10 ** 9, 0, -3600))  # every read is an hour earlier
@@ -1436,6 +1426,110 @@ class TestCliPlumbing:
         write_grid(path, random_general(3, rng))
         assert run(["smap", "--in", path,
                     "--out", str(tmp_path / "o.json")]) == 2
+
+
+# The run record of every command, one row per case: (id, argv, the exact
+# inputs and params of each sidecar, the outputs that get one).  Paths are
+# relative to the run's directory, so each sidecar echoes them as given.
+_EVOLVE_ARGV = ["evolve", "--field", "f.json", "--a", "1", "--t", "0.02", "--out", "e.json",
+                "--trace", "t.csv"]
+_EVOLVE_PARAMS = {"a": 1.0, "b": 0.0, "floor": None, "lambda": None, "t": 0.02, "dt": None,
+                  "alpha": 0.0}
+RECORDS = [
+    ("smap", ["smap", "--in", "f.json", "--out", "w.json"], ["f.json"], {}, ["w.json"]),
+    ("qtransform", ["qtransform", "--field", "f.json", "--out", "c.json"], ["f.json"], {},
+     ["c.json"]),
+    ("qtransform-imag", ["qtransform", "--field", "f.json", "--imag", "g.json", "--out", "c.json"],
+     ["f.json", "g.json"], {}, ["c.json"]),
+    ("qinverse", ["qinverse", "--in", "m.json", "--out-real", "fr.json", "--out-imag", "fi.json"],
+     ["m.json"], {}, ["fr.json", "fi.json"]),
+    ("ingest-pgm", ["ingest-pgm", "--in", "img.pgm", "--n", "2", "--out", "z.json"],
+     ["img.pgm"], {"n": 2}, ["z.json"]),
+    ("norms", ["norms", "--in", "f.json", "--alphas", "0,1.5"], ["f.json"],
+     {"alphas": [0.0, 1.5]}, []),
+    ("norms-out", ["norms", "--in", "f.json", "--alphas", "0,1.5", "--out", "n.csv"], ["f.json"],
+     {"alphas": [0.0, 1.5]}, ["n.csv"]),
+    ("evolve", _EVOLVE_ARGV, ["f.json"], _EVOLVE_PARAMS, ["t.csv", "e.json"]),
+    ("evolve-lindblad", _EVOLVE_ARGV + [
+        "--lindblad", "l1.json", "--lambda", "linear:0.5", "--compact", "h.json",
+        "--lindblad", "l2.json", "--b", "0.25", "--floor", "-2", "--dt", "0.01", "--alpha", "1"],
+     ["f.json", "h.json", "l1.json", "l2.json"],
+     dict(_EVOLVE_PARAMS, b=0.25, floor=-2, dt=0.01, alpha=1.0, **{"lambda": ["linear", 0.5]}),
+     ["t.csv", "e.json"]),
+    ("redundancy", ["redundancy", "--field", "f.json", "--zeros", "z.txt", "--counts", "3,1",
+                    "--out", "o.csv"],
+     ["f.json", "z.txt"], {"sigma": 3.0, "zeros": "z.txt", "counts": [3, 1]}, ["o.csv"]),
+    ("commutator", ["commutator", "--f", "f.json", "--g", "g.json", "--out", "k.json"],
+     ["f.json", "g.json"], {}, ["k.json"]),
+]
+
+# runs that fail: (id, argv, exit code, the outputs written before the failure);
+# none leaves a sidecar
+FAILED_RUNS = [
+    ("usage", ["smap", "--in", "f.json"], 1, []),
+    ("redundancy-no-field", ["redundancy", "--zeros", "z.txt", "--counts", "1", "--out", "o.csv"],
+     1, []),
+    ("absent-input", ["commutator", "--f", "f.json", "--g", "absent.json", "--out", "k.json"], 2,
+     []),
+    ("qinverse-second-output", ["qinverse", "--in", "m.json", "--out-real", "fr.json",
+                                "--out-imag", "gone/fi.json"], 2, ["fr.json"]),
+    ("norms-output", ["norms", "--in", "f.json", "--alphas", "0", "--out", "gone/n.csv"], 2, []),
+    ("evolve-after-trace", _EVOLVE_ARGV[:-4] + ["--out", "gone/e.json", "--trace", "t.csv"], 2,
+     ["t.csv"]),
+]
+
+
+@pytest.fixture
+def record_inputs(tmp_path, monkeypatch, rng):
+    """Every input file of RECORDS and FAILED_RUNS, in the run's directory."""
+    monkeypatch.chdir(tmp_path)
+    f = random_fourier_real(2, rng)
+    write_grid("f.json", f)
+    write_grid("g.json", random_fourier_real(2, rng))
+    write_grid("m.json", q_transform(f))
+    write_grid("h.json", random_hermitian(2, rng))
+    write_grid("l1.json", random_general(2, rng, scale=0.1))
+    write_grid("l2.json", random_general(2, rng, scale=0.1))
+    write_pgm("img.pgm", np.full((5, 5), 0.5))
+    with open("z.txt", "w") as fh:
+        fh.write("14.134725\n21.022040\n25.010858\n")
+    return tmp_path
+
+
+def _files(root) -> set:
+    return {os.path.relpath(os.path.join(d, name), root)
+            for d, _, names in os.walk(root) for name in names}
+
+
+def _sidecars(root) -> list:
+    return sorted(p for p in _files(root) if p.endswith(".manifest.json"))
+
+
+class TestRunRecord:
+    """run writes every sidecar, from the roles of the command's arguments."""
+
+    def test_every_command_has_a_row(self):
+        assert {argv[0] for _, argv, *_ in RECORDS} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv,inputs,params,outputs",
+                             [row[1:] for row in RECORDS], ids=[row[0] for row in RECORDS])
+    def test_run_record(self, record_inputs, capsys, argv, inputs, params, outputs):
+        assert run(argv) == 0, capsys.readouterr().err
+        assert _sidecars(record_inputs) == sorted(out + ".manifest.json" for out in outputs)
+        for out in outputs:
+            with open(out + ".manifest.json") as fh:
+                record = json.load(fh)
+            duration = record.pop("duration_s")
+            assert record == {"inputs": inputs, "params": dict(params, command=argv[0]),
+                              "tool_version": "0.1.0"}
+            assert duration >= 0.0
+
+    @pytest.mark.parametrize("argv,code,written", [row[1:] for row in FAILED_RUNS],
+                             ids=[row[0] for row in FAILED_RUNS])
+    def test_failed_run_leaves_no_sidecar(self, record_inputs, capsys, argv, code, written):
+        before = _files(record_inputs)
+        assert run(argv) == code
+        assert _files(record_inputs) - before == set(written)
 
 
 _FUZZ_GRID = symmetrize_fourier_real(
