@@ -13,7 +13,7 @@ when its old text is missing, so a stale mutant is reported, never
 skipped, and when any named test passes, is skipped or errors instead of
 failing.  test_named_tests_pass_unmutated first runs every named test on
 an unmutated copy, so that a failure under a mutant is the mutant's doing.
-The whole run took about 75 s on 2 vCPUs.
+The whole run took about 105 s on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ IO = "tests/test_io_cli.py::TestGridJson::"
 ZT = "tests/test_redundancy.py::TestZeroTable::"
 REFUSED = "tests/test_contract.py::test_bad_value_refused["
 RECORD = "tests/test_io_cli.py::TestRunRecord::test_run_record["
+FAILED = "tests/test_io_cli.py::TestRunRecord::test_failed_run_leaves_no_sidecar["
 
 MUTANTS = [
     # the per-zero route's cone blocks
@@ -185,13 +186,23 @@ MUTANTS = [
      ["tests/test_io_cli.py::TestCliRedundancy::test_field_is_mapped_once_per_call",
       "tests/test_redundancy.py::TestErrorAccounting::test_field_and_operator_errors_agree"]),
     # refusals of a parameter outside its domain
-    ("moebius takes a float", DIR, "    _require_integer(n=n)\n", "",
+    ("moebius takes a float", DIR, "_require_integer(1, n=n)", "_require_integer(1, n=int(n))",
      [REFUSED + "moebius-n-2.5]", REFUSED + "moebius-n-float64-6.0]"]),
-    ("float count reaches the block folds", RED, "        _require_integer(count=c)\n", "",
-     ["tests/test_redundancy.py::TestBlockAveraging::test_counts_outside_table_rejected"]),
-    ("growth bound of a non-finite t", DYN, "_require_finite(alpha=alpha, t=t)",
-     "_require_finite(alpha=alpha)",
+    ("float count reaches the block folds", RED, "        zeros.t_covering(c)\n",
+     "        zeros.t_covering(int(c))\n",
+     ["tests/test_redundancy.py::TestBlockAveraging::test_counts_outside_table_rejected",
+      REFUSED + "broadband_average_2d_counts-count-2.5]"]),
+    ("growth bound of a non-finite t", DYN, "_require_finite(0, alpha=alpha, t=t)",
+     "_require_finite(0, alpha=alpha)",
      [REFUSED + "growth_bound-t-nan]", REFUSED + "growth_bound-t-inf]"]),
+    ("lower bound dropped from _require_finite", ERR,
+     "        if least is not None and value < least:\n"
+     "            raise DomainError(\"%s must be >= ",
+     "        if False:\n            raise DomainError(\"%s must be >= ",
+     [REFUSED + "EvolveConfig-t_end--1.0]", REFUSED + "growth_bound-alpha--1.0]",
+      "tests/test_dynamics.py::TestGrowthBounds::test_negative_arguments_rejected"]),
+    ("string ordinates cast to float", RED, 'if arr.dtype.kind not in "iuf":',
+     'if arr.dtype.kind == "c":', [REFUSED + "ZeroTable-ordinates-valid-as-str]"]),
     # the one refusal contract: a band limit checked at its root, bools and
     # arrays refused by the two helpers, c_d's integer check folded into them
     ("band-limit check dropped from index_range", GRIDS,
@@ -212,8 +223,9 @@ MUTANTS = [
      "_require_integer(k=int(k), l=int(l))",
      [REFUSED + "single_entry-k-6.0]", REFUSED + "single_entry-l-valid-as-float]",
       REFUSED + "CoeffGrid.entry-k-valid-as-float]"]),
-    ("c_d's integer check deleted", RED, "    _require_integer(d=d)\n", "",
-     [REFUSED + "c_d-d-2.5]", REFUSED + "c_d-d-6.0]"]),
+    ("c_d's integer check deleted", RED, "    _require_integer(2, d=d)\n", "",
+     [REFUSED + "c_d-d-2.5]", REFUSED + "c_d-d-6.0]",
+      "tests/test_redundancy.py::TestCoefficientDecay::test_domain"]),
     # the run record, built and written by cli.run from the argument roles
     ("sidecar for the first output only", CLI,
      "        for out in outputs:  # only a run that succeeds is recorded\n",
@@ -222,6 +234,12 @@ MUTANTS = [
      '_arg("", "--dt", type=_float)', [RECORD + "evolve]", RECORD + "evolve-lindblad]"]),
     ("absent optional input recorded", CLI, 'if value and "in" in roles:',
      'if "in" in roles:', [RECORD + "qtransform]", RECORD + "evolve]"]),
+    ("trace renamed before the grid is written", CLI,
+     "        # the grid goes into place before the trace: a grid that fails leaves neither\n"
+     "        write_grid(", "    if True:\n        write_grid(", [FAILED + "evolve-after-trace]"]),
+    ("temp file named for a missing directory", GRIDIO,
+     "        raise type(exc)(exc.errno, exc.strerror, path) from None", "        raise",
+     [FAILED + "norms-output]", FAILED + "evolve-after-trace]"]),
     # hygiene and parsing
     ("unused constant re-added", RED,
      "BLOCK = 256  # ordinates per block sum of a phase average\n",

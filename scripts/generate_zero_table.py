@@ -46,17 +46,13 @@ def rewrite_count(path, count):
     os.replace(tmp, path)
 
 
-def existing_count(path):
-    # lines already present, ignoring comments and blanks
+def data_lines(path):
+    """The table's data lines, stripped, blanks and '#' comments skipped; none
+    for a table not yet written."""
     if not os.path.exists(path):
-        return 0
-    n = 0
+        return []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                n += 1
-    return n
+        return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
 
 
 def main():
@@ -70,7 +66,7 @@ def main():
     args = ap.parse_args()
 
     mp.mp.dps = args.dps
-    start = existing_count(args.out) + 1
+    start = len(data_lines(args.out)) + 1
     if start > 1:
         dps = recorded_dps(args.out)
         if dps is not None and dps != args.dps:
@@ -101,9 +97,7 @@ def main():
 
     if args.validate:
         bad = 0
-        with open(args.out) as fh:
-            taus = [line.strip() for line in fh
-                    if line.strip() and not line.lstrip().startswith("#")]
+        taus = data_lines(args.out)  # strings: mpmath gets every digit
         for tau in taus[:args.validate]:
             r = abs(mp.zeta(mp.mpc("0.5", tau)))
             if r >= 1e-6:

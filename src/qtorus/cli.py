@@ -149,9 +149,8 @@ def cmd_evolve(args):
             pure, full = growth_factors(diss_c, t)
             fh.write(("%s,%s,%s,%s\n" % (
                 _fmt(t), _fmt(alpha_norm), _fmt(norm0 * pure), _fmt(norm0 * full))).encode())
-
-    evolved_field, _ = q_inverse(CoeffGrid(a0.n, last, a0.tag))
-    write_grid(args.out, evolved_field)
+        # the grid goes into place before the trace: a grid that fails leaves neither
+        write_grid(args.out, q_inverse(CoeffGrid(a0.n, last, a0.tag))[0])
 
 
 def cmd_redundancy(args):

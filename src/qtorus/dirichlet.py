@@ -33,9 +33,7 @@ from .spectral import s_map
 
 
 def moebius(n: int) -> int:
-    _require_integer(n=n)
-    if n < 1:
-        raise DomainError("moebius is defined for n >= 1, got %d" % n)
+    _require_integer(1, n=n)
     result = 1
     p = 2
     while p * p <= n:

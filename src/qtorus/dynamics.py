@@ -179,9 +179,8 @@ class EvolveConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        _require_finite(t_end=self.t_end, dt=self.dt, alpha=self.alpha)
-        if self.t_end < 0:
-            raise DomainError("t_end must be non-negative")
+        _require_finite(0, t_end=self.t_end)
+        _require_finite(dt=self.dt, alpha=self.alpha)
         if self.dt is not None and self.dt <= 0:
             raise DomainError("dt must be positive")
         _require_integer(1, record_every=self.record_every)
@@ -217,9 +216,7 @@ def drift_oracle(f0: CoeffGrid, a: float, t: float) -> CoeffGrid:
 
 
 def diagonal_lindblad_closed(a0: CoeffGrid, lam: Sequence[complex], t: float) -> CoeffGrid:
-    _require_finite(t=t)
-    if t < 0:
-        raise DomainError("diagonal Lindblad closed form needs t >= 0")
+    _require_finite(0, t=t)
     lset = LindbladSet(lam=np.asarray(lam))
     if lset.n != a0.n:
         raise DimensionError("lambda length %d does not match grid n=%d"
@@ -417,10 +414,6 @@ def dissipative_constant(alpha: float, lset: LindbladSet) -> float:
 
 
 def growth_bound(alpha: float, lset: LindbladSet, t: float) -> GrowthBound:
-    _require_finite(alpha=alpha, t=t)
-    if alpha < 0:
-        raise DomainError("growth bound needs alpha >= 0")
-    if t < 0:
-        raise DomainError("growth bound needs t >= 0")
+    _require_finite(0, alpha=alpha, t=t)
     c = dissipative_constant(alpha, lset)
     return GrowthBound(c, *growth_factors(c, t))

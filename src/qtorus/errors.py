@@ -2,7 +2,8 @@
 
 Everything raised on bad data derives from DataError, exit code 2 in the
 CLI.  Only _require_integer, _require_finite (a real: a complex type is
-refused, 3+0j included) and _require_finite_complex refuse an argument by kind.
+refused, 3+0j included) and _require_finite_complex refuse an argument by kind,
+and a plain lower bound is always the first argument of one of the first two.
 """
 
 import numbers
@@ -38,14 +39,17 @@ class DomainError(DataError):
     """Parameter outside the valid domain (e.g. Re s <= 1, a_1 = 0)."""
 
 
-def _require_finite(**values):
+def _require_finite(least=None, /, **values):
     """Refuse what _require_finite_complex refuses, and any complex type, 3+0j
-    and an array of complex dtype included: the argument is a real."""
+    and an array of complex dtype included: the argument is a real.  A scalar
+    below least, when given, is refused too."""
     for name, value in values.items():
         if np.iscomplexobj(value):
             raise DomainError("entries of %s must be real" % name if np.ndim(value)
                               else "%s must be real, got %r" % (name, value))
-    _require_finite_complex(**values)
+        _require_finite_complex(**{name: value})
+        if least is not None and value < least:
+            raise DomainError("%s must be >= %s, got %r" % (name, least, value))
 
 
 def _require_finite_complex(**values):

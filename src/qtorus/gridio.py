@@ -231,9 +231,13 @@ def read_grid(path) -> CoeffGrid:
 @contextmanager
 def atomic_writer(path):
     """Binary handle on a temp file beside `path`, renamed into place when the
-    block ends and deleted if it raises, so `path` is either untouched or whole."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qtorus-", suffix=".tmp")
+    block ends and deleted if it raises, so `path` is either untouched or whole.
+    A temp file that cannot be made is refused with the error of `path`."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".qtorus-", suffix=".tmp")
+    except OSError as exc:  # say, a missing directory: name the user's path, not the temp's
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

@@ -67,7 +67,7 @@ import orjson
 
 from .dirichlet import (_moebius_rows, _moebius_terms, _require_sigma, _window_image,
                         _window_terms)
-from .errors import (DimensionError, DomainError, EmptyRangeError, FormatError, _require_finite,
+from .errors import (DimensionError, EmptyRangeError, FormatError, _require_finite,
                      _require_integer)
 from .grids import CoeffGrid
 from .gridio import _json_floats
@@ -90,10 +90,12 @@ class ZeroTable:
         arr = np.array(self.ordinates)
         if arr.ndim != 1 or arr.size == 0:
             raise FormatError("zero table needs at least one ordinate")
-        if np.iscomplexobj(arr):  # a complex dtype is refused whole, 3+0j included
-            i = int(np.argmax(arr.imag != 0))
-            raise FormatError("ordinate %d is %r; ordinates must be real"
-                              % (i + 1, complex(arr[i])))
+        # refused whole: a complex dtype, 3+0j included, or one of str, bytes, bool or object
+        if arr.dtype.kind not in "iuf":
+            c = arr.dtype.kind == "c"
+            i = int(np.argmax(arr.imag != 0)) if c else 0
+            raise FormatError("ordinate %d is %r; ordinates must be %s"
+                              % (i + 1, arr.tolist()[i], "real" if c else "numbers"))
         arr = arr.astype(np.float64, copy=False)
         ok = np.isfinite(arr) & (arr > 0)
         ok[1:] &= arr[1:] > arr[:-1]
@@ -290,9 +292,7 @@ def phase_average(taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def c_d(d: int, sigma: float, zeros: ZeroTable, t: float) -> float:
     """Modulus of the zero-averaged coefficient at d: |avg d^-(sigma+i tau)|."""
-    _require_integer(d=d)
-    if d < 2:
-        raise DomainError("c_d needs an integer d >= 2, got %r" % (d,))
+    _require_integer(2, d=d)
     _require_sigma(sigma)
     taus = zeros.upto(t)
     m = phase_average(taus, np.array([math.log(d)]))
@@ -419,10 +419,7 @@ def broadband_average_2d_counts(fhat: CoeffGrid, sigma: float, zeros: ZeroTable,
     """
     _require_sigma(sigma)
     for c in counts:
-        _require_integer(count=c)
-        if not 1 <= c <= zeros.count:
-            raise EmptyRangeError(
-                "table holds %d ordinates, cannot average over %d" % (zeros.count, c))
+        zeros.t_covering(c)
     bounds, src, mu, d, g, rows = _direct_plan(fhat.n)
     coef = mu * d.astype(np.float64) ** (-float(sigma))
     grams = _gram_means(rows, zeros.ordinates, counts)

@@ -10,6 +10,7 @@ the CLI turns into exit code 2:
     count          an integer >= a least   errors._require_integer, then the range rule
     index          any integer             errors._require_integer
     real           a finite real           errors._require_finite
+    non-negative   a finite real >= 0      errors._require_finite, with least 0
     complex        a finite complex        errors._require_finite_complex
     real array     finite real entries     errors._require_finite
     complex array  finite entries          errors._require_finite_complex
@@ -18,13 +19,14 @@ The integer roles take 2.5, 6.0, np.float64(6.0) and their valid value as
 a float no more than NaN, a bool, a string or an integer past 64 bits; a
 band limit and a count refuse -1 as well.  The real roles take a complex
 type (1j, 3+0j, np.complex128(3), an array of complex dtype) no more than
-NaN.  Each refusal is the helper's own: a DomainError whose text starts
-with the argument's name, so a later shape or window check that happens to
-refuse the value does not count.
--1 alone may meet a range rule, in its own class and words, and a row
-whose check names the bad entry says so in its refusal.  A numpy integer
-gives the same bytes as the Python integer.  Every public callable of
-qtorus is a row or is in EXEMPT, with the reason.
+NaN, a real array takes its valid entries spelt as strings no more, and a
+non-negative real refuses -1.0 as well.  Each refusal is the helper's own:
+a DomainError whose text starts with the argument's name, so a later shape
+or window check that happens to refuse the value does not count; -1.0 must
+get the helper's lower-bound text.  -1 alone may meet a range rule, in its
+own class and words, and a row whose check names the bad entry says so in
+its refusal.  A numpy integer gives the same bytes as the Python integer.
+Every public callable of qtorus is a row or is in EXEMPT, with the reason.
 
 A new refusal comes with a row here, not with a hand-written test.
 """
@@ -82,25 +84,28 @@ from qtorus import (
 from qtorus.dirichlet import moebius_inverse_rows
 from qtorus.grids import kl_mesh
 
-BAND, COUNT, INDEX, REAL, COMPLEX, REAL_ARRAY, COMPLEX_ARRAY = (
-    "band limit", "count", "index", "real", "complex", "real array", "complex array")
+BAND, COUNT, INDEX, REAL, NON_NEGATIVE, COMPLEX, REAL_ARRAY, COMPLEX_ARRAY = (
+    "band limit", "count", "index", "real", "non-negative real", "complex", "real array",
+    "complex array")
 
 _NOT_INTEGERS = [("nan", float("nan")), ("inf", float("inf")), ("-inf", -float("inf")),
                  ("2.5", 2.5), ("6.0", 6.0), ("float64-6.0", np.float64(6.0)),
                  ("True", True), ("str", "3"), ("10**400", 10**400)]
 _NOT_FINITE = [("nan", float("nan")), ("inf", float("inf")), ("-inf", -float("inf")),
                ("True", True), ("str", "3"), ("10**400", 10**400)]
+_NOT_REAL = _NOT_FINITE + [("1j", 1j), ("3+0j", 3 + 0j), ("complex128-3", np.complex128(3))]
 _NOT_FINITE_ENTRIES = [("nan-entry", float("nan")), ("inf-entry", float("inf")),
                        ("-inf-entry", -float("inf"))]
 BAD = {
     BAND: _NOT_INTEGERS + [("-1", -1)],
     COUNT: _NOT_INTEGERS + [("-1", -1)],
     INDEX: _NOT_INTEGERS,
-    REAL: _NOT_FINITE + [("1j", 1j), ("3+0j", 3 + 0j), ("complex128-3", np.complex128(3))],
+    REAL: _NOT_REAL,
+    NON_NEGATIVE: _NOT_REAL + [("-1.0", -1.0)],
     COMPLEX: _NOT_FINITE + [("2+nanj", complex(2.0, float("nan"))),
                             ("nan+0j", complex(float("nan"), 0.0)),
                             ("2+infj", complex(2.0, float("inf")))],
-    REAL_ARRAY: _NOT_FINITE_ENTRIES + [("1j-entry", 1j), ("0j-entry", 0j)],
+    REAL_ARRAY: _NOT_FINITE_ENTRIES + [("1j-entry", 1j), ("0j-entry", 0j), ("valid-as-str", str)],
     COMPLEX_ARRAY: _NOT_FINITE_ENTRIES + [("-infj-entry", complex(0.0, -float("inf")))],
 }
 INTEGER_ROLES = (BAND, COUNT, INDEX)
@@ -185,8 +190,8 @@ ROWS = [
     Row("linear_lambda", linear_lambda, c=(COMPLEX, 0.5 + 0.25j), n=(BAND, 2)),
     Row("default_dt", lambda n: default_dt(HarmonicSpec(1.0), n), n=(BAND, 3)),
     Row("LindbladSet", lambda lam: LindbladSet(lam=lam).phi_matrix(), lam=(COMPLEX_ARRAY, LAM)),
-    Row("EvolveConfig", EvolveConfig, t_end=(REAL, 0.05), dt=(REAL, 0.01), alpha=(REAL, 1.0),
-        record_every=(COUNT, 2)),
+    Row("EvolveConfig", EvolveConfig, t_end=(NON_NEGATIVE, 0.05), dt=(REAL, 0.01),
+        alpha=(REAL, 1.0), record_every=(COUNT, 2)),
     Row("evolve_steps.record_every", _evolve_records, record_every=(COUNT, 2)),
     Row("heisenberg_closed",
         lambda a0, t: heisenberg_closed(CoeffGrid(2, a0), HarmonicSpec(1.0, floor=0), t),
@@ -194,7 +199,7 @@ ROWS = [
     Row("drift_oracle", lambda a, t: drift_oracle(F2, a, t), a=(REAL, 1.0), t=(REAL, 0.1)),
     Row("diagonal_lindblad_closed",
         lambda lam, t: diagonal_lindblad_closed(CoeffGrid(2, A0), lam, t),
-        lam=(COMPLEX_ARRAY, LAM), t=(REAL, 0.1)),
+        lam=(COMPLEX_ARRAY, LAM), t=(NON_NEGATIVE, 0.1)),
     # t_end = 0 takes no step: only the entry check sees the initial grid
     Row("evolve_rk4", lambda a0: evolve_rk4(CoeffGrid(2, a0), HarmonicSpec(1.0), None,
                                             EvolveConfig(0.0)), a0=(COMPLEX_ARRAY, A0)),
@@ -204,7 +209,7 @@ ROWS = [
     Row("dissipative_constant", lambda alpha: dissipative_constant(alpha, LindbladSet(lam=LAM)),
         alpha=(REAL, 1.0)),
     Row("growth_bound", lambda alpha, t: growth_bound(alpha, LindbladSet(lam=LAM), t),
-        alpha=(REAL, 1.0), t=(REAL, 0.5)),
+        alpha=(NON_NEGATIVE, 1.0), t=(NON_NEGATIVE, 0.5)),
     # sobolev
     Row("SobolevWeight", SobolevWeight, alpha=(REAL, 1.0)),
     Row("SobolevWeight.weights", lambda n: SobolevWeight(1.0).weights(n), n=(BAND, 3)),
@@ -272,6 +277,8 @@ EXEMPT = {
 def _bad_value(role, valid, value):
     if role not in (REAL_ARRAY, COMPLEX_ARRAY):
         return value
+    if value is str:  # the valid entries spelt as strings, so that only a type check refuses
+        return np.asarray(valid).astype(str)
     arr = np.array(valid, dtype=np.result_type(valid, value))
     arr.flat[-1] = value
     return arr
@@ -281,6 +288,8 @@ def _refusal(row, arg, label):
     """The (class, text) a bad value must be refused with."""
     if label == "-1":
         return DataError, None  # a range rule, in its own class and words
+    if label == "-1.0":
+        return DomainError, r"^%s must be >= 0, got -1\.0$" % re.escape(arg)
     return row.refusal or (DomainError, r"^(entries of )?%s must (be an integer|fit in 64 "
                                         r"bits|be finite|be real)" % re.escape(arg))
 

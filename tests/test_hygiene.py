@@ -2,7 +2,8 @@
 and every private module-level name, every method of a private class and every
 module-level UPPER_CASE constant in the package is used somewhere in it.
 Integer type tests live in errors alone, and the run record is built and
-written in cli.run alone.
+written in cli.run alone.  Every row of the mutation table finds its old
+text, so a stale mutant shows here, not only in the slow mutation run.
 
 The checks are stdlib `ast` scans, since no linter is part of the toolchain.
 The package `__init__.py` is left out of the import check: its imports are the
@@ -10,6 +11,7 @@ public re-exports.
 """
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -171,3 +173,22 @@ def test_scan_flags_a_run_record_outside_run():
     assert run_records_outside_run(src, "gridio.py") == [
         (5, "RunManifest"), (6, "m.write_for"), (9, "RunManifest"), (10, "manifest.write_for"),
         (14, "gridio.RunManifest")]
+
+
+def stale_mutants(rows, root: pathlib.Path):
+    """Name of each (name, file, old text, ...) row whose old text is not in its file."""
+    return [row[0] for row in rows if row[2] not in (root / row[1]).read_text(encoding="utf-8")]
+
+
+def test_every_mutant_finds_its_old_text():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "mutation/test_mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)  # builds the table; no mutant runs
+    assert len(mutants.MUTANTS) > 50
+    assert stale_mutants(mutants.MUTANTS, ROOT) == []
+
+
+def test_scan_flags_a_stale_mutant(tmp_path):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    rows = [("kept", "a.py", "x = 1", "x = 2", ["t"]), ("stale", "a.py", "y = 1", "", ["t"])]
+    assert stale_mutants(rows, tmp_path) == ["stale"]

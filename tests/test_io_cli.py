@@ -1463,19 +1463,24 @@ RECORDS = [
      ["f.json", "g.json"], {}, ["k.json"]),
 ]
 
-# runs that fail: (id, argv, exit code, the outputs written before the failure);
-# none leaves a sidecar
+# runs that fail: (id, argv, exit code, the outputs written before the failure,
+# the last line of stderr); none leaves a sidecar, and a missing directory is
+# named by the path the user gave, not by a temp file beside it
+_MISSING = "error: [Errno 2] No such file or directory: %r"
 FAILED_RUNS = [
-    ("usage", ["smap", "--in", "f.json"], 1, []),
+    ("usage", ["smap", "--in", "f.json"], 1, [],
+     "qtorus smap: error: the following arguments are required: --out"),
     ("redundancy-no-field", ["redundancy", "--zeros", "z.txt", "--counts", "1", "--out", "o.csv"],
-     1, []),
+     1, [], "redundancy: --field is required"),
     ("absent-input", ["commutator", "--f", "f.json", "--g", "absent.json", "--out", "k.json"], 2,
-     []),
+     [], _MISSING % "absent.json"),
     ("qinverse-second-output", ["qinverse", "--in", "m.json", "--out-real", "fr.json",
-                                "--out-imag", "gone/fi.json"], 2, ["fr.json"]),
-    ("norms-output", ["norms", "--in", "f.json", "--alphas", "0", "--out", "gone/n.csv"], 2, []),
+                                "--out-imag", "gone/fi.json"], 2, ["fr.json"],
+     _MISSING % "gone/fi.json"),
+    ("norms-output", ["norms", "--in", "f.json", "--alphas", "0", "--out", "gone/n.csv"], 2, [],
+     _MISSING % "gone/n.csv"),
     ("evolve-after-trace", _EVOLVE_ARGV[:-4] + ["--out", "gone/e.json", "--trace", "t.csv"], 2,
-     ["t.csv"]),
+     [], _MISSING % "gone/e.json"),
 ]
 
 
@@ -1524,12 +1529,13 @@ class TestRunRecord:
                               "tool_version": "0.1.0"}
             assert duration >= 0.0
 
-    @pytest.mark.parametrize("argv,code,written", [row[1:] for row in FAILED_RUNS],
+    @pytest.mark.parametrize("argv,code,written,err", [row[1:] for row in FAILED_RUNS],
                              ids=[row[0] for row in FAILED_RUNS])
-    def test_failed_run_leaves_no_sidecar(self, record_inputs, capsys, argv, code, written):
+    def test_failed_run_leaves_no_sidecar(self, record_inputs, capsys, argv, code, written, err):
         before = _files(record_inputs)
         assert run(argv) == code
         assert _files(record_inputs) - before == set(written)
+        assert capsys.readouterr().err.splitlines()[-1] == err
 
 
 _FUZZ_GRID = symmetrize_fourier_real(

@@ -486,7 +486,7 @@ class TestCoefficientDecay:
 
     def test_domain(self, zeros100):
         for d in (1, np.int64(0)):
-            with pytest.raises(DomainError, match="integer d >= 2"):
+            with pytest.raises(DomainError, match="^d must be an integer >= 2, got "):
                 c_d(d, 3.0, zeros100, 100.0)
 
 
