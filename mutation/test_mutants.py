@@ -238,8 +238,21 @@ MUTANTS = [
      "        # the grid goes into place before the trace: a grid that fails leaves neither\n"
      "        write_grid(", "    if True:\n        write_grid(", [FAILED + "evolve-after-trace]"]),
     ("temp file named for a missing directory", GRIDIO,
-     "        raise type(exc)(exc.errno, exc.strerror, path) from None", "        raise",
-     [FAILED + "norms-output]", FAILED + "evolve-after-trace]"]),
+     "the temp's\n        raise type(exc)(exc.errno, exc.strerror, path) from None",
+     "the temp's\n        raise", [FAILED + "norms-output]", FAILED + "evolve-after-trace]"]),
+    ("temp file named for an output that is a directory", GRIDIO,
+     "and exc.filename == tmp:", "and False:", [FAILED + "output-is-a-directory]"]),
+    # the band-limit rule, in grids alone: N read off a window, band limits compared
+    ("window parity flipped", GRIDS, "shape[0] % 2 != 1", "shape[0] % 2 != 0",
+     [REFUSED + "apply_D-x-even-length]", REFUSED + "LindbladSet.n-lam-even-length]",
+      REFUSED + "broadband_average_1d-fhat-even-length]",
+      "tests/test_contract.py::test_valid_call_succeeds[analyze]"]),
+    ("0-d x taken as a window of one", DIR, '_window_band_limit("x", x.shape[:1])',
+     '_window_band_limit("x", x.shape[:1] or (1,))',
+     [REFUSED + "apply_D-x-0-d]", REFUSED + "apply_D_inv-x-0-d]"]),
+    ("only the first two band limits compared", GRIDS, "any(n != ns[0] for n in ns)",
+     "any(n != ns[0] for n in ns[:2])",
+     [GEN + "test_bad_sizes_rejected[lambda-third-band-limit]"]),
     # hygiene and parsing
     ("unused constant re-added", RED,
      "BLOCK = 256  # ordinates per block sum of a phase average\n",

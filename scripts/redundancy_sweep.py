@@ -3,7 +3,10 @@
 For each sigma, averages the re-encoded field over the first `count`
 zero ordinates for every count in one pass over the table, and reports
 the l2 recovery error. Output is CSV on stdout (or --out), one row per
-(sigma, count) cell of the sweep.
+(sigma, count) cell of the sweep.  The lists are read as `qtorus
+redundancy` reads --counts.  A bad list, a count the table cannot cover, a
+sigma outside (1, inf) and a file that cannot be read or written are each
+refused with one line and exit code 2; --out is written atomically.
 
 Example:
     python scripts/redundancy_sweep.py --zeros data/zeta_zeros_10k.txt \
@@ -18,11 +21,14 @@ import numpy as np
 from qtorus import (
     FOURIER_REAL,
     CoeffGrid,
+    DataError,
     averaging_errors,
     broadband_average_2d_counts,
     load_zero_table,
     read_grid,
 )
+from qtorus.cli import _comma_list, _count_list, _float, _int
+from qtorus.gridio import atomic_write_bytes
 
 
 def named_field(name: str, n: int, seed: int) -> CoeffGrid:
@@ -42,30 +48,17 @@ def named_field(name: str, n: int, seed: int) -> CoeffGrid:
     return CoeffGrid(n, raw, FOURIER_REAL)
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--zeros", required=True)
-    ap.add_argument("--field", default="cosxy",
-                    help="cosx | cosxy | random4 | path to a grid JSON")
-    ap.add_argument("--n", type=int, default=16, help="band limit for named fields")
-    ap.add_argument("--sigmas", default="2,3,5")
-    ap.add_argument("--counts", default="10,100,1000,10000")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", help="CSV path (default stdout)")
-    args = ap.parse_args()
+_sigma_list = _comma_list(_float, "sigma", "sigma list is empty")
 
+
+def sweep(args) -> list:
+    """The CSV lines of the sweep, header first."""
+    sigmas, counts = _sigma_list(args.sigmas), _count_list(args.counts)
     table = load_zero_table(args.zeros)
     if args.field in ("cosx", "cosxy", "random4"):
         field = named_field(args.field, args.n, args.seed)
     else:
         field = read_grid(args.field)
-
-    sigmas = [float(s) for s in args.sigmas.split(",")]
-    counts = [int(c) for c in args.counts.split(",")]
-    bad = [c for c in counts if c > table.count]
-    if bad:
-        raise SystemExit("table has %d zeros, cannot cover %r" % (table.count, bad))
-
     rows = ["field,sigma,zero_count,T,l2_error,hs_error"]
     for sigma in sigmas:
         zbars = broadband_average_2d_counts(field, sigma, table, counts)
@@ -74,11 +67,29 @@ def main():
             l2, hs = averaging_errors(zbar, field)
             rows.append("%s,%g,%d,%.6f,%.6e,%.6e"
                         % (args.field, sigma, count, t, l2, hs))
+    return rows
 
-    text = "\n".join(rows) + "\n"
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--zeros", required=True)
+    ap.add_argument("--field", default="cosxy",
+                    help="cosx | cosxy | random4 | path to a grid JSON")
+    ap.add_argument("--n", type=_int, default=16, help="band limit for named fields")
+    ap.add_argument("--sigmas", default="2,3,5")
+    ap.add_argument("--counts", default="10,100,1000,10000")
+    ap.add_argument("--seed", type=_int, default=0)
+    ap.add_argument("--out", help="CSV path (default stdout)")
+    args = ap.parse_args()
+    try:
+        rows = sweep(args)
+        text = "\n".join(rows) + "\n"
+        if args.out:
+            atomic_write_bytes(args.out, text.encode())
+    except (argparse.ArgumentTypeError, DataError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        sys.exit(2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         print("wrote %s (%d rows)" % (args.out, len(rows) - 1), file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -17,7 +17,7 @@ from .spectral import q_inverse, q_transform, s_inv, s_map
 
 
 def op_commutator(a: CoeffGrid, b: CoeffGrid) -> CoeffGrid:
-    require_same_size(a, b)
+    require_same_size(a.n, b.n)
     return CoeffGrid(a.n, a.data @ b.data - b.data @ a.data, GENERAL)
 
 

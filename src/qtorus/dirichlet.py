@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import FOURIER_REAL, GENERAL, CoeffGrid, _require_band_limit, require_fourier_real
+from .grids import (FOURIER_REAL, GENERAL, CoeffGrid, _require_band_limit, _window_band_limit,
+                    require_fourier_real)
 from .errors import (DimensionError, DomainError, _require_finite, _require_finite_complex,
                      _require_integer)
 from .spectral import s_map
@@ -208,10 +209,7 @@ def _apply_coeffs(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     coefficients, index 0 passes through.
     """
     x = np.asarray(x, dtype=np.complex128)
-    m = x.shape[0]
-    if m % 2 != 1:
-        raise DimensionError("vector length must be odd (2N+1), got %d" % m)
-    return d_matrix(coeffs, (m - 1) // 2) @ x
+    return d_matrix(coeffs, _window_band_limit("x", x.shape[:1])) @ x
 
 
 def apply_D(seq: ArithmeticSeq, x: np.ndarray) -> np.ndarray:

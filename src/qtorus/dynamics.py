@@ -64,17 +64,10 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DimensionError, DomainError, IntegrationError, _require_finite,
-                     _require_finite_complex, _require_integer)
-from .grids import (
-    FOURIER_REAL,
-    GENERAL,
-    CoeffGrid,
-    index_range,
-    kl_mesh,
-    require_fourier_real,
-    require_hermitian,
-)
+from .errors import (DomainError, IntegrationError, _require_finite, _require_finite_complex,
+                     _require_integer)
+from .grids import (FOURIER_REAL, GENERAL, CoeffGrid, _window_band_limit, index_range, kl_mesh,
+                    require_fourier_real, require_hermitian, require_same_size)
 from .sobolev import SobolevWeight, _weighted_norm, norm
 
 SUPPORT_RTOL = 1e-12
@@ -137,19 +130,16 @@ class LindbladSet:
         if self.lam is not None:
             self.lam = np.asarray(self.lam, dtype=np.complex128)
             _require_finite_complex(lam=self.lam)
-            if self.lam.ndim != 1 or self.lam.size % 2 != 1:
-                raise DimensionError("lambda must be a 1D sequence of odd length 2N+1")
-        self.n  # refuses mixed band limits
+        self.n  # refuses a lambda that is no window, and mixed band limits
 
     @property
     def n(self) -> Optional[int]:
         """The band limit shared by C, the L_j and lambda; None for an empty set."""
-        sizes = {g.n for g in [self.c, *self.ls] if g is not None}
+        sizes = [g.n for g in [self.c, *self.ls] if g is not None]
         if self.lam is not None:
-            sizes.add((self.lam.size - 1) // 2)
-        if len(sizes) > 1:
-            raise DimensionError("inconsistent band limits in LindbladSet: %r" % sizes)
-        return sizes.pop() if sizes else None
+            sizes.append(_window_band_limit("lam", self.lam.shape))
+        require_same_size(*sizes)
+        return sizes[0] if sizes else None
 
     def is_empty(self) -> bool:
         return self.c is None and not self.ls and self.lam is None
@@ -218,9 +208,7 @@ def drift_oracle(f0: CoeffGrid, a: float, t: float) -> CoeffGrid:
 def diagonal_lindblad_closed(a0: CoeffGrid, lam: Sequence[complex], t: float) -> CoeffGrid:
     _require_finite(0, t=t)
     lset = LindbladSet(lam=np.asarray(lam))
-    if lset.n != a0.n:
-        raise DimensionError("lambda length %d does not match grid n=%d"
-                             % (2 * lset.n + 1, a0.n))
+    require_same_size(lset.n, a0.n)
     factor = np.exp(lset.phi_matrix() * t)
     return CoeffGrid(a0.n, a0.data * factor, a0.tag)
 
@@ -239,8 +227,7 @@ class _Generator:
 
     def __init__(self, h: HarmonicSpec, lset: Optional[LindbladSet], n: int, picture: str):
         lset = lset or LindbladSet()
-        if lset.n is not None and lset.n != n:
-            raise DimensionError("operator set band limit %d vs grid %d" % (lset.n, n))
+        require_same_size(lset.n, n)  # an empty set has none
         if picture not in _PICTURES:
             raise DomainError("unknown picture %r; expected 'heisenberg' or 'schrodinger'"
                               % (picture,))

@@ -232,7 +232,7 @@ def read_grid(path) -> CoeffGrid:
 def atomic_writer(path):
     """Binary handle on a temp file beside `path`, renamed into place when the
     block ends and deleted if it raises, so `path` is either untouched or whole.
-    A temp file that cannot be made is refused with the error of `path`."""
+    A temp file that cannot be made or renamed is refused with the error of `path`."""
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".qtorus-", suffix=".tmp")
@@ -242,9 +242,11 @@ def atomic_writer(path):
         with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # say, path is a directory
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

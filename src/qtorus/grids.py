@@ -11,7 +11,11 @@ boundary instead of trusting the tag.  A band limit is checked where a
 window is built (CoeffGrid, index_range, single_entry, dirichlet.d_matrix,
 gridio.ingest_pgm) and an index by CoeffGrid.entry and single_entry; a
 negative band limit or an index outside the window is refused, never
-wrapped or truncated.
+wrapped or truncated.  N is read off a window of length 2N+1 by
+_window_band_limit alone (analyze, apply_D, apply_D_inv,
+broadband_average_1d, LindbladSet.n), and band limits are compared by
+require_same_size alone (q_transform, the commutators and Sobolev pairings,
+LindbladSet.n, the Lindblad generator, diagonal_lindblad_closed).
 
 A grid's data is read-only.  A CoeffGrid copies the array it is given
 unless nothing else can write to it: an array that np.asarray made from
@@ -111,9 +115,18 @@ def single_entry(n: int, k: int, l: int, value: complex, tag: str = GENERAL) -> 
     return CoeffGrid(n, data, tag)
 
 
-def require_same_size(a: CoeffGrid, b: CoeffGrid):
-    if a.n != b.n:
-        raise DimensionError("band limits differ: %d vs %d" % (a.n, b.n))
+def _window_band_limit(name: str, shape: tuple) -> int:
+    """N of a window of shape (2N+1,); any other shape is refused."""
+    if len(shape) != 1 or shape[0] % 2 != 1:
+        raise DimensionError("%s must have shape (2N+1,), got %r" % (name, shape))
+    return shape[0] // 2
+
+
+def require_same_size(*ns):
+    """Refuse band limits that differ; a None (an empty operator set) is left out."""
+    ns = [n for n in ns if n is not None]
+    if any(n != ns[0] for n in ns):
+        raise DimensionError("band limits differ: %s" % " vs ".join(map(str, ns)))
 
 
 def fourier_real_deviation(grid: CoeffGrid) -> float:

@@ -67,9 +67,8 @@ import orjson
 
 from .dirichlet import (_moebius_rows, _moebius_terms, _require_sigma, _window_image,
                         _window_terms)
-from .errors import (DimensionError, EmptyRangeError, FormatError, _require_finite,
-                     _require_integer)
-from .grids import CoeffGrid
+from .errors import EmptyRangeError, FormatError, _require_finite, _require_integer
+from .grids import CoeffGrid, _window_band_limit
 from .gridio import _json_floats
 from .spectral import s_map
 from .summation import KahanAccumulator
@@ -309,10 +308,8 @@ def broadband_average_1d(fhat: np.ndarray, sigma: float, zeros: ZeroTable,
     """
     _require_sigma(sigma)
     fhat = np.asarray(fhat, dtype=np.complex128)
-    if fhat.ndim != 1 or fhat.size % 2 != 1:
-        raise DimensionError("coefficient vector must have odd length 2N+1")
+    n = _window_band_limit("fhat", fhat.shape)
     taus = zeros.upto(t)
-    n = (fhat.size - 1) // 2
     bounds, src, mu, d = _direct_plan(n)[:4]
     logs = np.log(d)
     logs[:bounds[n]] *= -1  # the k < 0 terms come first; M(0) = 1 at d = 1

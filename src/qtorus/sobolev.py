@@ -52,7 +52,7 @@ class SobolevWeight:
 
 
 def inner(a: CoeffGrid, b: CoeffGrid, w: SobolevWeight) -> complex:
-    require_same_size(a, b)
+    require_same_size(a.n, b.n)
     wgt = w.weights(a.n)
     return complex(np.sum(wgt * a.data * np.conj(b.data)))
 
@@ -81,7 +81,7 @@ def _weighted_norm(data: np.ndarray, wgt: np.ndarray) -> float:
 
 def commutator_pairing(h: CoeffGrid, a: CoeffGrid, w: SobolevWeight) -> complex:
     """<[H,A]|A>_alpha for Hermitian H, A; purely imaginary up to round-off."""
-    require_same_size(h, a)
+    require_same_size(h.n, a.n)
     require_hermitian(h)
     require_hermitian(a)
     return inner(op_commutator(h, a), a, w)

@@ -28,11 +28,11 @@ from .grids import (
     HERMITIAN,
     CoeffGrid,
     SampleGrid,
+    _window_band_limit,
     require_fourier_real,
     require_hermitian,
     require_same_size,
 )
-from .errors import DimensionError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -83,10 +83,8 @@ def analyze(samples: SampleGrid) -> CoeffGrid:
     z[k,l] = (1/M^2) sum_{i,j} f(i/M, j/M) exp(-2 pi i (k i + l j) / M),
     M = 2N+1.  Exact for trigonometric polynomials of degree <= N.
     """
+    n = _window_band_limit("samples", (samples.m,))
     m = samples.m
-    if m % 2 != 1:
-        raise DimensionError("sample count per axis must be odd (2N+1), got %d" % m)
-    n = (m - 1) // 2
     z = np.fft.fftshift(np.fft.fft2(samples.values)) / (m * m)
     return CoeffGrid(n, z, GENERAL)
 
@@ -112,7 +110,7 @@ def q_transform(f: CoeffGrid, g: CoeffGrid | None = None) -> CoeffGrid:
     w = s_map(f)
     if g is None:
         return w
-    require_same_size(f, g)
+    require_same_size(f.n, g.n)
     wg = s_map(g)
     return CoeffGrid(f.n, w.data + 1j * wg.data, GENERAL)
 

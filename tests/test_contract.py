@@ -14,6 +14,7 @@ the CLI turns into exit code 2:
     complex        a finite complex        errors._require_finite_complex
     real array     finite real entries     errors._require_finite
     complex array  finite entries          errors._require_finite_complex
+    window         a shape (2N+1,)         grids._window_band_limit
 
 The integer roles take 2.5, 6.0, np.float64(6.0) and their valid value as
 a float no more than NaN, a bool, a string or an integer past 64 bits; a
@@ -25,7 +26,10 @@ a DomainError whose text starts with the argument's name, so a later shape
 or window check that happens to refuse the value does not count; -1.0 must
 get the helper's lower-bound text.  -1 alone may meet a range rule, in its
 own class and words, and a row whose check names the bad entry says so in
-its refusal.  A numpy integer gives the same bytes as the Python integer.
+its refusal.  A window takes an even length and length 0 no more, and an
+array window a 0-d value no more; each is refused with the DimensionError of
+grids._window_band_limit, whose text starts with the argument's name.  A
+numpy integer gives the same bytes as the Python integer.
 Every public callable of qtorus is a row or is in EXEMPT, with the reason.
 
 A new refusal comes with a row here, not with a hand-written test.
@@ -44,6 +48,7 @@ from qtorus import (
     ArithmeticSeq,
     CoeffGrid,
     DataError,
+    DimensionError,
     DomainError,
     EvolveConfig,
     FormatError,
@@ -53,6 +58,9 @@ from qtorus import (
     SobolevWeight,
     ZeroTable,
     ZetaParams,
+    analyze,
+    apply_D,
+    apply_D_inv,
     broadband_average_1d,
     broadband_average_2d,
     broadband_average_2d_counts,
@@ -84,9 +92,9 @@ from qtorus import (
 from qtorus.dirichlet import moebius_inverse_rows
 from qtorus.grids import kl_mesh
 
-BAND, COUNT, INDEX, REAL, NON_NEGATIVE, COMPLEX, REAL_ARRAY, COMPLEX_ARRAY = (
+BAND, COUNT, INDEX, REAL, NON_NEGATIVE, COMPLEX, REAL_ARRAY, COMPLEX_ARRAY, WINDOW = (
     "band limit", "count", "index", "real", "non-negative real", "complex", "real array",
-    "complex array")
+    "complex array", "window")
 
 _NOT_INTEGERS = [("nan", float("nan")), ("inf", float("inf")), ("-inf", -float("inf")),
                  ("2.5", 2.5), ("6.0", 6.0), ("float64-6.0", np.float64(6.0)),
@@ -107,6 +115,7 @@ BAD = {
                             ("2+infj", complex(2.0, float("inf")))],
     REAL_ARRAY: _NOT_FINITE_ENTRIES + [("1j-entry", 1j), ("0j-entry", 0j), ("valid-as-str", str)],
     COMPLEX_ARRAY: _NOT_FINITE_ENTRIES + [("-infj-entry", complex(0.0, -float("inf")))],
+    WINDOW: [("even-length", 4), ("length-0", 0)],  # and, for an array, "0-d"
 }
 INTEGER_ROLES = (BAND, COUNT, INDEX)
 
@@ -117,6 +126,7 @@ _F2 = np.zeros((5, 5), dtype=np.complex128)
 _F2[3, 3] = _F2[1, 1] = 1.0  # z[1,1] = z[-1,-1] = 1: a fourier-real field
 F2 = CoeffGrid(2, _F2, FOURIER_REAL)
 LAM = linear_lambda(0.5, 2)
+X = np.array([0.5, 1.0 - 1.0j, 2.0, 0.25j, -1.0])
 SEQ = np.array([0.0, 1.0, 0.25, 1.0 / 9.0, 0.0625])  # 1-based: a_k = k^-2
 
 
@@ -166,6 +176,9 @@ ROWS = [
     Row("index_range", index_range, n=(BAND, 3)),
     Row("kl_mesh", kl_mesh, n=(BAND, 3)),
     Row("SampleGrid", lambda m: SampleGrid(m, np.zeros((3, 3))), m=(COUNT, 3)),
+    # spectral: samples is the side of the SampleGrid
+    Row("analyze", lambda samples: analyze(SampleGrid(samples, np.ones((samples, samples)))),
+        samples=(WINDOW, 3)),
     # dirichlet
     Row("moebius", moebius, n=(COUNT, 6)),
     Row("unit_sequence", unit_sequence, lmax=(COUNT, 4)),
@@ -180,6 +193,8 @@ ROWS = [
     Row("d_matrix", lambda n: d_matrix(SEQ, n), n=(BAND, 3)),
     Row("estimated_operator_norm", lambda n: estimated_operator_norm(ArithmeticSeq(SEQ), n),
         n=(BAND, 3)),
+    Row("apply_D", lambda x: apply_D(ArithmeticSeq(SEQ), x), x=(WINDOW, X)),
+    Row("apply_D_inv", lambda x: apply_D_inv(ArithmeticSeq(SEQ), x), x=(WINDOW, X)),
     Row("periodized_zeta", periodized_zeta,
         s=(COMPLEX, 2.0 + 1.0j), t=(REAL, 0.1), terms=(COUNT, 5)),
     # dynamics
@@ -190,6 +205,7 @@ ROWS = [
     Row("linear_lambda", linear_lambda, c=(COMPLEX, 0.5 + 0.25j), n=(BAND, 2)),
     Row("default_dt", lambda n: default_dt(HarmonicSpec(1.0), n), n=(BAND, 3)),
     Row("LindbladSet", lambda lam: LindbladSet(lam=lam).phi_matrix(), lam=(COMPLEX_ARRAY, LAM)),
+    Row("LindbladSet.n", lambda lam: LindbladSet(lam=lam).n, lam=(WINDOW, LAM)),
     Row("EvolveConfig", EvolveConfig, t_end=(NON_NEGATIVE, 0.05), dt=(REAL, 0.01),
         alpha=(REAL, 1.0), record_every=(COUNT, 2)),
     Row("evolve_steps.record_every", _evolve_records, record_every=(COUNT, 2)),
@@ -223,9 +239,8 @@ ROWS = [
         taus=(REAL_ARRAY, ZEROS.ordinates), xs=(REAL_ARRAY, np.array([-0.5, 0.0, 0.7]))),
     Row("c_d", lambda d, sigma, t: c_d(d, sigma, ZEROS, t),
         d=(COUNT, 2), sigma=(REAL, 3.0), t=(REAL, 40.0)),
-    Row("broadband_average_1d",
-        lambda sigma, t: broadband_average_1d(F2.data[:, 1].copy(), sigma, ZEROS, t),
-        sigma=(REAL, 3.0), t=(REAL, 40.0)),
+    Row("broadband_average_1d", lambda fhat, sigma, t: broadband_average_1d(fhat, sigma, ZEROS, t),
+        fhat=(WINDOW, F2.data[:, 1].copy()), sigma=(REAL, 3.0), t=(REAL, 40.0)),
     Row("broadband_average_2d", lambda sigma, t: broadband_average_2d(F2, sigma, ZEROS, t),
         sigma=(REAL, 3.0), t=(REAL, 40.0)),
     Row("broadband_average_2d_counts",
@@ -259,11 +274,7 @@ EXEMPT = {
     "load_zero_table": "a file reader: names the bad line; ZeroTable, a row, checks the values",
     "dirichlet_convolve": "ring arithmetic on raw 1-based arrays, the oracle of the closed forms",
     "dirichlet_inverse": "ring arithmetic on raw 1-based arrays, the oracle of the closed forms",
-    "apply_D": "its sequence is an ArithmeticSeq, a row; a non-finite vector maps as numpy does",
-    "apply_D_inv": "its sequence is an ArithmeticSeq, a row; a non-finite vector maps as numpy "
-                   "does",
     "operator_norm_bound": "its one argument is an ArithmeticSeq, a row",
-    "analyze": "its one argument is a SampleGrid, a row",
     "lindblad_rhs": "its arguments are CoeffGrid, HarmonicSpec and LindbladSet, all rows",
     **{name: _GRID_ONLY for name in (
         "averaging_errors", "commutator_pairing", "d_transform_2d", "field_commutator",
@@ -274,7 +285,18 @@ EXEMPT = {
 }
 
 
+def _own_bad_values(role, valid) -> list:
+    """The bad values made from the valid one: an integer as a float, an array window as 0-d."""
+    if role in INTEGER_ROLES:
+        return [("valid-as-float", float(valid))]
+    return [("0-d", None)] if role == WINDOW and np.ndim(valid) else []
+
+
 def _bad_value(role, valid, value):
+    if role == WINDOW:  # a length, or None for a 0-d array
+        if not np.ndim(valid):
+            return value
+        return valid.flat[0] if value is None else np.resize(valid, (value,) + valid.shape[1:])
     if role not in (REAL_ARRAY, COMPLEX_ARRAY):
         return value
     if value is str:  # the valid entries spelt as strings, so that only a type check refuses
@@ -284,8 +306,10 @@ def _bad_value(role, valid, value):
     return arr
 
 
-def _refusal(row, arg, label):
+def _refusal(row, arg, role, label):
     """The (class, text) a bad value must be refused with."""
+    if role == WINDOW:
+        return DimensionError, r"^%s must have shape \(2N\+1,\), got" % re.escape(arg)
     if label == "-1":
         return DataError, None  # a range rule, in its own class and words
     if label == "-1.0":
@@ -294,11 +318,10 @@ def _refusal(row, arg, label):
                                         r"bits|be finite|be real)" % re.escape(arg))
 
 
-CASES = [pytest.param(row, arg, _bad_value(role, valid, value), _refusal(row, arg, label),
+CASES = [pytest.param(row, arg, _bad_value(role, valid, value), _refusal(row, arg, role, label),
                       id="%s-%s-%s" % (row.name, arg, label))
          for row in ROWS for arg, (role, valid) in row.args.items()
-         for label, value in BAD[role] + (
-             [("valid-as-float", float(valid))] if role in INTEGER_ROLES else [])]
+         for label, value in BAD[role] + _own_bad_values(role, valid)]
 
 INTEGER_CASES = [pytest.param(row, arg, kind, id="%s-%s-%s" % (row.name, arg, kind.__name__))
                  for row in ROWS for arg, (role, _) in row.args.items()

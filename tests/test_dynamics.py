@@ -306,7 +306,9 @@ class TestGeneralDissipator:
     @pytest.mark.parametrize("make", [
         lambda rng: LindbladSet(lam=np.ones(4)),
         lambda rng: LindbladSet(c=random_hermitian(2, rng), ls=[random_general(3, rng)]),
-    ], ids=["even-lambda", "mixed-band-limits"])
+        lambda rng: LindbladSet(c=random_hermitian(2, rng), ls=[random_general(2, rng)],
+                                lam=linear_lambda(1.0, 3)),
+    ], ids=["even-lambda", "mixed-band-limits", "lambda-third-band-limit"])
     def test_bad_sizes_rejected(self, rng, make):
         with pytest.raises(DimensionError):
             make(rng)

@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is used in the module that imports it,
 and every private module-level name, every method of a private class and every
 module-level UPPER_CASE constant in the package is used somewhere in it.
-Integer type tests live in errors alone, and the run record is built and
-written in cli.run alone.  Every row of the mutation table finds its old
+Integer type tests live in errors alone, band limits are read off a window
+and compared in grids alone, and the run record is built and written in
+cli.run alone.  Every row of the mutation table finds its old
 text, so a stale mutant shows here, not only in the slow mutation run.
 
 The checks are stdlib `ast` scans, since no linter is part of the toolchain.
@@ -140,6 +141,37 @@ def test_scan_flags_an_integer_type_test():
            "    return type(n) is int, isinstance(n, float), np.iinfo(np.int64)\n")
     assert integer_type_tests(src) == [(6, "int"), (6, "np.integer"), (8, "Integral"),
                                        (8, "numbers.Integral")]
+
+
+def band_limit_rules(source: str):
+    """(line, text) of each parity test (x % 2) and each == or != comparison
+    with a .n attribute.  In the package these belong in grids alone, where
+    _window_band_limit reads N off a window and require_same_size compares
+    band limits."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and isinstance(node.right, ast.Constant) and node.right.value == 2):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and any(
+                isinstance(side, ast.Attribute) and side.attr == "n"
+                for side in [node.left, *node.comparators]):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "grids.py"],
+                         ids=lambda p: p.name)
+def test_band_limit_rules_only_in_grids(path):
+    assert band_limit_rules(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_a_band_limit_rule():
+    src = ("def f(x, a, b, m):\n    if m % 2 != 1:\n        pass\n"
+           "    if a.n != b.n or 3 == x.lam.n:\n        pass\n"
+           "    return x.n is None, x.n < 2, m % 3, m // 2, a.m == b.m\n")
+    assert band_limit_rules(src) == [(2, "m % 2"), (4, "3 == x.lam.n"), (4, "a.n != b.n")]
 
 
 def run_records_outside_run(source: str, module: str):

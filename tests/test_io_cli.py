@@ -1464,8 +1464,9 @@ RECORDS = [
 ]
 
 # runs that fail: (id, argv, exit code, the outputs written before the failure,
-# the last line of stderr); none leaves a sidecar, and a missing directory is
-# named by the path the user gave, not by a temp file beside it
+# the last line of stderr); none leaves a sidecar, and a missing directory or an
+# output that is a directory is named by the path the user gave, not by a temp
+# file beside it
 _MISSING = "error: [Errno 2] No such file or directory: %r"
 FAILED_RUNS = [
     ("usage", ["smap", "--in", "f.json"], 1, [],
@@ -1481,6 +1482,8 @@ FAILED_RUNS = [
      _MISSING % "gone/n.csv"),
     ("evolve-after-trace", _EVOLVE_ARGV[:-4] + ["--out", "gone/e.json", "--trace", "t.csv"], 2,
      [], _MISSING % "gone/e.json"),
+    ("output-is-a-directory", ["smap", "--in", "f.json", "--out", "outdir"], 2, [],
+     "error: [Errno 21] Is a directory: 'outdir'"),
 ]
 
 
@@ -1498,6 +1501,7 @@ def record_inputs(tmp_path, monkeypatch, rng):
     write_pgm("img.pgm", np.full((5, 5), 0.5))
     with open("z.txt", "w") as fh:
         fh.write("14.134725\n21.022040\n25.010858\n")
+    os.mkdir("outdir")
     return tmp_path
 
 

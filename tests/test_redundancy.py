@@ -531,9 +531,10 @@ class TestAxisAverage:
         with pytest.raises(DomainError):
             broadband_average_1d(np.zeros(5, dtype=complex), 1.0, zeros100, 100.0)
 
-    @pytest.mark.parametrize("shape", [(4,), (3, 3)], ids=["even-length", "2-d"])
+    @pytest.mark.parametrize("shape", [(3, 3)], ids=["2-d"])
     def test_rejects_a_vector_not_of_odd_length(self, zeros100, shape):
-        with pytest.raises(DimensionError, match="odd length"):
+        with pytest.raises(DimensionError,
+                           match=r"^fhat must have shape \(2N\+1,\), got \(3, 3\)$"):
             broadband_average_1d(np.zeros(shape, dtype=complex), 3.0, zeros100, 100.0)
 
 
@@ -759,15 +760,19 @@ class TestErrorAccounting:
         assert_allclose(hs, l2, rtol=1e-13)
 
 
-def test_sweep_script_prints_one_row_per_cell():
+def _sweep(*flags):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(root / "scripts" / "redundancy_sweep.py"),
          "--zeros", str(root / "data" / "zeta_zeros_100.txt"), "--field", "random4",
-         "--n", "5", "--sigmas", "2,3", "--counts", "1,10,100"],
+         "--n", "5", "--sigmas", "2,3", "--counts", "1,10,100", *flags],
         env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_sweep_script_prints_one_row_per_cell():
+    proc = _sweep()
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "field,sigma,zero_count,T,l2_error,hs_error"
@@ -775,6 +780,23 @@ def test_sweep_script_prints_one_row_per_cell():
     assert [(r[0], float(r[1]), int(r[2])) for r in rows] == [
         ("random4", s, c) for s in (2.0, 3.0) for c in (1, 10, 100)]
     assert all(math.isfinite(float(v)) for r in rows for v in r[3:])
+
+
+@pytest.mark.parametrize("flags, err", [
+    (["--counts", "0"], "counts must be positive integers"),
+    (["--counts", "1_0"], "bad count list '1_0'"),
+    (["--counts", "101"], "table holds 100 ordinates, cannot cover 101"),
+    (["--sigmas", "nan"], "sigma must be finite, got nan"),
+    (["--sigmas", "1"], "the zeta re-encoding needs a finite sigma > 1, got 1"),
+    (["--sigmas", "2,x"], "bad sigma list '2,x'"),
+    (["--out", "{tmp}"], "[Errno 21] Is a directory: '{tmp}'"),
+], ids=["count-0", "count-1_0", "count-past-table", "sigma-nan", "sigma-1", "sigma-not-a-number",
+        "out-is-a-directory"])
+def test_sweep_script_refuses_bad_input_in_one_line(tmp_path, flags, err):
+    proc = _sweep(*[flag.format(tmp=tmp_path) for flag in flags])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: %s\n" % err.format(tmp=tmp_path))
+    assert list(tmp_path.iterdir()) == []  # no temp file is left
 
 
 def test_zero_table_script_writes_validates_and_resumes(tmp_path):
