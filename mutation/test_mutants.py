@@ -34,6 +34,11 @@ RED, DIR, GRIDS, GRIDIO, DYN, ERR, CLI = (os.path.join("src", "qtorus", name) fo
 PER_ZERO = ["tests/test_redundancy.py::TestPerZeroBatching::test_matches_sequential_fold[257-7]",
             "tests/test_redundancy.py::TestPerZeroBatching::"
             "test_matches_sequential_fold[257-7-general]"]
+# a fourier-real field has f' = conj(R f R) = f: only these fields see a lost reflection
+REFLECT = ["tests/test_redundancy.py::TestPerZeroBatching::"
+           "test_matches_sequential_fold[257-7-general]",
+           "tests/test_redundancy.py::TestPerZeroBatching::"
+           "test_matches_sequential_fold[257-7-hermitian]"]
 DIRECT = ["tests/test_redundancy.py::TestEulerRoute::test_means_match_sin_cos_route[8]",
           "tests/test_redundancy.py::TestPlaneAverage::test_agrees_with_per_zero_route"]
 GEN = "tests/test_dynamics.py::TestGeneralDissipator::"
@@ -50,13 +55,31 @@ MUTANTS = [
     ("N and P swapped", RED,
      "p, q, w = pbuf[:s].reshape(s, n, n), qbuf[:s].reshape(s, n, n), wbuf[:s]",
      "q, p, w = pbuf[:s].reshape(s, n, n), qbuf[:s].reshape(s, n, n), wbuf[:s]", PER_ZERO),
-    ("0 row dropped", RED, "            block[n] += np.sum(w[:, n], axis=0)\n", "", PER_ZERO),
-    ("0 column dropped", RED, "w[:, :, n] = f[:, n]", "w[:, :, n] = 0", PER_ZERO),
+    ("0 row dropped", RED, "            block[n] += np.sum(w[:, 2 * n], axis=0)\n", "", PER_ZERO),
+    ("0 column dropped", RED, "wbuf[:, :, n] = g[:, n]", "wbuf[:, :, n] = 0", PER_ZERO),
+    # the rows k < 0 of the per-zero images, read off the rows k > 0 of f''s
+    ("f' without its conjugate", RED, "g[1:2 * n:2] = np.conj(f[n - 1::-1, ::-1])",
+     "g[1:2 * n:2] = f[n - 1::-1, ::-1]", REFLECT),
+    ("f' rows not reversed", RED, "np.conj(f[n - 1::-1, ::-1])", "np.conj(f[:n, ::-1])",
+     REFLECT),
+    ("f' columns not reversed", RED, "np.conj(f[n - 1::-1, ::-1])", "np.conj(f[n - 1::-1])",
+     REFLECT),
+    ("rows k < 0 put back without the conjugate", RED,
+     "block[neg] = np.conj(top[::-1, :m - 1:-1])", "block[neg] = top[::-1, :m - 1:-1]", REFLECT),
+    ("rows k < 0 put back without the row reversal", RED,
+     "block[neg] = np.conj(top[::-1, :m - 1:-1])", "block[neg] = np.conj(top[:, :m - 1:-1])",
+     REFLECT),
+    ("rows k < 0 put back without the column reversal", RED,
+     "block[neg] = np.conj(top[::-1, :m - 1:-1])", "block[neg] = np.conj(top[::-1, m:])",
+     REFLECT),
     ("mu and k^-sigma rebuilt per block", RED, "rows = _moebius_rows(terms, taus[start:stop])",
      "rows = _moebius_rows(_moebius_terms(sigma, n), taus[start:stop])",
      ["tests/test_redundancy.py::TestPerZeroBatching::test_moebius_terms_built_once_per_call"]),
     ("sub-batch buffers sized by the count", RED,
-     "wbuf = np.empty((SUB_BATCH,) + f.shape", "wbuf = np.empty((taus.size,) + f.shape",
+     "wbuf = np.empty((batch, m, m)", "wbuf = np.empty((taus.size, m, m)",
+     ["tests/test_redundancy.py::TestPerZeroBatching::test_peak_memory_at_32"]),
+    ("sub-batch not sized from n", RED,
+     "batch = min(SUB_BATCH, max(1, _SUB_BATCH_BYTES // (16 * m * m)))", "batch = SUB_BATCH",
      ["tests/test_redundancy.py::TestPerZeroBatching::test_peak_memory_at_32"]),
     # the direct route's Gram block
     ("S and O swapped", RED, "np.concatenate([phase.T, phase.T.conj()], axis=1)",
@@ -106,6 +129,16 @@ MUTANTS = [
       "[single-entry-row-outside]"]),
     ("ordinate order refusal removed", RED, "ok[1:] &= arr[1:] > arr[:-1]", "pass",
      ["tests/test_redundancy.py::TestZeroTable::test_parse_rejects_disorder"]),
+    ("non-finite window entries applied", DIR, "    _require_finite_complex(x=x)\n", "",
+     [REFUSED + "apply_D-x-nan-entry]", REFUSED + "apply_D_inv-x-inf-entry]"]),
+    ("non-finite fhat averaged", RED, "    _require_finite_complex(fhat=fhat)\n", "",
+     [REFUSED + "broadband_average_1d-fhat-inf-entry]"]),
+    ("non-finite samples taken", GRIDS, "_require_finite_complex(values=arr)", "pass",
+     [REFUSED + "SampleGrid-values-nan-entry]", REFUSED + "SampleGrid-values--infj-entry]"]),
+    ("demo's --n read by int()", os.path.join("scripts", "lindblad_filter_demo.py"),
+     'ap.add_argument("--n", type=_int', 'ap.add_argument("--n", type=int',
+     ["tests/test_dynamics.py::TestDiagonalLindblad::"
+      "test_filter_demo_refuses_bad_input_in_one_line[n-1_0]"]),
     ("NaN s accepted by periodized_zeta", DIR, "    _require_finite_complex(s=s)\n", "",
      [REFUSED + "periodized_zeta-s-2+nanj]", REFUSED + "periodized_zeta-s-2+infj]"]),
     ("complex refusal dropped from the real role", ERR, "        if np.iscomplexobj(value):\n",

@@ -209,7 +209,9 @@ def _apply_coeffs(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     coefficients, index 0 passes through.
     """
     x = np.asarray(x, dtype=np.complex128)
-    return d_matrix(coeffs, _window_band_limit("x", x.shape[:1])) @ x
+    n = _window_band_limit("x", x.shape[:1])
+    _require_finite_complex(x=x)
+    return d_matrix(coeffs, n) @ x
 
 
 def apply_D(seq: ArithmeticSeq, x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, HermiticityError, SymmetryError, _require_integer
+from .errors import (DimensionError, HermiticityError, SymmetryError, _require_finite_complex,
+                     _require_integer)
 
 FOURIER_REAL = "fourier-real"
 HERMITIAN = "hermitian"
@@ -170,6 +171,7 @@ class SampleGrid:
                 "sample grid with m=%d needs shape (%d, %d), got %r"
                 % (self.m, self.m, self.m, arr.shape)
             )
+        _require_finite_complex(values=arr)  # before the copy: its mask is gone by then
         arr = np.array(arr, dtype=arr.dtype if np.iscomplexobj(arr) else np.float64)
         arr.setflags(write=False)
         self.values = arr

@@ -39,11 +39,16 @@ w sin and cos per ordinate, not the Gram block's (w, 2w) product.
 The per-zero route never forms B(tau) whole: B(tau) is block-diagonal over
 the cones, index 0 maps to itself and the negative-cone block N(tau) is
 the positive-cone block P(tau) conjugated with its rows and columns
-reversed.  SUB_BATCH ordinates at a time it scatters P(tau) from the
-closed-form rows, forms W = fhat B^T by column blocks and sums B W by
-row blocks, as stacked n x n products: half the work of the dense
-(2n+1)^2 products.  It computes every ordinate's image, so it shares no
-averaged phase with the direct route.
+reversed.  So B = R conj(B) R, R the reversal k -> -k, and the rows
+k < 0 of the image B f B^T are the rows k > 0 of the image of
+f' = conj(R f R), reversed and conjugated.  Up to SUB_BATCH ordinates at
+a time (fewer at large n: W stays within _SUB_BATCH_BYTES) it scatters
+P(tau) from the closed-form rows, forms W = G B^T by column blocks for
+one operand G (the rows k > 0 of f and f', then the 0 row of f) and
+takes P times the rows of W from f and from f' in one product: three
+stacked n x n products, half the work of the dense (2n+1)^2 products.
+It computes every ordinate's image, so it shares no averaged phase with
+the direct route.
 
 The direct route needs only M(+-log d +- log r) for squarefree d, r <= n:
 the averages of b_d b_r and of b_d conj(b_r), b_d = d^-i tau.  d -> b_d
@@ -67,14 +72,16 @@ import orjson
 
 from .dirichlet import (_moebius_rows, _moebius_terms, _require_sigma, _window_image,
                         _window_terms)
-from .errors import EmptyRangeError, FormatError, _require_finite, _require_integer
+from .errors import (EmptyRangeError, FormatError, _require_finite, _require_finite_complex,
+                     _require_integer)
 from .grids import CoeffGrid, _window_band_limit
 from .gridio import _json_floats
 from .spectral import s_map
 from .summation import KahanAccumulator
 
 BLOCK = 256  # ordinates per block sum of a phase average
-SUB_BATCH = 16  # ordinates per stacked matrix product of the per-zero route
+SUB_BATCH = 16  # most ordinates per stacked matrix product of the per-zero route
+_SUB_BATCH_BYTES = 800 << 10  # most bytes of W per sub-batch: 12 ordinates at n = 32
 _CHUNK_ENTRIES = 1 << 18  # 2D terms per chunk of output rows of the direct route
 
 
@@ -309,6 +316,7 @@ def broadband_average_1d(fhat: np.ndarray, sigma: float, zeros: ZeroTable,
     _require_sigma(sigma)
     fhat = np.asarray(fhat, dtype=np.complex128)
     n = _window_band_limit("fhat", fhat.shape)
+    _require_finite_complex(fhat=fhat)
     taus = zeros.upto(t)
     bounds, src, mu, d = _direct_plan(n)[:4]
     logs = np.log(d)
@@ -454,42 +462,55 @@ def broadband_average_2d_per_zero(fhat: CoeffGrid, sigma: float, zeros: ZeroTabl
     cones: index 0 maps to itself, the positive cone by the n x n block
     P(tau), P[k-1, j-1] = b_{k/j} for j | k, scattered from the closed-form
     rows at the sgn > 0 terms of the window operator, and the negative cone
-    by N(tau), which is conj(P(tau)) with rows and columns reversed.  Per
-    SUB_BATCH ordinates the route forms W = fhat B^T by column blocks
-    (fhat[:, -] N^T, the 0 column, fhat[:, +] P^T) and sums B W over the
-    ordinates by row blocks (N W[-], the 0 row, P W[+]), as stacked matrix
-    products; the sums go into fixed blocks of BLOCK ordinates, and the
-    block sums are Neumaier-folded in ascending order.
+    by N(tau), which is conj(P(tau)) with rows and columns reversed, so
+    that B = R conj(B) R for the reversal R.  The image's rows k < 0 are
+    then those of R conj(B f' B^T) R, f' = conj(R f R), and only rows
+    k > 0 are formed: the operand G holds the rows k > 0 of fhat and of f',
+    interleaved, then fhat's 0 row.  Per sub-batch of ordinates the route
+    forms W = G B^T by column blocks (G[:, -] N^T, the 0 column,
+    G[:, +] P^T) and sums over the ordinates P times the rows k > 0 of
+    fhat's and f''s W side by side, as one stacked product, and the 0 row;
+    the sums go into fixed blocks of BLOCK ordinates, and the block sums
+    are Neumaier-folded in ascending order.
     """
     _require_sigma(sigma)
     n = fhat.n
     taus = zeros.upto(t)
     f = fhat.data
+    m = 2 * n + 1
     row, col, d, sgn = _window_terms(n)[:4]
     cone = sgn > 0
     at, dc = (row[cone] - n - 1) * n + col[cone] - n - 1, d[cone]  # P[at] = b[dc], flat
     neg, pos = slice(0, n), slice(n + 1, None)
-    # buffers of SUB_BATCH ordinates, reused: P's scatter leaves its zeros in place
-    pbuf = np.zeros((SUB_BATCH, n * n), dtype=np.complex128)
+    # the rows k > 0 of f and of f' = conj(R f R), interleaved, then f's 0 row
+    g = np.empty_like(f)
+    g[0:2 * n:2] = f[pos]
+    g[1:2 * n:2] = np.conj(f[n - 1::-1, ::-1])
+    g[2 * n] = f[n]
+    # buffers of `batch` ordinates, reused: P's scatter leaves its zeros in place
+    batch = min(SUB_BATCH, max(1, _SUB_BATCH_BYTES // (16 * m * m)))
+    pbuf = np.zeros((batch, n * n), dtype=np.complex128)
     qbuf = np.empty_like(pbuf)
-    wbuf = np.empty((SUB_BATCH,) + f.shape, dtype=np.complex128)
+    wbuf = np.empty((batch, m, m), dtype=np.complex128)
+    wbuf[:, :, n] = g[:, n]  # W's 0 column: only the cone columns change per ordinate
     terms = _moebius_terms(sigma, n)  # mu and k^-sigma, once per call
 
     def block_sum(start, stop):
         rows = _moebius_rows(terms, taus[start:stop])
         block = np.zeros(f.shape, dtype=np.complex128)
-        for sub in range(0, rows.shape[0], SUB_BATCH):
-            b = rows[sub:sub + SUB_BATCH]
+        top = np.zeros((n, 2 * m), dtype=np.complex128)  # rows k > 0 of f's and f''s images
+        for sub in range(0, rows.shape[0], batch):
+            b = rows[sub:sub + batch]
             s = b.shape[0]
             pbuf[:s, at] = b[:, dc]
             np.conj(pbuf[:s, ::-1], out=qbuf[:s])  # N: P's rows and columns reversed
             p, q, w = pbuf[:s].reshape(s, n, n), qbuf[:s].reshape(s, n, n), wbuf[:s]
-            np.matmul(f[:, neg], q.transpose(0, 2, 1), out=w[:, :, neg])
-            w[:, :, n] = f[:, n]
-            np.matmul(f[:, pos], p.transpose(0, 2, 1), out=w[:, :, pos])
-            block[neg] += np.sum(q @ w[:, neg], axis=0)
-            block[n] += np.sum(w[:, n], axis=0)
-            block[pos] += np.sum(p @ w[:, pos], axis=0)
+            np.matmul(g[:, neg], q.transpose(0, 2, 1), out=w[:, :, neg])
+            np.matmul(g[:, pos], p.transpose(0, 2, 1), out=w[:, :, pos])
+            top += np.sum(p @ w[:, :2 * n].reshape(s, n, 2 * m), axis=0)
+            block[n] += np.sum(w[:, 2 * n], axis=0)
+        block[pos] = top[:, :m]
+        block[neg] = np.conj(top[::-1, :m - 1:-1])  # B f B^T = R conj(B f' B^T) R
         return block
 
     out = _block_folds([taus.size], f.shape, block_sum)[taus.size] / taus.size

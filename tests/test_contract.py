@@ -1,7 +1,8 @@
 """The refusal contract of the public API, as one table.
 
 Each row of ROWS names a public callable and the role of each argument it
-checks, with a valid value for every argument.  Each role has its bad
+checks, or the roles of one that two checks share (a window of finite
+entries), with a valid value for every argument.  Each role has its bad
 values, and each bad value must be refused with a DataError subclass, which
 the CLI turns into exit code 2:
 
@@ -153,15 +154,21 @@ def _evolve_records(record_every):
 
 
 class Row:
-    """A public callable: call(**args) with a (role, valid value) per argument.
-    refusal, when given, is the (class, text) of a check that names the bad
-    entry in place of the helpers'."""
+    """A public callable: call(**args) with a (role or tuple of roles, valid
+    value) per argument.  refusal, when given, is the (class, text) of a
+    check that names the bad entry in place of the helpers'."""
 
     def __init__(self, name, call, refusal=None, **args):
         self.name, self.call, self.refusal, self.args = name, call, refusal, args
 
     def valid(self) -> dict:
         return {arg: value for arg, (_, value) in self.args.items()}
+
+    def roles(self):
+        """(argument, role, valid value), one for each role of each argument."""
+        for arg, (roles, valid) in self.args.items():
+            for role in roles if isinstance(roles, tuple) else (roles,):
+                yield arg, role, valid
 
 
 _GRID_ENTRY = (FormatError, r"^cannot write grid JSON: entry \d+ \(k=-?\d+, l=-?\d+\) is not")
@@ -175,7 +182,7 @@ ROWS = [
         n=(BAND, 2), k=(INDEX, 1), l=(INDEX, -1)),
     Row("index_range", index_range, n=(BAND, 3)),
     Row("kl_mesh", kl_mesh, n=(BAND, 3)),
-    Row("SampleGrid", lambda m: SampleGrid(m, np.zeros((3, 3))), m=(COUNT, 3)),
+    Row("SampleGrid", SampleGrid, m=(COUNT, 3), values=(COMPLEX_ARRAY, np.zeros((3, 3)))),
     # spectral: samples is the side of the SampleGrid
     Row("analyze", lambda samples: analyze(SampleGrid(samples, np.ones((samples, samples)))),
         samples=(WINDOW, 3)),
@@ -193,8 +200,9 @@ ROWS = [
     Row("d_matrix", lambda n: d_matrix(SEQ, n), n=(BAND, 3)),
     Row("estimated_operator_norm", lambda n: estimated_operator_norm(ArithmeticSeq(SEQ), n),
         n=(BAND, 3)),
-    Row("apply_D", lambda x: apply_D(ArithmeticSeq(SEQ), x), x=(WINDOW, X)),
-    Row("apply_D_inv", lambda x: apply_D_inv(ArithmeticSeq(SEQ), x), x=(WINDOW, X)),
+    Row("apply_D", lambda x: apply_D(ArithmeticSeq(SEQ), x), x=((WINDOW, COMPLEX_ARRAY), X)),
+    Row("apply_D_inv", lambda x: apply_D_inv(ArithmeticSeq(SEQ), x),
+        x=((WINDOW, COMPLEX_ARRAY), X)),
     Row("periodized_zeta", periodized_zeta,
         s=(COMPLEX, 2.0 + 1.0j), t=(REAL, 0.1), terms=(COUNT, 5)),
     # dynamics
@@ -240,7 +248,7 @@ ROWS = [
     Row("c_d", lambda d, sigma, t: c_d(d, sigma, ZEROS, t),
         d=(COUNT, 2), sigma=(REAL, 3.0), t=(REAL, 40.0)),
     Row("broadband_average_1d", lambda fhat, sigma, t: broadband_average_1d(fhat, sigma, ZEROS, t),
-        fhat=(WINDOW, F2.data[:, 1].copy()), sigma=(REAL, 3.0), t=(REAL, 40.0)),
+        fhat=((WINDOW, COMPLEX_ARRAY), F2.data[:, 1].copy()), sigma=(REAL, 3.0), t=(REAL, 40.0)),
     Row("broadband_average_2d", lambda sigma, t: broadband_average_2d(F2, sigma, ZEROS, t),
         sigma=(REAL, 3.0), t=(REAL, 40.0)),
     Row("broadband_average_2d_counts",
@@ -320,11 +328,11 @@ def _refusal(row, arg, role, label):
 
 CASES = [pytest.param(row, arg, _bad_value(role, valid, value), _refusal(row, arg, role, label),
                       id="%s-%s-%s" % (row.name, arg, label))
-         for row in ROWS for arg, (role, valid) in row.args.items()
+         for row in ROWS for arg, role, valid in row.roles()
          for label, value in BAD[role] + _own_bad_values(role, valid)]
 
 INTEGER_CASES = [pytest.param(row, arg, kind, id="%s-%s-%s" % (row.name, arg, kind.__name__))
-                 for row in ROWS for arg, (role, _) in row.args.items()
+                 for row in ROWS for arg, role, _ in row.roles()
                  if role in INTEGER_ROLES for kind in (np.int64, np.int32)]
 
 
@@ -391,4 +399,4 @@ def test_every_public_callable_is_a_row_or_exempt():
 def test_rows_are_distinct_and_every_role_is_fed():
     names = [row.name for row in ROWS]
     assert len(set(names)) == len(names)
-    assert {role for row in ROWS for role, _ in row.args.values()} == set(BAD)
+    assert {role for row in ROWS for _, role, _ in row.roles()} == set(BAD)

@@ -210,6 +210,16 @@ class TestWindowOperator:
         with pytest.raises(DimensionError):
             d_matrix(coeffs[:, :n], n)
 
+    # the per-zero route reads the negative cone of its images off the positive
+    # one by B = R conj(B) R, R the reversal k -> -k; array_equal, as the two
+    # may differ in the sign of a zero imaginary part
+    @pytest.mark.parametrize("sigma", [1.5, 2.5])
+    @pytest.mark.parametrize("tau", [0.0, 14.134725, 1e4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 16])
+    def test_closed_form_inverse_is_its_own_reflection(self, n, tau, sigma):
+        b = d_matrix(moebius_inverse_rows(sigma, [tau], n)[0], n)
+        assert np.array_equal(b, np.conj(b[::-1, ::-1]))
+
     @pytest.mark.parametrize("n", [0, 1, 2, 12, 60])
     def test_pattern_hits_each_entry_once(self, n):
         row, col, d, sgn, mu, flat = _window_terms(n)

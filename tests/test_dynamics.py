@@ -212,6 +212,15 @@ class TestFloor:
             evolve_rk4(a0, HarmonicSpec(a=1.0, floor=0), None, EvolveConfig(0.1))
 
 
+def _filter_demo(*flags):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "lindblad_filter_demo.py"), *flags],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestDiagonalLindblad:
     def test_linear_family_entry_decay(self):
         # lam_n = n: phi at (1,0) is -1/2, so t=2 decays by e^{-1}
@@ -249,16 +258,24 @@ class TestDiagonalLindblad:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(a0.data))
 
     def test_filter_demo_checks_the_stepper_at_large_n(self):
-        root = pathlib.Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "lindblad_filter_demo.py"), "--check-rk4",
-             "--n", "48", "--times", "0,0.2"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = _filter_demo("--check-rk4", "--n", "48", "--times", "0,0.2")
         assert proc.returncode == 0, proc.stderr
         gap = float(re.search(r"max entry gap (\S+)", proc.stdout).group(1))
         assert gap <= 1e-12
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--n", "1_0"], "argument --n: invalid int value: '1_0'"),
+        (["--n", "-1"], "band limit must be non-negative, got -1"),
+        (["--times", "0,x"], "argument --times: bad time list '0,x'"),
+        (["--times", "0,-1"], "t must be >= 0, got -1.0"),
+        (["--times", "0,nan"], "t must be finite, got nan"),
+        (["--rate", "nan"], "c must be finite, got nan"),
+        (["--alpha", "inf"], "alpha must be finite, got inf"),
+    ], ids=["n-1_0", "n-negative", "times-not-a-number", "times-negative", "times-nan",
+            "rate-nan", "alpha-inf"])
+    def test_filter_demo_refuses_bad_input_in_one_line(self, flags, err):
+        proc = _filter_demo("--n", "3", *flags)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: %s\n" % err)
 
     def test_norm_never_increases(self, rng):
         a0 = random_hermitian(5, rng)
